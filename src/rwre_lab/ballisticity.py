@@ -21,10 +21,10 @@ from .env_model import EnvironmentLaw, law_moments, sample_environment
 from .exact_solver import build_system, green_operator_field, solve_fixed_point
 from .lattice import BallisticityBox, CorollaryBox, Region, SlabRegion
 from .monte_carlo import (
-    EVENT_EXIT_NOT_FRONTAL,
     EmpiricalDistribution,
+    ExitRegion,
     MCEstimate,
-    annealed_event_probability,
+    annealed_walks,
     sample_statistic_over_environments,
 )
 
@@ -277,16 +277,17 @@ def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
     if star_total > site_cap:
         pick = np.linspace(0, star_total - 1, site_cap).round().astype(int)
         star = star[np.unique(pick)]
-    starts = [tuple([0] * d)] + [tuple(int(c) for c in s) for s in star]
+    starts = np.vstack([np.zeros((1, d), dtype=np.int64), star])
 
+    # every walk of every start in one walker call, split per start afterwards
+    finals = annealed_walks(law, np.repeat(starts, n_per_site, axis=0),
+                            ExitRegion(region), seed)
+    nonfrontal = (finals[:, 0] < region.frontal_min).reshape(len(starts), n_per_site)
     rows: list[ConditionPStart] = []
-    for i, start in enumerate(starts):
-        est = annealed_event_probability(
-            law, region, start, EVENT_EXIT_NOT_FRONTAL,
-            n_per_site, rng.child_seed(seed, i))
-        hits = int(round(est.mean * est.n))
-        rows.append(ConditionPStart(site=start, p_hat=est.mean,
-                                    se=est.se, n=est.n, hits=hits))
+    for start, row in zip(starts, nonfrontal):
+        est = MCEstimate.from_samples(row.astype(np.float64), seed)
+        rows.append(ConditionPStart(site=tuple(start.tolist()), p_hat=est.mean,
+                                    se=est.se, n=est.n, hits=int(row.sum())))
 
     sup_estimate = max(r.p_hat for r in rows)
     # Bonferroni-corrected exact upper confidence bounds per start

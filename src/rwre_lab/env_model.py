@@ -440,16 +440,6 @@ class EnvironmentRealization:
             return self._vecs[idx]
         return np.array([self.weights(site) for site in coords])
 
-    def atom_indices(self, coords) -> np.ndarray:
-        """Support-atom index per site (homogeneous finite-support laws)."""
-        if self._cum is None:
-            raise UnsupportedFamilyError("atom indices need a homogeneous law")
-        coords = np.asarray(coords, dtype=np.int64)
-        u = rng.site_uniforms(self.seed, coords)
-        idx = np.searchsorted(self._cum, u, side="right")
-        np.clip(idx, 0, len(self._cum) - 1, out=idx)
-        return idx
-
 
 def sample_environment(law: EnvironmentLaw, region=None, seed: int = 0) -> EnvironmentRealization:
     """Draw an i.i.d. environment; `region` is advisory (sampling is lazy)."""

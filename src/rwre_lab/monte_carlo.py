@@ -1,10 +1,14 @@
 """Quenched path simulation and annealed Monte Carlo estimates.
 
 Annealed estimates draw one fresh environment per walk, matching the
-product structure of the averaged law exactly.  Environments are sampled
-lazily along the path, so laterally unbounded regions need no truncation.
-Point-mass laws (where the environment is deterministic) get a vectorized
-batch walker; everything else runs the generic lazy walker.
+product structure of the averaged law exactly.  One vectorized walker,
+`annealed_walks`, serves every annealed estimate: it advances all walks of
+a chunk together, looking up each walk's weights at its current site from
+that walk's own environment seed, so environments are sampled lazily along
+the paths and laterally unbounded regions need no truncation.  It dispatches
+on the size of the law's support: a one-atom law (a deterministic
+environment) skips the site hash.  `run_quenched_walk` simulates single
+paths in one given environment.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .env_model import EnvironmentLaw, EnvironmentRealization, PointMassLaw, directions, sample_environment
+from .env_model import EnvironmentLaw, EnvironmentRealization, directions, sample_environment
 from .lattice import ExitClass, Region
 from .runtime import deterministic_map
 
@@ -43,38 +47,48 @@ class FunctionalEvaluationError(RuntimeError):
 
 @dataclass
 class MCEstimate:
-    """Monte Carlo mean with standard error; merging shards is exact."""
+    """Monte Carlo mean with standard error; merging shards is exact.
+
+    Carries the pooled moments (n, mean, m2), m2 being the sum of squared
+    deviations from the mean, and merges them with the pairwise update of
+    Chan, Golub & LeVeque, so no variance is formed as a difference of
+    large sums.
+    """
 
     mean: float
     se: float
     n: int
     seed: int
-    sum_x: float = 0.0
-    sum_x2: float = 0.0
+    m2: float = 0.0
 
     @classmethod
     def from_samples(cls, samples, seed: int) -> "MCEstimate":
+        """Two-pass moments centred on the first sample, so bit-identical
+        samples give m2 == 0 and the sample itself as the mean."""
         x = np.asarray(samples, dtype=np.float64)
-        n = x.shape[0]
-        sum_x = float(x.sum())
-        sum_x2 = float((x * x).sum())
-        return cls.from_sums(sum_x, sum_x2, n, seed)
+        if x.shape[0] == 0:
+            return cls.from_moments(0, math.nan, 0.0, seed)
+        dev = x - x[0]
+        shift = dev.mean()
+        return cls.from_moments(x.shape[0], float(x[0] + shift),
+                                float(((dev - shift) ** 2).sum()), seed)
 
     @classmethod
-    def from_sums(cls, sum_x: float, sum_x2: float, n: int, seed: int) -> "MCEstimate":
-        mean = sum_x / n if n else math.nan
-        if n > 1:
-            var = max(0.0, (sum_x2 - n * mean * mean) / (n - 1))
-            se = math.sqrt(var / n)
-        else:
-            se = math.nan
-        return cls(mean=mean, se=se, n=n, seed=seed, sum_x=sum_x, sum_x2=sum_x2)
+    def from_moments(cls, n: int, mean: float, m2: float, seed: int) -> "MCEstimate":
+        se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.nan
+        return cls(mean=mean, se=se, n=n, seed=seed, m2=m2)
 
     def merge(self, other: "MCEstimate") -> "MCEstimate":
-        return MCEstimate.from_sums(
-            self.sum_x + other.sum_x,
-            self.sum_x2 + other.sum_x2,
-            self.n + other.n,
+        if other.n == 0:
+            return MCEstimate.from_moments(self.n, self.mean, self.m2, self.seed)
+        if self.n == 0:
+            return MCEstimate.from_moments(other.n, other.mean, other.m2, self.seed)
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return MCEstimate.from_moments(
+            n,
+            self.mean + delta * (other.n / n),
+            self.m2 + other.m2 + delta * delta * (self.n * other.n / n),
             self.seed,
         )
 
@@ -188,78 +202,100 @@ def run_quenched_walk(env: EnvironmentRealization, start, stop_rule: StopRule,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized walker for deterministic (point-mass) environments
+# Annealed walks
 # ---------------------------------------------------------------------------
 
-
-def _pointmass_exit_batch(law: PointMassLaw, region: Region, start, n: int,
-                          seed: int, step_budget: int) -> np.ndarray:
-    """Frontal-exit indicator per walk for a point-mass law; vectorized."""
-    d = law.d
-    dirs = directions(d)
-    cum = np.cumsum(law.weights)
-    gen = rng.stream_generator(seed)
-    pos = np.tile(np.asarray(start, dtype=np.int64), (n, 1))
-    frontal = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    total_steps = 0
-    while np.any(alive):
-        if total_steps > step_budget:
-            raise StepBudgetError(f"batch walk exceeded step budget {step_budget}")
-        idx = np.nonzero(alive)[0]
-        u = gen.random(idx.shape[0])
-        choice = np.searchsorted(cum, u, side="right")
-        np.clip(choice, 0, 2 * d - 1, out=choice)
-        pos[idx] += dirs[choice]
-        inside = region.contains_block(pos[idx])
-        exited = idx[~inside]
-        if exited.size:
-            frontal[exited] = pos[exited, 0] >= region.frontal_min
-            alive[exited] = False
-        total_steps += 1
-    return frontal
+# Walks stepped together.  Each chunk has its own Philox stream, so a full
+# chunk's walks do not depend on the chunks that follow it, and memory per
+# chunk stays bounded however many walks a call asks for.
+WALK_CHUNK = 1 << 14
 
 
-# ---------------------------------------------------------------------------
-# Annealed estimates
-# ---------------------------------------------------------------------------
+def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSteps,
+                   seed: int, step_budget: int = DEFAULT_STEP_BUDGET) -> np.ndarray:
+    """Final sites of annealed walks, one walk and one fresh environment per start.
+
+    starts has shape (n, d); the result has the same shape.  Walks are cut
+    into chunks of WALK_CHUNK.  Walk w of chunk c walks in the environment
+    sample_environment(law, seed=rng.child_seed(seed, c, w)), the same at
+    every revisit, and the steps of the chunk come from
+    rng.stream_generator(seed, c).  A walk that has not left an ExitRegion
+    after step_budget steps raises StepBudgetError.
+    """
+    probs, vecs = law.support()  # UnsupportedFamilyError without a homogeneous table
+    one_atom = probs.shape[0] == 1
+    atom_cum = np.cumsum(probs)
+    step_cum = np.cumsum(vecs, axis=1)
+    dirs = directions(law.d)
+    last = 2 * law.d - 1
+    finals = np.array(starts, dtype=np.int64).reshape(-1, law.d)
+    if isinstance(stop_rule, FixedSteps):
+        region, budget = None, stop_rule.n
+    elif isinstance(stop_rule, ExitRegion):
+        region, budget = stop_rule.region, step_budget
+        outside = ~region.contains_block(finals)
+        if outside.any():
+            raise ValueError(
+                f"start {tuple(finals[outside][0].tolist())} is outside the stop region")
+    else:
+        raise ValueError("annealed walks stop on ExitRegion or FixedSteps")
+
+    for c, lo in enumerate(range(0, finals.shape[0], WALK_CHUNK)):
+        pos = finals[lo:lo + WALK_CHUNK]  # a view: steps land in finals
+        m = pos.shape[0]
+        gen = rng.stream_generator(seed, c)
+        if region is None and one_atom:
+            # the step law is the same at every site, so the final site only
+            # depends on how many of the steps went each way
+            pos += gen.multinomial(budget, vecs[0], size=m) @ dirs
+            continue
+        live = np.arange(m)
+        if not one_atom:
+            # child_seed(seed, c, w) for every walk w of the chunk, in one call
+            env_seeds = rng.site_hash(seed, np.column_stack([np.full(m, c), live]))
+        steps = 0
+        while live.size:
+            if steps == budget:
+                if region is None:
+                    break
+                raise StepBudgetError(
+                    f"walk exceeded step budget {budget} before stopping")
+            here = pos[live]
+            atom = 0
+            if not one_atom:
+                u = rng.site_uniforms(env_seeds[live], here)
+                atom = np.minimum(np.searchsorted(atom_cum, u, side="right"), len(probs) - 1)
+            u = gen.random(live.shape[0])
+            k = np.minimum((step_cum[atom] <= u[:, None]).sum(axis=1), last)
+            here += dirs[k]
+            pos[live] = here
+            steps += 1
+            if region is not None:
+                live = live[region.contains_block(here)]
+    return finals
+
 
 EVENT_EXIT_FRONTAL = "exit-frontal"
 EVENT_EXIT_NOT_FRONTAL = "exit-not-frontal"
 
 
-def annealed_event_probability(law: EnvironmentLaw, region: Region, start, event,
+def annealed_event_probability(law: EnvironmentLaw, region: Region, start, event: str,
                                n: int, seed: int,
                                step_budget: int = DEFAULT_STEP_BUDGET) -> MCEstimate:
     """Estimate the averaged-law probability of an exit event from `start`.
 
-    One fresh environment per walk.  `event` is either one of the named
-    exit events ("exit-frontal" / "exit-not-frontal") or a predicate on the
-    WalkOutcome.
+    One fresh environment per walk.  `event` is "exit-frontal" or
+    "exit-not-frontal".
     """
-    named = event in (EVENT_EXIT_FRONTAL, EVENT_EXIT_NOT_FRONTAL)
-    if named and not region.has_frontal:
+    if event not in (EVENT_EXIT_FRONTAL, EVENT_EXIT_NOT_FRONTAL):
+        raise ValueError(f"unknown exit event {event!r}")
+    if not region.has_frontal:
         raise ValueError("named exit events need a region with a frontal side")
-    if named and isinstance(law, PointMassLaw):
-        frontal = _pointmass_exit_batch(law, region, start, n,
-                                        rng.child_seed(seed, 0), step_budget)
-        hits = frontal if event == EVENT_EXIT_FRONTAL else ~frontal
-        return MCEstimate.from_samples(hits.astype(np.float64), seed)
-
-    if named:
-        want_frontal = event == EVENT_EXIT_FRONTAL
-        predicate = lambda out: (out.exit_class is ExitClass.FRONTAL) == want_frontal
-    else:
-        predicate = event
-
-    def one(i: int) -> float:
-        env = sample_environment(law, seed=rng.child_seed(seed, i, 1))
-        gen = rng.stream_generator(rng.child_seed(seed, i, 2))
-        out = run_quenched_walk(env, start, ExitRegion(region), gen, step_budget)
-        return 1.0 if predicate(out) else 0.0
-
-    samples = deterministic_map(one, range(n))
-    return MCEstimate.from_samples(samples, seed)
+    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (n, law.d))
+    finals = annealed_walks(law, starts, ExitRegion(region), seed, step_budget)
+    frontal = finals[:, 0] >= region.frontal_min
+    hits = frontal if event == EVENT_EXIT_FRONTAL else ~frontal
+    return MCEstimate.from_samples(hits.astype(np.float64), seed)
 
 
 def estimate_velocity(law: EnvironmentLaw, n_steps: int, n_walks: int,
@@ -267,28 +303,9 @@ def estimate_velocity(law: EnvironmentLaw, n_steps: int, n_walks: int,
     """Annealed estimate of the n-step average displacement along e1."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if isinstance(law, PointMassLaw):
-        d = law.d
-        dirs = directions(d)
-        cum = np.cumsum(law.weights)
-        gen = rng.stream_generator(rng.child_seed(seed, 0))
-        steps_e1 = dirs[:, 0]
-        vals = np.empty(n_walks)
-        for w in range(n_walks):
-            u = gen.random(n_steps)
-            choice = np.searchsorted(cum, u, side="right")
-            np.clip(choice, 0, 2 * d - 1, out=choice)
-            vals[w] = steps_e1[choice].sum() / n_steps
-        return MCEstimate.from_samples(vals, seed)
-
-    def one(w: int) -> float:
-        env = sample_environment(law, seed=rng.child_seed(seed, w, 1))
-        gen = rng.stream_generator(rng.child_seed(seed, w, 2))
-        out = run_quenched_walk(env, (0,) * law.d, FixedSteps(n_steps), gen)
-        return out.final[0] / n_steps
-
-    samples = deterministic_map(one, range(n_walks))
-    return MCEstimate.from_samples(samples, seed)
+    finals = annealed_walks(law, np.zeros((n_walks, law.d), dtype=np.int64),
+                            FixedSteps(n_steps), seed)
+    return MCEstimate.from_samples(finals[:, 0] / n_steps, seed)
 
 
 # ---------------------------------------------------------------------------

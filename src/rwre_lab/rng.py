@@ -5,8 +5,8 @@ Two kinds of streams are needed:
 * per-site randomness for environment realizations, which must be a pure
   function of (master seed, site coordinates) so that lazily extending a
   realization to new sites is order-independent;
-* sequential streams for path simulation, where each walk gets its own
-  counter-keyed generator so that parallel execution order never matters.
+* sequential streams for path simulation, keyed by a counter so that
+  execution order never matters.
 
 Site randomness is a splitmix64-style integer mix folded over the
 coordinates.  Walk streams are numpy Philox generators keyed by
@@ -37,15 +37,21 @@ def _splitmix64(z):
         return z ^ (z >> _U64(31))
 
 
-def _seed_word(seed: int) -> np.uint64:
+def _seed_word(seed) -> np.ndarray:
+    """Mixed seed word of an integer seed, or of each entry of a seed array (mod 2^64)."""
+    if np.ndim(seed):
+        return _splitmix64(np.asarray(seed).astype(_U64))
     return _splitmix64(np.asarray(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=_U64))
 
 
-def site_hash(seed: int, coords) -> np.ndarray:
+def site_hash(seed, coords) -> np.ndarray:
     """Mix a master seed with integer site coordinates.
 
     coords has shape (..., d); returns uint64 of shape (...).  The fold is
     sequential over the d axes, so coordinate permutations hash differently.
+    seed is one integer, or an integer array of shape (...) holding one seed
+    per coordinate row; row i then hashes exactly as site_hash(seed[i],
+    coords[i]) would.
     """
     coords = np.asarray(coords, dtype=np.int64)
     h = np.broadcast_to(_seed_word(seed), coords.shape[:-1]).copy()
@@ -54,7 +60,7 @@ def site_hash(seed: int, coords) -> np.ndarray:
     return h
 
 
-def site_uniforms(seed: int, coords) -> np.ndarray:
+def site_uniforms(seed, coords) -> np.ndarray:
     """Uniform [0,1) variates attached to lattice sites, shape (...,)."""
     return (site_hash(seed, coords) >> _U64(11)).astype(np.float64) * _INV53
 

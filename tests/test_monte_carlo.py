@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rwre_lab as rl
 from rwre_lab import monte_carlo as mc
@@ -111,6 +113,93 @@ def test_merge_is_exact_pooling():
     assert merged.n == pooled.n
     assert merged.mean == pytest.approx(pooled.mean, abs=1e-12)
     assert merged.se == pytest.approx(pooled.se, abs=1e-12)
+
+
+@pytest.mark.parametrize("value,n", [(0.1, 10), (0.1, 37), (1 / 3, 10),
+                                     (0.4706416090852353, 37),
+                                     (0.4706416090852353, 1000)])
+def test_estimate_identical_samples_have_exactly_zero_spread(value, n):
+    # Sum-of-squares moments gave se ~ 1e-9 and a mean one ULP off here.
+    est = mc.MCEstimate.from_samples(np.full(n, value), 0)
+    assert est.se == 0.0 and est.mean == value
+    merged = est.merge(mc.MCEstimate.from_samples(np.full(3, value), 1))
+    assert merged.se == 0.0 and merged.mean == value and merged.n == n + 3
+
+
+_shard = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=30)
+
+
+@given(_shard, _shard, _shard)
+def test_estimate_merge_is_associative_and_pools(a, b, c):
+    x, y, z = (mc.MCEstimate.from_samples(s, 0) for s in (a, b, c))
+    pooled = mc.MCEstimate.from_samples(a + b + c, 0)
+    scale = 1e-12 * max(abs(v) for v in a + b + c)
+    for merged in (x.merge(y).merge(z), x.merge(y.merge(z))):
+        assert merged.n == pooled.n
+        assert merged.mean == pytest.approx(pooled.mean, rel=1e-12, abs=scale)
+        assert merged.se == pytest.approx(pooled.se, rel=1e-12, abs=scale)
+
+
+def test_site_hash_accepts_one_seed_per_row():
+    gen = np.random.default_rng(8)
+    coords = gen.integers(-40, 40, size=(50, 3))
+    seeds = gen.integers(0, 2 ** 63, size=50, dtype=np.uint64) * np.uint64(3)
+    rows = np.array([rng.site_hash(int(s), c) for s, c in zip(seeds, coords)])
+    assert np.array_equal(rng.site_hash(seeds, coords), rows)
+    assert np.array_equal(rng.site_uniforms(seeds, coords),
+                          [rng.site_uniforms(int(s), c) for s, c in zip(seeds, coords)])
+
+
+@pytest.mark.parametrize("stop", [mc.ExitRegion(rl.SlabRegion(4, None, 2)),
+                                  mc.FixedSteps(300)])
+def test_annealed_walk_replays_the_quenched_walker(stop):
+    # A lone walk is walk 0 of chunk 0: it walks the environment
+    # child_seed(seed, 0, 0) with the stream of (seed, 0).
+    law = rl.SignedAxisKickLaw(2, 0.1)
+    for seed in range(20):
+        final = mc.annealed_walks(law, [(1, -2)], stop, seed)
+        env = rl.sample_environment(law, seed=rng.child_seed(seed, 0, 0))
+        ref = mc.run_quenched_walk(env, (1, -2), stop, rng.stream_generator(seed, 0))
+        assert tuple(final[0].tolist()) == ref.final
+
+
+def test_annealed_step_budget_matches_the_quenched_walker():
+    # straight walk: exits the slab on exactly its 4th step
+    law = rl.PointMassLaw([1.0, 0.0, 0.0, 0.0])
+    region = rl.SlabRegion(4, None, 2)
+    est = mc.annealed_event_probability(law, region, (0, 0), mc.EVENT_EXIT_FRONTAL,
+                                        5, seed=1, step_budget=4)
+    assert est.mean == 1.0
+    with pytest.raises(mc.StepBudgetError):
+        mc.annealed_event_probability(law, region, (0, 0), mc.EVENT_EXIT_FRONTAL,
+                                      5, seed=1, step_budget=3)
+
+
+@pytest.mark.parametrize("law", [rl.ssrw_law(2), rl.SignedAxisKickLaw(2, 0.05)])
+def test_annealed_stop_rule_checks(law):
+    region = rl.SlabRegion(50, None, 2)
+    with pytest.raises(mc.StepBudgetError):
+        mc.annealed_event_probability(law, region, (0, 0), mc.EVENT_EXIT_FRONTAL,
+                                      20, seed=5, step_budget=10)
+    with pytest.raises(ValueError, match="outside"):
+        mc.annealed_event_probability(law, rl.BallisticityBox(2, 2), (2, 0),
+                                      mc.EVENT_EXIT_FRONTAL, 20, seed=5)
+    with pytest.raises(ValueError):
+        mc.annealed_event_probability(law, region, (0, 0), "exit-sideways", 20, seed=5)
+
+
+def test_annealed_walks_beyond_one_chunk_are_reproducible(monkeypatch):
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    starts = np.zeros((mc.WALK_CHUNK + 300, 2), dtype=np.int64)
+    stop = mc.ExitRegion(rl.BallisticityBox(2, 2))
+    runs = []
+    for threads in ("1", "4", "1"):
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        runs.append(mc.annealed_walks(law, starts, stop, seed=17).tobytes())
+    assert runs[0] == runs[1] == runs[2]
+    # a full chunk's walks do not depend on the chunks that follow it
+    head = mc.annealed_walks(law, starts[:mc.WALK_CHUNK], stop, seed=17)
+    assert head.tobytes() == runs[0][:head.nbytes]
 
 
 def test_velocity_point_mass_and_ssrw():

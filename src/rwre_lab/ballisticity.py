@@ -18,7 +18,7 @@ from scipy.stats import beta as beta_dist
 
 from . import rng
 from .env_model import EnvironmentLaw, law_moments, sample_environment
-from .exact_solver import build_system, green_operator_field, solve_fixed_point
+from .exact_solver import build_system, solve_green_operator
 from .lattice import BallisticityBox, CorollaryBox, Region, SlabRegion
 from .monte_carlo import (
     EmpiricalDistribution,
@@ -322,9 +322,8 @@ def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
 def drift_green_origin(env, region, tol: float = 1e-10) -> float:
     """Green operator applied to the local e1-drift, evaluated at the origin."""
     system = build_system(env, region)
-    u = green_operator_field(env, region, system.drift_field(), tol=tol)
-    origin = (0,) * region.d
-    return float(u[system.source_index(origin)])
+    u = solve_green_operator(system, system.drift_field(), tol)
+    return float(u[system.source_index((0,) * region.d)])
 
 
 @dataclass
@@ -476,10 +475,8 @@ def _nonfrontal_exit_probability(env, region: Region, tol: float) -> float:
         nonfrontal = targets[:, 0] < region.frontal_min
         idx = np.nonzero(outside)[0][nonfrontal]
         b[idx] += system.weights[idx, e]
-    method = "dense" if pat.n <= 600 else "krylov"
-    h, _ = solve_fixed_point(system.P, b, tol, norm="linf", method=method)
-    origin = (0,) * region.d
-    return float(h[system.source_index(origin)])
+    h = solve_green_operator(system, b, tol)
+    return float(h[system.source_index((0,) * region.d)])
 
 
 @dataclass
@@ -590,7 +587,7 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
             lateral_ok = np.all(np.abs(slab_pat.interior[:, 1:]) <= sub_hw, axis=1)
             subgrid_idx = np.nonzero(on_plane & lateral_ok)[0]
             origin_idx = system.source_index((0,) * d)
-        u = green_operator_field(env, slab, system.drift_field(), tol=tol)
+        u = solve_green_operator(system, system.drift_field(), tol)
         vals = u[subgrid_idx] / L
         rho_hat_samples[i] = float(np.max((1.0 - vals) / (1.0 + vals)))
         g_origin[i] = float(u[origin_idx])

@@ -87,18 +87,17 @@ class _Run:
         }
         self.meta = f"config_hash={self.hash} seed={seed}"
 
+    def path(self, name: str) -> str:
+        return os.path.join(self.out_dir, name)
+
     def csv(self, name: str, header, rows):
-        path = os.path.join(self.out_dir, name)
-        write_csv(path, header, rows, meta=self.meta)
-        return path
+        write_csv(self.path(name), header, rows, meta=self.meta)
 
     def plotdata(self, name: str, xs, ys):
-        path = os.path.join(self.out_dir, name)
-        write_plotdata(path, xs, ys, meta=self.meta)
-        return path
+        write_plotdata(self.path(name), xs, ys, meta=self.meta)
 
     def finish(self) -> str:
-        path = os.path.join(self.out_dir, "report.json")
+        path = self.path("report.json")
         write_json(path, self.report)
         return path
 
@@ -128,13 +127,9 @@ def _run_green(run: _Run):
     from .env_model import sample_environment
     env = sample_environment(law, seed=env_seed)
     table = green_row(env, region, x, tol=tol)
-    run.csv("green_row.csv",
-            [f"y{k + 1}" for k in range(law.d)] + ["green_value"],
-            [list(map(int, s)) + [float(v)] for s, v in zip(table.sites, table.values)])
+    table.to_csv(run.path("green_row.csv"), meta=run.meta)
     dist = exit_distribution(env, region, x, tol=tol)
-    run.csv("exit_distribution.csv",
-            [f"y{k + 1}" for k in range(law.d)] + ["probability"],
-            [list(map(int, s)) + [float(m)] for s, m in zip(dist.sites, dist.masses)])
+    dist.to_csv(run.path("exit_distribution.csv"), meta=run.meta)
     ones = np.ones(region.interior_count())
     run.report.update({
         "law": law.to_dict(),
@@ -157,24 +152,12 @@ def _run_kalikow_drift(run: _Run):
     y = tuple(run.cfg.get("y", [0] * law.d))
     n_env = int(run.cfg.get("n_env", 2000))
     method = run.cfg.get("method", "auto")
-    rep_def = kal.kalikow_drift(law, region, x, y, n_env=n_env,
-                                seed=run.seed, method=method)
-    rep_form = kal.kalikow_drift_formula(law, region, x, y, n_env=n_env,
-                                         seed=run.seed + 1, method=method)
     kenv = kal.kalikow_environment(law, region, x, n_env=n_env,
                                    seed=run.seed, method=method)
-    from .env_model import direction_labels
-    labels = direction_labels(law.d)
-    header = [f"y{k + 1}" for k in range(law.d)]
-    for lbl in labels:
-        header += [f"w({lbl})", f"se({lbl})"]
-    rows = []
-    for i, s in enumerate(kenv.sites):
-        row = list(map(int, s))
-        for e in range(2 * law.d):
-            row += [float(kenv.ratios[i, e]), float(kenv.ratio_se[i, e])]
-        rows.append(row)
-    run.csv("kalikow_environment.csv", header, rows)
+    rep_def = kenv.drift_report(y)
+    rep_form = kal.kalikow_drift_formula(law, region, x, y, n_env=n_env,
+                                         seed=run.seed + 1, method=method)
+    kenv.to_csv(run.path("kalikow_environment.csv"), meta=run.meta)
     run.report.update({
         "law": law.to_dict(),
         "region": region.descriptor(),
@@ -285,9 +268,7 @@ def _run_prop31(run: _Run):
         law, int(_require(run.cfg, "L")), int(_require(run.cfg, "W")),
         int(run.cfg.get("n_env", 500)), seed=run.seed)
     if stats.distribution is not None:
-        run.csv("drift_green_samples.csv", ["env_seed", "value"],
-                [[s, float(v)] for s, v in
-                 zip(stats.distribution.seeds, stats.distribution.samples)])
+        stats.distribution.to_csv(run.path("drift_green_samples.csv"), meta=run.meta)
     run.report.update({"law": law.to_dict(), "drift_green": stats.to_dict()})
 
 

@@ -20,6 +20,10 @@ and its l1/sup norms are reported.
 
 The default ("auto") uses dense LU below a small size cutoff and Krylov
 above it; tolerances are always certified, never assumed.
+
+Every public quantity builds its system once (`build_system`) and solves on
+it through `solve_green_row`, `solve_green_operator` or `solve_hitting`;
+callers that already hold a system call those directly.
 """
 
 from __future__ import annotations
@@ -72,20 +76,10 @@ class RegionPattern:
         self._indices = cols[order].astype(np.int32)
         counts = np.bincount(rows, minlength=self.n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        # transpose structure for row-vector (source) solves
-        t_order = np.lexsort((rows, cols))
-        self._t_perm = t_order
-        self._t_indices = rows[t_order].astype(np.int32)
-        t_counts = np.bincount(cols, minlength=self.n)
-        self._t_indptr = np.concatenate([[0], np.cumsum(t_counts)]).astype(np.int32)
 
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
         data = weights.ravel()[self.inside_mask][self._order]
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
-
-    def matrix_t(self, weights: np.ndarray) -> sp.csr_matrix:
-        data = weights.ravel()[self.inside_mask][self._t_perm]
-        return sp.csr_matrix((data, self._t_indices, self._t_indptr), shape=(self.n, self.n))
 
 
 def region_pattern(region: Region) -> RegionPattern:
@@ -107,7 +101,6 @@ class QuenchedSystem:
         self.env = env
         self.weights = env.weights_block(self.pattern.interior)
         self._P = None
-        self._PT = None
 
     @property
     def n(self) -> int:
@@ -118,12 +111,6 @@ class QuenchedSystem:
         if self._P is None:
             self._P = self.pattern.matrix(self.weights)
         return self._P
-
-    @property
-    def PT(self) -> sp.csr_matrix:
-        if self._PT is None:
-            self._PT = self.pattern.matrix_t(self.weights)
-        return self._PT
 
     def drift_field(self) -> np.ndarray:
         """Local drift along e1 at every interior site."""
@@ -248,6 +235,59 @@ def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None):
 
 
 # ---------------------------------------------------------------------------
+# Solves on a built system
+# ---------------------------------------------------------------------------
+
+
+def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
+                    method: str = "auto", x0=None) -> tuple[np.ndarray, SolveInfo]:
+    """Green row g(src, .) from the row identity g = delta_src + g P.
+
+    The l1 norm of the residual is driven below tol, which also bounds the
+    sup-norm defect.
+    """
+    b = np.zeros(system.n)
+    b[src] = 1.0
+    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method, x0=x0)
+
+
+def _as_field(f, system: QuenchedSystem) -> np.ndarray:
+    if callable(f):
+        vals = np.asarray(f(system.pattern.interior), dtype=np.float64)
+    else:
+        vals = np.asarray(f, dtype=np.float64)
+    if vals.shape != (system.n,):
+        raise ValueError(f"field must have shape ({system.n},), got {vals.shape}")
+    return vals
+
+
+def solve_green_operator(system: QuenchedSystem, f, tol: float = DEFAULT_TOL,
+                         method: str = "auto") -> np.ndarray:
+    """G[f] = sum_y g(., y) f(y) at every interior site, from u = f + P u.
+
+    f may be a callable mapping an (N, d) site array to values, or an
+    array aligned with the interior enumeration.
+    """
+    vals = _as_field(f, system)
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    u, _ = solve_fixed_point(system.P, vals, tol * scale, norm="linf", method=method)
+    return u
+
+
+def solve_hitting(system: QuenchedSystem, y_idx: int, tol: float = DEFAULT_TOL,
+                  method: str = "auto") -> np.ndarray:
+    """h(z) = P_z(walk hits interior site y_idx before exiting), every z."""
+    A = system.P.tocsr(copy=True)
+    b = np.asarray(A[:, y_idx].todense()).ravel()
+    # absorb at the target: zero its row and column, feed the column as source
+    A.data[A.indptr[y_idx]:A.indptr[y_idx + 1]] = 0.0
+    A.data[A.indices == y_idx] = 0.0
+    b[y_idx] = 1.0
+    h, _ = solve_fixed_point(A, b, tol, norm="linf", method=method)
+    return h
+
+
+# ---------------------------------------------------------------------------
 # Green's function and derived quantities
 # ---------------------------------------------------------------------------
 
@@ -279,26 +319,16 @@ class GreenTable:
     def total(self) -> float:
         return float(self.values.sum())
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, meta: str | None = None) -> None:
         from .reporting import write_csv
         d = self.sites.shape[1]
         header = [f"y{k + 1}" for k in range(d)] + ["green_value"]
         rows = [list(map(int, s)) + [float(v)] for s, v in zip(self.sites, self.values)]
-        write_csv(path, header, rows)
+        write_csv(path, header, rows, meta=meta)
 
 
-def green_row(env: EnvironmentRealization, region: Region, x,
-              tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
-    """Green's function g(x, .) on the region interior for one environment.
-
-    Solves the row identity g = delta_x + g P; the l1 norm of the residual
-    is driven below tol, which also bounds the sup-norm defect.
-    """
-    system = build_system(env, region)
-    src = system.source_index(x)
-    b = np.zeros(system.n)
-    b[src] = 1.0
-    g, info = solve_fixed_point(system.PT, b, tol, norm="l1", method=method)
+def _green_table(system: QuenchedSystem, x, tol: float, method: str) -> GreenTable:
+    g, info = solve_green_row(system, system.source_index(x), tol, method)
     return GreenTable(
         source=tuple(int(c) for c in x),
         sites=system.pattern.interior,
@@ -310,83 +340,53 @@ def green_row(env: EnvironmentRealization, region: Region, x,
     )
 
 
+def green_row(env: EnvironmentRealization, region: Region, x,
+              tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
+    """Green's function g(x, .) on the region interior for one environment."""
+    return _green_table(build_system(env, region), x, tol, method)
+
+
 def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
                            n_iters: int) -> list[np.ndarray]:
     """The first n_iters plain fixed-point iterates of the Green row solve."""
     system = build_system(env, region)
-    src = system.source_index(x)
-    b = np.zeros(system.n)
-    b[src] = 1.0
+    PT = system.P.T
     out = []
-    g = np.zeros_like(b)
-    r = b.copy()
+    g = np.zeros(system.n)
+    r = np.zeros(system.n)
+    r[system.source_index(x)] = 1.0
     for _ in range(n_iters):
         g = g + r
-        r = system.PT @ r
+        r = PT @ r
         out.append(g.copy())
     return out
 
 
-def _as_field(f, system: QuenchedSystem) -> np.ndarray:
-    if callable(f):
-        vals = np.asarray(f(system.pattern.interior), dtype=np.float64)
-    else:
-        vals = np.asarray(f, dtype=np.float64)
-    if vals.shape != (system.n,):
-        raise ValueError(f"field must have shape ({system.n},), got {vals.shape}")
-    return vals
-
-
 def green_operator_field(env: EnvironmentRealization, region: Region, f,
                          tol: float = DEFAULT_TOL, method: str = "auto") -> np.ndarray:
-    """G[f] at every interior site: expected path sum of f before exit.
-
-    f may be a callable mapping an (N, d) site array to values, or an
-    array aligned with the interior enumeration.
-    """
-    system = build_system(env, region)
-    vals = _as_field(f, system)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    u, _ = solve_fixed_point(system.P, vals, tol * scale, norm="linf", method=method)
-    return u
+    """G[f] at every interior site: expected path sum of f before exit."""
+    return solve_green_operator(build_system(env, region), f, tol, method)
 
 
 def green_operator(env: EnvironmentRealization, region: Region, f, x,
                    tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """Green operator value sum_y g(x,y) f(y)."""
     system = build_system(env, region)
-    field = green_operator_field(env, region, f, tol=tol, method=method)
-    return float(field[system.source_index(x)])
-
-
-def _hitting_system(system: QuenchedSystem, y_idx: int):
-    P = system.P.tocsr(copy=True)
-    col_b = np.asarray(P[:, y_idx].todense()).ravel()
-    # absorb at the target: zero its row and column, feed the column as source
-    start, end = P.indptr[y_idx], P.indptr[y_idx + 1]
-    P.data[start:end] = 0.0
-    mask = P.indices == y_idx
-    P.data[mask] = 0.0
-    b = col_b
-    b[y_idx] = 1.0
-    return P, b
+    return float(solve_green_operator(system, f, tol, method)[system.source_index(x)])
 
 
 def hitting_probability_field(env: EnvironmentRealization, region: Region, y,
                               tol: float = DEFAULT_TOL, method: str = "auto") -> np.ndarray:
     """P_z(walk hits y before exiting), for every interior start z."""
     system = build_system(env, region)
-    y_idx = system.source_index(y)
-    A, b = _hitting_system(system, y_idx)
-    h, _ = solve_fixed_point(A, b, tol, norm="linf", method=method)
-    return h
+    return solve_hitting(system, system.source_index(y), tol, method)
 
 
 def hitting_probability(env: EnvironmentRealization, region: Region, z, y,
                         tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """P_z(hit y before the first exit)."""
     system = build_system(env, region)
-    h = hitting_probability_field(env, region, y, tol=tol, method=method)
+    h = solve_hitting(system, system.source_index(y), tol, method)
     return float(h[system.source_index(z)])
 
 
@@ -395,7 +395,7 @@ def no_return_probability(env: EnvironmentRealization, region: Region, y,
     """P_y(no return to y before exiting); exterior neighbors never return."""
     system = build_system(env, region)
     y_idx = system.source_index(y)
-    h = hitting_probability_field(env, region, y, tol=tol, method=method)
+    h = solve_hitting(system, y_idx, tol, method)
     pat = system.pattern
     total = 0.0
     for e in range(2 * pat.d):
@@ -426,19 +426,19 @@ class ExitDistribution:
     def frontal_mass(self) -> float:
         return self.class_mass(ExitClass.FRONTAL)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, meta: str | None = None) -> None:
         from .reporting import write_csv
         d = self.sites.shape[1]
         header = [f"y{k + 1}" for k in range(d)] + ["probability"]
         rows = [list(map(int, s)) + [float(m)] for s, m in zip(self.sites, self.masses)]
-        write_csv(path, header, rows)
+        write_csv(path, header, rows, meta=meta)
 
 
 def exit_distribution(env: EnvironmentRealization, region: Region, x,
                       tol: float = DEFAULT_TOL, method: str = "auto") -> ExitDistribution:
     """Distribution of the walk's position at its first exit from the region."""
-    table = green_row(env, region, x, tol=tol, method=method)
     system = build_system(env, region)
+    table = _green_table(system, x, tol, method)
     pat = system.pattern
     boundary = region.boundary_array()
     b_index = {tuple(s): i for i, s in enumerate(boundary)}

@@ -11,14 +11,18 @@ computed here by two independent routes:
 * the formula route: the hitting-time representation, averaging
   w(y,e)/S(y) against 1/S(y) where S(y) = sum_e w(y,e) f(y, y+e, w) and
   f(y, z, w) = P_z(exit before hitting y) / P_x(hit y before exit);
-  exterior z contribute f with the exit probability equal to one.
+  exterior z contribute f with the exit probability equal to one.  Every
+  hitting probability comes from one Green inverse G per environment,
+  through the ratio identity P_z(hit y before exit) = G[z, y] / G[y, y].
 
 For finite-support laws on small regions both routes are evaluated exactly
 by enumerating every environment restricted to B (the Green's function
 depends on the environment only through its restriction to B).  Larger
 problems are estimated by Monte Carlo over environments with exact
 per-environment solves; ratio estimators share environments between
-numerator and denominator and report delta-method standard errors.
+numerator and denominator and report delta-method standard errors.  One
+batched path turns environments (enumerated or sampled) into per-environment
+Green data for both routes and for the half-space experiment.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .env_model import (
     sample_environment,
     ssrw_law,
 )
-from .exact_solver import build_system, region_pattern, solve_fixed_point
+from .exact_solver import build_system, green_row, region_pattern, solve_green_row
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
 from .runtime import deterministic_map
 
@@ -55,70 +59,60 @@ class EnumerationBlowupError(ValueError):
 
 
 class _RatioAccumulator:
-    """Weighted sums for ratio estimators over (site, direction) cells.
+    """Pooled weighted moments for ratio estimators over (site, column) cells.
 
-    num[y, e] and den[y] are the numerator/denominator samples; drift
-    numerators per axis are tracked separately so their delta-method
-    standard errors need no cross-direction covariances.
+    Per site the columns are the 2d numerators num[y, e], the d drift
+    numerators and, last, the denominator den[y].  Each batch is centred on
+    its first sample and merged with the pairwise update of Chan, Golub &
+    LeVeque, so identical samples give co-moments of exactly 0.  Only each
+    column's own co-moment and its co-moment with the denominator are kept:
+    the delta-method errors need no cross-column covariances.
     """
 
     def __init__(self, n_sites: int, d: int):
-        self.d = d
+        self.num_cols = slice(0, 2 * d)
+        self.drift_cols = slice(2 * d, 3 * d)
         self.w_total = 0.0
         self.n_samples = 0
-        self.s_num = np.zeros((n_sites, 2 * d))
-        self.s_num2 = np.zeros((n_sites, 2 * d))
-        self.s_numden = np.zeros((n_sites, 2 * d))
-        self.s_den = np.zeros(n_sites)
-        self.s_den2 = np.zeros(n_sites)
-        self.s_drift = np.zeros((n_sites, d))
-        self.s_drift2 = np.zeros((n_sites, d))
-        self.s_driftden = np.zeros((n_sites, d))
+        # an empty accumulator merges exactly: the first batch's moments
+        # come through the update unchanged
+        self.mean, self.m2, self.c_den = np.zeros((3, n_sites, 3 * d + 1))
 
     def add(self, num, den, weights=None, drift_num=None):
         """num: (B, n, 2d); den: (B, n); weights: (B,) combo probabilities."""
-        if weights is None:
-            weights = np.ones(num.shape[0])
-        w = weights[:, None, None]
-        self.w_total += float(weights.sum())
-        self.n_samples += num.shape[0]
-        self.s_num += (w * num).sum(axis=0)
-        self.s_num2 += (w * num * num).sum(axis=0)
-        self.s_numden += (w * num * den[:, :, None]).sum(axis=0)
-        self.s_den += (weights[:, None] * den).sum(axis=0)
-        self.s_den2 += (weights[:, None] * den * den).sum(axis=0)
         if drift_num is None:
             drift_num = num[:, :, 0::2] - num[:, :, 1::2]
-        self.s_drift += (w * drift_num).sum(axis=0)
-        self.s_drift2 += (w * drift_num * drift_num).sum(axis=0)
-        self.s_driftden += (w * drift_num * den[:, :, None]).sum(axis=0)
+        x = np.concatenate([num, drift_num, den[:, :, None]], axis=2)
+        w = np.ones(x.shape[0]) if weights is None else weights
+        w_b = float(w.sum())
+        dev = x - x[0]
+        shift = np.einsum("b,bsk->sk", w, dev) / w_b
+        dev -= shift
+        mean = x[0] + shift
+        m2 = np.einsum("b,bsk->sk", w, dev * dev)
+        c_den = np.einsum("b,bsk->sk", w, dev * dev[:, :, -1:])
+        w_all = self.w_total + w_b
+        delta = mean - self.mean
+        f = self.w_total * w_b / w_all
+        self.m2 = self.m2 + m2 + delta * delta * f
+        self.c_den = self.c_den + c_den + delta * delta[:, -1:] * f
+        self.mean = self.mean + delta * (w_b / w_all)
+        self.w_total = w_all
+        self.n_samples += x.shape[0]
 
-    def ratios(self) -> np.ndarray:
-        return self.s_num / self.s_den[:, None]
+    @property
+    def den(self) -> np.ndarray:
+        return self.mean[:, -1]
 
-    def drift(self) -> np.ndarray:
-        return self.s_drift / self.s_den[:, None]
-
-    def _delta_se(self, s_g, s_g2, s_gd):
-        """SE of mean(G)/mean(D) ratios via the delta method."""
-        n = self.n_samples
-        if n < 2:
-            return np.full_like(s_g, np.nan)
-        W = self.w_total
-        g_bar = s_g / W
-        d_bar = (self.s_den / W)[:, None]
-        r = g_bar / d_bar
-        var_g = np.maximum(0.0, s_g2 / W - g_bar ** 2)
-        var_d = np.maximum(0.0, self.s_den2 / W - (self.s_den / W) ** 2)[:, None]
-        cov = s_gd / W - g_bar * d_bar
-        resid = np.maximum(0.0, var_g - 2 * r * cov + r * r * var_d)
-        return np.sqrt(resid / n) / np.abs(d_bar)
-
-    def ratio_se(self) -> np.ndarray:
-        return self._delta_se(self.s_num, self.s_num2, self.s_numden)
-
-    def drift_se(self) -> np.ndarray:
-        return self._delta_se(self.s_drift, self.s_drift2, self.s_driftden)
+    def ratio(self, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """mean(G)/mean(D) for the columns G, with delta-method SEs."""
+        d_bar = self.mean[:, -1:]
+        r = self.mean[:, cols] / d_bar
+        if self.n_samples < 2:
+            return r, np.full_like(r, np.nan)
+        resid = self.m2[:, cols] - 2 * r * self.c_den[:, cols] + r * r * self.m2[:, -1:]
+        resid = np.maximum(0.0, resid / self.w_total)
+        return r, np.sqrt(resid / self.n_samples) / np.abs(d_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,16 @@ class KalikowEnv:
     def drift(self, y) -> np.ndarray:
         return self.drift_vectors[self.site_index(y)]
 
-    def to_csv(self, path) -> None:
+    def drift_report(self, y, z: float = DEFAULT_Z) -> "KalikowDriftReport":
+        i = self.site_index(y)
+        return KalikowDriftReport(
+            y=tuple(int(c) for c in y),
+            drift=self.drift_vectors[i].copy(),
+            se=self.drift_se[i].copy(),
+            n=self.n, seed=self.seed, route=self.route, exact=self.exact, z=z,
+        )
+
+    def to_csv(self, path, meta: str | None = None) -> None:
         from .env_model import direction_labels
         from .reporting import write_csv
         d = self.sites.shape[1]
@@ -174,7 +177,7 @@ class KalikowEnv:
             for e in range(2 * d):
                 row += [float(self.ratios[i, e]), float(self.ratio_se[i, e])]
             rows.append(row)
-        write_csv(path, header, rows)
+        write_csv(path, header, rows, meta=meta)
 
 
 @dataclass
@@ -211,67 +214,7 @@ class KalikowDriftReport:
 
 
 # ---------------------------------------------------------------------------
-# Dense batched per-environment solves
-# ---------------------------------------------------------------------------
-
-
-def _batched_transition(pattern, weights_b: np.ndarray) -> np.ndarray:
-    """Stack of dense interior transition matrices from (B, n, 2d) weights."""
-    B = weights_b.shape[0]
-    n = pattern.n
-    P = np.zeros((B, n, n))
-    rows = np.repeat(np.arange(n), 2 * pattern.d)
-    cols = pattern.nbr.ravel()
-    keep = cols >= 0
-    P[:, rows[keep], cols[keep]] = weights_b.reshape(B, -1)[:, keep]
-    return P
-
-
-def _batched_green_rows(P: np.ndarray, src: int) -> np.ndarray:
-    """Green's rows g(x, .) for a stack of transition matrices."""
-    B, n, _ = P.shape
-    A = np.broadcast_to(np.eye(n), (B, n, n)) - P.transpose(0, 2, 1)
-    b = np.zeros((B, n, 1))
-    b[:, src, 0] = 1.0
-    return np.linalg.solve(A, b)[:, :, 0]
-
-
-def _batched_hitting(P: np.ndarray, y: int) -> np.ndarray:
-    """Fields h(z) = P_z(hit y before exit) for a stack of matrices."""
-    B, n, _ = P.shape
-    A = P.copy()
-    b = A[:, :, y].copy()
-    b[:, y] = 1.0
-    A[:, y, :] = 0.0
-    A[:, :, y] = 0.0
-    sol = np.linalg.solve(np.broadcast_to(np.eye(n), (B, n, n)) - A, b[:, :, None])
-    return sol[:, :, 0]
-
-
-def _formula_samples(P: np.ndarray, weights_b: np.ndarray, pattern, src: int):
-    """Per-environment formula-route samples.
-
-    Returns (num, den) with num[b, y, e] = w(y,e)/S(y) and den[b, y] = 1/S(y),
-    where S(y) = sum_e w(y,e) f(y, y+e) and f uses hitting probabilities of y.
-    """
-    B, n, _ = P.shape
-    two_d = 2 * pattern.d
-    f_vals = np.empty((B, n, two_d))
-    for y in range(n):
-        h = _batched_hitting(P, y)
-        hx = h[:, src]
-        for e in range(two_d):
-            j = pattern.nbr[y, e]
-            exit_before_hit = 1.0 - h[:, j] if j >= 0 else np.ones(B)
-            f_vals[:, y, e] = exit_before_hit / hx
-    S = np.einsum("bye,bye->by", weights_b, f_vals)
-    den = 1.0 / S
-    num = weights_b * den[:, :, None]
-    return num, den
-
-
-# ---------------------------------------------------------------------------
-# Main estimators
+# One batched path: environments -> per-environment Green data
 # ---------------------------------------------------------------------------
 
 
@@ -292,77 +235,109 @@ def _enumeration_size(tables) -> int:
     return total
 
 
-def _dense_chunk(n: int) -> int:
-    """Batch size keeping the stacked dense systems around 50 MB."""
+def _chunk(n: int) -> int:
+    """Batch size keeping a batch of dense n x n systems around 50 MB."""
     return int(np.clip(6_000_000 // max(1, n * n), 1, 4096))
 
 
-def _accumulate_exact(law, pattern, src, route: str) -> _RatioAccumulator:
+def _source(pattern, x) -> int:
+    src = int(pattern.region.index_block(np.asarray([x], dtype=np.int64))[0])
+    if src < 0:
+        raise ValueError(f"base point {tuple(x)} must be interior to the region")
+    return src
+
+
+def _enumerated(law, pattern, chunk: int):
+    """Every environment restricted to the region, as (weights, probabilities)."""
     tables = _site_atom_tables(law, pattern.interior)
     counts = [len(p) for p, _ in tables]
     total = int(np.prod(counts, dtype=np.int64))
-    chunk = _dense_chunk(pattern.n)
-    acc = _RatioAccumulator(pattern.n, pattern.d)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        combo = np.unravel_index(idx, counts)
-        B = idx.shape[0]
-        weights_b = np.empty((B, pattern.n, 2 * pattern.d))
-        probs_b = np.ones(B)
-        for i, (probs, vecs) in enumerate(tables):
-            weights_b[:, i, :] = vecs[combo[i]]
-            probs_b *= probs[combo[i]]
-        P = _batched_transition(pattern, weights_b)
-        if route == "definition":
-            g = _batched_green_rows(P, src)
-            num = g[:, :, None] * weights_b
-            den = g
-        else:
-            num, den = _formula_samples(P, weights_b, pattern, src)
-        acc.add(num, den, weights=probs_b)
-    return acc
+        combo = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
+        weights = np.empty((combo[0].shape[0], pattern.n, 2 * pattern.d))
+        probs = np.ones(combo[0].shape[0])
+        for i, (p, vecs) in enumerate(tables):
+            weights[:, i, :] = vecs[combo[i]]
+            probs *= p[combo[i]]
+        yield weights, probs
 
 
-def _accumulate_mc(law, pattern, src, route: str, n_env: int, seed: int,
-                   tol: float) -> _RatioAccumulator:
-    acc = _RatioAccumulator(pattern.n, pattern.d)
-    env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
-    use_dense = pattern.n <= DENSE_BATCH_CUTOFF
-    chunk = _dense_chunk(pattern.n)
+def _sampled(law, pattern, env_seeds, chunk: int):
+    """One sampled environment per seed, as (weights, None) batches."""
+    for start in range(0, len(env_seeds), chunk):
+        yield np.stack([sample_environment(law, seed=s).weights_block(pattern.interior)
+                        for s in env_seeds[start:start + chunk]]), None
 
-    if use_dense:
-        for start in range(0, n_env, chunk):
-            batch = env_seeds[start:start + chunk]
-            weights_b = np.stack([
-                sample_environment(law, seed=s).weights_block(pattern.interior)
-                for s in batch
-            ])
-            P = _batched_transition(pattern, weights_b)
-            if route == "definition":
-                g = _batched_green_rows(P, src)
-                num = g[:, :, None] * weights_b
-                den = g
-            else:
-                num, den = _formula_samples(P, weights_b, pattern, src)
-            acc.add(num, den)
-        return acc
 
+def _dense_green(pattern, weights: np.ndarray, src: int, route: str) -> np.ndarray:
+    """Stacked dense LU on a batch: Green rows g(x, .) for the definition
+    route, whole inverses G = (I - P)^-1 for the formula route."""
+    B, n = weights.shape[:2]
+    P = np.zeros((B, n, n))
+    rows = np.repeat(np.arange(n), 2 * pattern.d)
+    cols = pattern.nbr.ravel()
+    keep = cols >= 0
+    P[:, rows[keep], cols[keep]] = weights.reshape(B, -1)[:, keep]
+    eye = np.broadcast_to(np.eye(n), (B, n, n))
+    if route == "formula":
+        return np.linalg.inv(eye - P)
+    b = np.zeros((B, n, 1))
+    b[:, src, 0] = 1.0
+    return np.linalg.solve(eye - P.transpose(0, 2, 1), b)[:, :, 0]
+
+
+def _green_batches(law, pattern, src: int, route: str, tol: float,
+                   env_seeds=None, x0=None):
+    """Yield (weights, green, probabilities) over batches of environments.
+
+    env_seeds None enumerates every environment restricted to the region
+    with its probability; otherwise one environment is sampled per seed and
+    probabilities is None.  green holds the Green rows g(x, .) (definition
+    route) or the inverses G (formula route).  Above DENSE_BATCH_CUTOFF
+    sampled environments get one certified Krylov row solve each, warm
+    started from x0.
+    """
+    chunk = _chunk(pattern.n)
+    if env_seeds is None or pattern.n <= DENSE_BATCH_CUTOFF:
+        batches = (_enumerated(law, pattern, chunk) if env_seeds is None
+                   else _sampled(law, pattern, env_seeds, chunk))
+        for weights, probs in batches:
+            yield weights, _dense_green(pattern, weights, src, route), probs
+        return
     if route != "definition":
         raise ValueError(
-            "the formula route needs per-site hitting solves and is only "
+            "the formula route needs dense Green inverses and is only "
             f"supported up to {DENSE_BATCH_CUTOFF} interior sites")
 
     def one(env_seed: int):
-        env = sample_environment(law, seed=env_seed)
-        system = build_system(env, pattern.region)
-        b = np.zeros(pattern.n)
-        b[src] = 1.0
-        g, _ = solve_fixed_point(system.PT, b, tol, norm="l1", method="krylov")
-        return g, system.weights
+        system = build_system(sample_environment(law, seed=env_seed), pattern.region)
+        g, _ = solve_green_row(system, src, tol, method="krylov", x0=x0)
+        return system.weights, g
 
-    for g, w in deterministic_map(one, env_seeds):
-        acc.add((g[:, None] * w)[None], g[None])
-    return acc
+    for start in range(0, len(env_seeds), chunk):
+        weights, g = zip(*deterministic_map(one, env_seeds[start:start + chunk]))
+        yield np.stack(weights), np.stack(g), None
+
+
+def _formula_samples(G: np.ndarray, weights: np.ndarray, pattern, src: int):
+    """Per-environment formula-route samples from the Green inverses G.
+
+    Returns (num, den) with num[b, y, e] = w(y,e)/S(y) and den[b, y] = 1/S(y),
+    where S(y) = sum_e w(y,e) f(y, y+e) and P_z(hit y) = G[z, y] / G[y, y].
+    """
+    nbr = pattern.nbr
+    g_yy = np.diagonal(G, axis1=1, axis2=2)
+    hit_from_x = G[:, src, :] / g_yy
+    y = np.broadcast_to(np.arange(pattern.n)[:, None], nbr.shape)
+    hit_from_nbr = G[:, np.maximum(nbr, 0), y] / g_yy[:, :, None]
+    exit_first = np.where(nbr >= 0, 1.0 - hit_from_nbr, 1.0)
+    den = hit_from_x / np.einsum("bye,bye->by", weights, exit_first)
+    return weights * den[:, :, None], den
+
+
+# ---------------------------------------------------------------------------
+# Main estimators
+# ---------------------------------------------------------------------------
 
 
 def kalikow_environment(law: EnvironmentLaw, region: Region, x,
@@ -378,12 +353,8 @@ def kalikow_environment(law: EnvironmentLaw, region: Region, x,
     enumeration_cap combinations.
     """
     pattern = region_pattern(region)
-    src = int(region.index_block(np.asarray([x], dtype=np.int64))[0])
-    if src < 0:
-        raise ValueError(f"base point {tuple(x)} must be interior to the region")
-
-    tables = _site_atom_tables(law, pattern.interior)
-    total = _enumeration_size(tables)
+    src = _source(pattern, x)
+    total = _enumeration_size(_site_atom_tables(law, pattern.interior))
     notice = None
     if method == "auto":
         if total <= enumeration_cap:
@@ -396,39 +367,28 @@ def kalikow_environment(law: EnvironmentLaw, region: Region, x,
         raise EnumerationBlowupError(
             f"{total} combinations exceed enumeration cap {enumeration_cap}")
 
-    if method == "exact":
-        acc = _accumulate_exact(law, pattern, src, route)
-        n = acc.n_samples
-        exact = True
-        used_seed = None
-    else:
-        acc = _accumulate_mc(law, pattern, src, route, n_env, seed, tol)
-        n = n_env
-        exact = False
-        used_seed = seed
+    exact = method == "exact"
+    env_seeds = None if exact else [rng.child_seed(seed, i) for i in range(n_env)]
+    acc = _RatioAccumulator(pattern.n, pattern.d)
+    for weights, green, probs in _green_batches(law, pattern, src, route, tol, env_seeds):
+        if route == "definition":
+            acc.add(green[:, :, None] * weights, green, weights=probs)
+        else:
+            acc.add(*_formula_samples(green, weights, pattern, src), weights=probs)
 
-    if np.any(acc.s_den <= 0):
+    if np.any(acc.den <= 0):
         raise RuntimeError(
             "nonpositive Green denominator encountered; uniform ellipticity "
             "should make every E[g] strictly positive")
-    ratio_se = np.zeros_like(acc.s_num) if exact else acc.ratio_se()
-    drift_se = np.zeros_like(acc.s_drift) if exact else acc.drift_se()
+    ratios, ratio_se = acc.ratio(acc.num_cols)
+    drift, drift_se = acc.ratio(acc.drift_cols)
+    if exact:
+        ratio_se, drift_se = np.zeros_like(ratio_se), np.zeros_like(drift_se)
     return KalikowEnv(
         x=tuple(int(c) for c in x), region=region, sites=pattern.interior,
-        ratios=acc.ratios(), ratio_se=ratio_se,
-        drift_vectors=acc.drift(), drift_se=drift_se,
-        den=acc.s_den / acc.w_total, n=n, seed=used_seed,
+        ratios=ratios, ratio_se=ratio_se, drift_vectors=drift, drift_se=drift_se,
+        den=acc.den, n=acc.n_samples, seed=None if exact else seed,
         route=route, exact=exact, notice=notice,
-    )
-
-
-def _drift_report(kenv: KalikowEnv, y, z: float) -> KalikowDriftReport:
-    i = kenv.site_index(y)
-    return KalikowDriftReport(
-        y=tuple(int(c) for c in y),
-        drift=kenv.drift_vectors[i].copy(),
-        se=kenv.drift_se[i].copy(),
-        n=kenv.n, seed=kenv.seed, route=kenv.route, exact=kenv.exact, z=z,
     )
 
 
@@ -438,7 +398,7 @@ def kalikow_drift(law: EnvironmentLaw, region: Region, x, y,
     """Auxiliary-walk drift at y via the definition (Green's row) route."""
     kenv = kalikow_environment(law, region, x, n_env=n_env, seed=seed,
                                method=method, route="definition", tol=tol)
-    return _drift_report(kenv, y, z)
+    return kenv.drift_report(y, z)
 
 
 def kalikow_drift_formula(law: EnvironmentLaw, region: Region, x, y,
@@ -447,7 +407,7 @@ def kalikow_drift_formula(law: EnvironmentLaw, region: Region, x, y,
     """Auxiliary-walk drift at y via the hitting-time formula route."""
     kenv = kalikow_environment(law, region, x, n_env=n_env, seed=seed,
                                method=method, route="formula", tol=tol)
-    return _drift_report(kenv, y, z)
+    return kenv.drift_report(y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -662,53 +622,6 @@ class Theorem3Report:
         }
 
 
-def _origin_green_samples(law: EnvironmentLaw, region: Region, env_seeds,
-                          tol: float):
-    """g(0, 0, w) and the origin weight vector for each environment seed."""
-    pattern = region_pattern(region)
-    d = pattern.d
-    origin = (0,) * d
-    src = int(region.index_block(np.asarray([origin], dtype=np.int64))[0])
-    b = np.zeros(pattern.n)
-    b[src] = 1.0
-
-    # SSRW reference value on the same truncation (warm start + control variate)
-    ssrw_env = sample_environment(ssrw_law(d), seed=0)
-    ssrw_sys = build_system(ssrw_env, region)
-    g0_row, _ = solve_fixed_point(ssrw_sys.PT, b, min(tol, 1e-12), norm="l1",
-                                  method="dense" if pattern.n <= DENSE_BATCH_CUTOFF else "krylov")
-    g0_origin = float(g0_row[src])
-
-    use_dense = pattern.n <= DENSE_BATCH_CUTOFF
-    g00 = np.empty(len(env_seeds))
-    w0 = np.empty((len(env_seeds), 2 * d))
-
-    if use_dense:
-        chunk = _dense_chunk(pattern.n)
-        for start in range(0, len(env_seeds), chunk):
-            batch = env_seeds[start:start + chunk]
-            weights_b = np.stack([
-                sample_environment(law, seed=s).weights_block(pattern.interior)
-                for s in batch
-            ])
-            P = _batched_transition(pattern, weights_b)
-            g = _batched_green_rows(P, src)
-            g00[start:start + len(batch)] = g[:, src]
-            w0[start:start + len(batch)] = weights_b[:, src, :]
-    else:
-        def one(env_seed: int):
-            env = sample_environment(law, seed=env_seed)
-            system = build_system(env, region)
-            g, _ = solve_fixed_point(system.PT, b, tol, norm="l1",
-                                     method="krylov", x0=g0_row)
-            return float(g[src]), system.weights[src]
-
-        for i, (gv, wv) in enumerate(deterministic_map(one, env_seeds)):
-            g00[i] = gv
-            w0[i] = wv
-    return g00, w0, g0_origin
-
-
 def theorem3_experiment(law: EnvironmentLaw, rho: float,
                         N_list=(10, 20, 30), n_env: int = 10000, seed: int = 0,
                         eps0: float = 0.5, z: float = DEFAULT_Z,
@@ -732,37 +645,35 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
         warning = f"structural conditions failed: {failed} (forced run)"
 
     d = law.d
-    mom = law_moments(law)
-    mean_w = mom.mean
+    origin = (0,) * d
+    mean_w = law_moments(law).mean
+    ssrw_env = sample_environment(ssrw_law(d), seed=0)
     env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
     rows: list[HalfSpaceDriftRow] = []
 
     for sign in (1, -1):
         for N in N_list:
             region = HalfSpaceTrunc(sign, int(N), d)
-            g00, w0, g0_origin = _origin_green_samples(law, region, env_seeds, tol)
-            drift = np.empty(d)
-            se = np.empty(d)
-            n = len(env_seeds)
-            den_mean = float(g00.mean())
-            for k in range(d):
-                g_samples = g00 * (w0[:, 2 * k] - w0[:, 2 * k + 1])
+            pattern = region_pattern(region)
+            src = _source(pattern, origin)
+            # SSRW reference on the same truncation (warm start + control variate)
+            g0_row = green_row(ssrw_env, region, origin, tol=min(tol, 1e-12)).values
+            g0_origin = float(g0_row[src])
+            acc = _RatioAccumulator(1, d)
+            for weights, g, _ in _green_batches(law, pattern, src, "definition", tol,
+                                                env_seeds, x0=g0_row):
+                g00, w0 = g[:, src, None], weights[:, src]
                 # mean-zero companion: the same centered-drift variate scaled
                 # by the deterministic unperturbed Green value
-                cv = g0_origin * ((w0[:, 2 * k] - mean_w[2 * k])
-                                  - (w0[:, 2 * k + 1] - mean_w[2 * k + 1]))
-                g_samples = g_samples - cv
-                g_bar = g_samples.mean()
-                r = g_bar / den_mean
-                var_g = g_samples.var()
-                var_d = g00.var()
-                cov = float(np.mean(g_samples * g00) - g_bar * den_mean)
-                resid = max(0.0, var_g - 2 * r * cov + r * r * var_d)
-                drift[k] = r
-                se[k] = math.sqrt(resid / n) / abs(den_mean) if n > 1 else math.nan
+                c = w0 - mean_w
+                cv = g0_origin * (c[:, 0::2] - c[:, 1::2])
+                drift_num = g00 * (w0[:, 0::2] - w0[:, 1::2]) - cv
+                acc.add((g00 * w0)[:, None], g00, drift_num=drift_num[:, None])
+            drift, se = acc.ratio(acc.drift_cols)
             rows.append(HalfSpaceDriftRow(
                 sign=sign, N=int(N), n_sites=region.interior_count(),
-                drift=drift, se=se, den_mean=den_mean, g0_origin=g0_origin,
+                drift=drift[0], se=se[0], den_mean=float(acc.den[0]),
+                g0_origin=g0_origin,
             ))
 
     # stabilization across the last two truncations, per sign

@@ -325,7 +325,6 @@ class EmpiricalDistribution:
     samples: np.ndarray
     seeds: list[int]
     master_seed: int
-    control_variate_applied: bool = False
 
     @property
     def n(self) -> int:
@@ -354,37 +353,28 @@ class EmpiricalDistribution:
     def estimate(self) -> MCEstimate:
         return MCEstimate.from_samples(self.samples, self.master_seed)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, meta: str | None = None) -> None:
         from .reporting import write_csv
         write_csv(path, ["env_seed", "value"],
-                  [[s, float(v)] for s, v in zip(self.seeds, self.samples)])
+                  [[s, float(v)] for s, v in zip(self.seeds, self.samples)], meta=meta)
 
 
 def sample_statistic_over_environments(law: EnvironmentLaw, region: Region,
-                                       functional: Callable, n_env: int, seed: int,
-                                       control_variate: Callable | None = None
+                                       functional: Callable, n_env: int, seed: int
                                        ) -> EmpiricalDistribution:
     """Evaluate an exact per-environment functional across n_env environments.
 
     functional(env, region) must be deterministic given the environment;
-    solver failures are re-raised with the environment seed for replay.  An
-    optional mean-zero control variate (same signature) is subtracted from
-    every sample.
+    solver failures are re-raised with the environment seed for replay.
     """
     env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
 
     def one(env_seed: int) -> float:
         env = sample_environment(law, region, seed=env_seed)
         try:
-            val = float(functional(env, region))
-            if control_variate is not None:
-                val -= float(control_variate(env, region))
-            return val
+            return float(functional(env, region))
         except Exception as exc:  # noqa: BLE001 - annotate with replay seed
             raise FunctionalEvaluationError(str(exc), env_seed) from exc
 
     samples = np.asarray(deterministic_map(one, env_seeds), dtype=np.float64)
-    return EmpiricalDistribution(
-        samples=samples, seeds=env_seeds, master_seed=seed,
-        control_variate_applied=control_variate is not None,
-    )
+    return EmpiricalDistribution(samples=samples, seeds=env_seeds, master_seed=seed)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwre_lab as rl
 from rwre_lab import exact_solver as xs
@@ -111,6 +113,26 @@ def test_exit_distribution_mass_conservation_random_envs():
         dist = rl.exit_distribution(env, region, (0, 0), tol=1e-12)
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist.masses >= -1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 62),
+       method=st.sampled_from(["dense", "neumann", "krylov"]),
+       tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
+def test_exit_mass_plus_unkilled_mass_is_one(size, seed, method, tol):
+    # Every unit started at x is killed on exit, except what the solve still
+    # holds inside: the row residual sum(delta_x + g P - g), at most its
+    # certified l1 norm.  So the two add up to 1 at any tolerance.
+    region = rl.BoxRegion([0, 0], [size[0] - 1, size[1] - 1])
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05, 0.02), seed=seed)
+    dist = rl.exit_distribution(env, region, (0, 0), tol=tol, method=method)
+    table = rl.green_row(env, region, (0, 0), tol=tol, method=method)
+    system = xs.build_system(env, region)
+    residual = system.P.T @ table.values - table.values
+    residual[system.source_index((0, 0))] += 1.0
+    assert dist.total() + residual.sum() == pytest.approx(1.0, abs=1e-13)
+    assert abs(dist.total() - 1.0) <= table.l1_residual + 1e-13
 
 
 def test_neumann_iterates_increase_monotonically():

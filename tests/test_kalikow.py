@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwre_lab as rl
+from rwre_lab import exact_solver as xs
 from rwre_lab import kalikow as kal
 
 
@@ -60,6 +63,76 @@ def test_point_mass_fixed_point():
         assert np.all(np.abs(drift.drift) <= 1.0)
         formula = rl.kalikow_drift_formula(law, region, (0, 0), (0, 0))
         assert formula.drift_e1 == pytest.approx(0.1, abs=1e-12)
+
+
+def test_point_mass_monte_carlo_has_exactly_zero_errors():
+    # 37 identical environments: every pooled co-moment is exactly 0
+    law = rl.PointMassLaw([0.30, 0.20, 0.25, 0.25])
+    B = rl.BoxRegion([-2, -2], [2, 2])
+    for route in ("definition", "formula"):
+        kenv = rl.kalikow_environment(law, B, (0, 0), n_env=37, seed=3,
+                                      method="mc", route=route)
+        assert not kenv.exact
+        assert np.all(kenv.ratio_se == 0.0)
+        assert np.all(kenv.drift_se == 0.0)
+    # N=20 goes through the per-environment Krylov path
+    rep = rl.theorem3_experiment(law, rho=0.5, N_list=(3, 4, 20), n_env=37,
+                                 seed=5, force=True)
+    for row in rep.rows:
+        assert np.all(row.se == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       seeds=st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=3),
+       src_pick=st.integers(0, 24), a=st.sampled_from([0.02, 0.05, 0.1]))
+def test_formula_samples_match_per_site_hitting_solves(size, seeds, src_pick, a):
+    # batched inverse + ratio identity vs one absorbing solve per site
+    region = rl.BoxRegion([0, 0], [size[0] - 1, size[1] - 1])
+    pattern = xs.region_pattern(region)
+    src = src_pick % pattern.n
+    law = rl.SignedAxisKickLaw(2, a, 0.01)
+    envs = [rl.sample_environment(law, seed=s) for s in seeds]
+    weights = np.stack([env.weights_block(pattern.interior) for env in envs])
+    G = kal._dense_green(pattern, weights, src, "formula")
+    num, den = kal._formula_samples(G, weights, pattern, src)
+    for b, env in enumerate(envs):
+        for y_idx, y in enumerate(pattern.interior):
+            h = xs.hitting_probability_field(env, region, tuple(y))
+            f = [(1.0 - h[j] if j >= 0 else 1.0) / h[src] for j in pattern.nbr[y_idx]]
+            S = float(np.dot(weights[b, y_idx], f))
+            assert den[b, y_idx] == pytest.approx(1.0 / S, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(num[b, y_idx], weights[b, y_idx] / S,
+                                       rtol=1e-12, atol=1e-12)
+
+
+_cells = st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7)
+
+
+@given(st.lists(st.tuples(_cells, st.floats(0.01, 1.0)), min_size=2, max_size=12),
+       st.integers(1, 11))
+def test_ratio_accumulator_merge_matches_one_pass(samples, cut):
+    # d=2, one site: 4 numerators + 2 drifts + 1 denominator per sample
+    x = np.array([c for c, _ in samples])[:, None, :]
+    w = np.array([p for _, p in samples])
+    cut = min(cut, len(samples) - 1)
+    one, split = kal._RatioAccumulator(1, 2), kal._RatioAccumulator(1, 2)
+    one.add(x[:, :, :4], x[:, :, 6], weights=w, drift_num=x[:, :, 4:6])
+    for part in (slice(0, cut), slice(cut, None)):
+        split.add(x[part, :, :4], x[part, :, 6], weights=w[part],
+                  drift_num=x[part, :, 4:6])
+    # reference: weighted population moments of the concatenated samples
+    mean = (w[:, None] * x[:, 0]).sum(0) / w.sum()
+    dev = x[:, 0] - mean
+    m2 = (w[:, None] * dev * dev).sum(0)
+    for acc in (one, split):
+        assert acc.n_samples == len(samples)
+        np.testing.assert_allclose(acc.mean[0], mean, rtol=1e-12)
+        np.testing.assert_allclose(acc.m2[0], m2, rtol=1e-9, atol=1e-12 * w.sum())
+        np.testing.assert_allclose(acc.c_den[0], (w[:, None] * dev * dev[:, 6:]).sum(0),
+                                   rtol=1e-9, atol=1e-12 * w.sum())
+        r, se = acc.ratio(acc.drift_cols)
+        np.testing.assert_allclose(r[0], mean[4:6] / mean[6], rtol=1e-12)
 
 
 def test_ssrw_drift_vanishes():

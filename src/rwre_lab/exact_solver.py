@@ -6,20 +6,28 @@ A is built from the environment weights restricted to the region interior
 strictly less than one, so the fixed point exists and the Neumann iterates
 x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
-Three solve strategies share one exact certificate: after any solve the
+Four solve strategies share one exact certificate: after any solve the
 residual r = b + A x - x is recomputed with a fresh matrix-vector product
-and its l1/sup norms are reported.
+in the region's own ordering, and its l1/sup norms are reported.
 
 * "dense"   - LU on the assembled (I - A); reference path for small systems.
+* "banded"  - LAPACK band LU (gbsv) on a box region, its unknowns reordered
+              so the shortest axis runs fastest; the band array is filled
+              straight from the region pattern's index arrays.
 * "neumann" - the plain fixed-point iteration, with optional periodic
               geometric (Lyusternik) extrapolation of the dominant mode;
               every extrapolation is validated against the exact residual
               and reverted if it does not help.
-* "krylov"  - BiCGSTAB on (I - A), polished by Neumann steps until the
-              exact residual meets the tolerance.
+* "krylov"  - BiCGSTAB on (I - A).
 
-The default ("auto") uses dense LU below a small size cutoff and Krylov
-above it; tolerances are always certified, never assumed.
+Every path is held to the tolerance: a direct or Krylov solution whose
+residual is above it is polished by Neumann steps from that solution, and
+a solve still above it raises `SolverConvergenceError`.
+
+The default ("auto") takes dense LU up to DENSE_CUTOFF unknowns.  Above it,
+a box whose band half-width b satisfies b * b <= n and whose (3b + 1) x n
+band array fits MEMORY_BUDGET gets the banded path (every d=2 box of
+moderate size); everything else, every d=3 region included, gets Krylov.
 
 Every public quantity builds its system once (`build_system`) and solves on
 it through `solve_green_row`, `solve_green_operator` or `solve_hitting`;
@@ -29,17 +37,22 @@ callers that already hold a system call those directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
-from .lattice import ExitClass, Region, RegionError
+from .lattice import BoxRegion, ExitClass, Region, RegionError
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
 MAX_ITER = 500_000
+# float64 entries (about 48 MB) that one band array or one batch of dense
+# systems may hold
+MEMORY_BUDGET = 6_000_000
 
 
 class SolverConvergenceError(RuntimeError):
@@ -80,6 +93,37 @@ class RegionPattern:
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
         data = weights.ravel()[self.inside_mask][self._order]
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
+
+    @property
+    def band_width(self) -> int | None:
+        """Band half-width of I - P with the shortest box axis fastest.
+
+        Stepping along the longest (slowest) axis moves n / max(shape)
+        places; None when the region is not a box.
+        """
+        if not isinstance(self.region, BoxRegion):
+            return None
+        return self.n // int(np.max(self.region.hi - self.region.lo + 1))
+
+    @cached_property
+    def band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(perm, pos, pos_t) for banded solves on a box.
+
+        perm[k] is the interior index of the k-th unknown in band order
+        (longest axis slowest, shortest fastest).  pos[k] is the flat
+        position of the k-th stored entry of P (CSR order) in the
+        (2b + 1, n) LAPACK band array of I - P; pos_t is the same for P.T,
+        whose CSC view stores the same entries in the same order.
+        """
+        shape = self.region.hi - self.region.lo + 1
+        axes = np.argsort(-shape, kind="stable")
+        perm = np.arange(self.n).reshape(tuple(shape)).transpose(axes).ravel()
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(self.n)
+        rows = inv[np.repeat(np.arange(self.n), np.diff(self._indptr))]
+        cols = inv[self._indices]
+        b = self.band_width
+        return perm, (b + rows - cols) * self.n + cols, (b + cols - rows) * self.n + rows
 
 
 def region_pattern(region: Region) -> RegionPattern:
@@ -188,47 +232,86 @@ def _neumann_solve(A, b, tol, norm="l1", x0=None, extrapolate=True,
     )
 
 
-def _krylov_solve(A, b, tol, norm="l1", x0=None, max_iter=MAX_ITER):
+def _krylov_solve(A, b, tol, x0=None):
     n = b.shape[0]
     S = sp.identity(n, format="csr") - A
     atol = tol / max(1.0, np.sqrt(n))
-    x, info = spla.bicgstab(S, b, x0=x0, rtol=1e-14, atol=atol,
-                            maxiter=max(200, int(4 * np.sqrt(n)) + 50))
-    it = 0
-    r = _residual(A, b, x)
-    if _norm(r, norm) <= tol:
-        return x, r, it
-    # polish with the certified fixed-point iteration
-    return _neumann_solve(A, b, tol, norm=norm, x0=x, max_iter=max_iter)
+    x, _ = spla.bicgstab(S, b, x0=x0, rtol=1e-14, atol=atol,
+                         maxiter=max(200, int(4 * np.sqrt(n)) + 50))
+    return x
 
 
-def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None):
+def _dense_solve(A, b):
+    n = b.shape[0]
+    return np.linalg.solve(np.eye(n) - (A.toarray() if sp.issparse(A) else np.asarray(A)), b)
+
+
+def _banded_solve(A, b, pattern):
+    """Band LU on I - A, where A is P, P.T or P with entries zeroed."""
+    w = None if pattern is None else pattern.band_width
+    if w is None:
+        raise ValueError("banded solves need the pattern of a box region")
+    if not (sp.issparse(A) and A.format in ("csr", "csc")
+            and np.array_equal(A.indptr, pattern._indptr)
+            and np.array_equal(A.indices, pattern._indices)):
+        raise ValueError("banded solves need A on the pattern's own sparsity structure")
+    n = pattern.n
+    perm, pos, pos_t = pattern.band_order
+    ab = np.zeros((2 * w + 1) * n)
+    ab[w * n:(w + 1) * n] = 1.0
+    ab[pos if A.format == "csr" else pos_t] = -A.data
+    y = solve_banded((w, w), ab.reshape(2 * w + 1, n), b[perm],
+                     overwrite_ab=True, overwrite_b=True, check_finite=False)
+    x = np.empty(n)
+    x[perm] = y
+    return x
+
+
+def auto_method(n: int, pattern: RegionPattern | None = None) -> str:
+    """The path method="auto" takes for n unknowns on the given pattern."""
+    if n <= DENSE_CUTOFF:
+        return "dense"
+    w = None if pattern is None else pattern.band_width
+    if w is not None and w * w <= n and (3 * w + 1) * n <= MEMORY_BUDGET:
+        return "banded"
+    return "krylov"
+
+
+def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None, pattern=None):
     """Solve x = b + A x to a certified residual tolerance.
 
-    Returns (x, SolveInfo); the reported residual norms are recomputed
-    exactly from the returned solution.
+    pattern is the RegionPattern that A (P, P.T, or a copy of P with
+    entries zeroed) was built on; the banded path needs it, and "auto"
+    picks that path only when it is given.  x0 warm starts the iterative
+    paths.  Returns (x, SolveInfo); the reported residual norms are
+    recomputed exactly from the returned solution.
     """
     n = b.shape[0]
     if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "krylov"
+        method = auto_method(n, pattern)
+    it = 0
     if method == "dense":
-        M = np.eye(n) - (A.toarray() if sp.issparse(A) else np.asarray(A))
-        x = np.linalg.solve(M, b)
-        r = _residual(A, b, x)
-        it = 0
+        x = _dense_solve(A, b)
+    elif method == "banded":
+        x = _banded_solve(A, b, pattern)
+    elif method == "krylov":
+        x = _krylov_solve(A, b, tol, x0=x0)
     elif method == "neumann":
         x, r, it = _neumann_solve(A, b, tol, norm=norm, x0=x0)
-    elif method == "krylov":
-        x, r, it = _krylov_solve(A, b, tol, norm=norm, x0=x0)
     else:
         raise ValueError(f"unknown solve method {method!r}")
+    if method != "neumann":
+        r = _residual(A, b, x)
+        if _norm(r, norm) > tol:
+            # polish with the certified fixed-point iteration
+            x, r, it = _neumann_solve(A, b, tol, norm=norm, x0=x)
     info = SolveInfo(
         l1_residual=float(np.abs(r).sum()),
         sup_residual=float(np.abs(r).max(initial=0.0)),
         iterations=it,
         method=method,
     )
-    if method in ("neumann", "krylov") and info.sup_residual > tol:
+    if info.sup_residual > tol:
         raise SolverConvergenceError(
             f"residual {info.sup_residual:.3e} above tolerance {tol}")
     return x, info
@@ -248,7 +331,8 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
     """
     b = np.zeros(system.n)
     b[src] = 1.0
-    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method, x0=x0)
+    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method, x0=x0,
+                             pattern=system.pattern)
 
 
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
@@ -270,7 +354,8 @@ def solve_green_operator(system: QuenchedSystem, f, tol: float = DEFAULT_TOL,
     """
     vals = _as_field(f, system)
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    u, _ = solve_fixed_point(system.P, vals, tol * scale, norm="linf", method=method)
+    u, _ = solve_fixed_point(system.P, vals, tol * scale, norm="linf", method=method,
+                             pattern=system.pattern)
     return u
 
 
@@ -283,7 +368,8 @@ def solve_hitting(system: QuenchedSystem, y_idx: int, tol: float = DEFAULT_TOL,
     A.data[A.indptr[y_idx]:A.indptr[y_idx + 1]] = 0.0
     A.data[A.indices == y_idx] = 0.0
     b[y_idx] = 1.0
-    h, _ = solve_fixed_point(A, b, tol, norm="linf", method=method)
+    h, _ = solve_fixed_point(A, b, tol, norm="linf", method=method,
+                             pattern=system.pattern)
     return h
 
 

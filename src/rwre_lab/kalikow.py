@@ -40,7 +40,14 @@ from .env_model import (
     sample_environment,
     ssrw_law,
 )
-from .exact_solver import build_system, green_row, region_pattern, solve_green_row
+from .exact_solver import (
+    MEMORY_BUDGET,
+    SolverConvergenceError,
+    build_system,
+    green_row,
+    region_pattern,
+    solve_green_row,
+)
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
 from .runtime import deterministic_map
 
@@ -236,8 +243,8 @@ def _enumeration_size(tables) -> int:
 
 
 def _chunk(n: int) -> int:
-    """Batch size keeping a batch of dense n x n systems around 50 MB."""
-    return int(np.clip(6_000_000 // max(1, n * n), 1, 4096))
+    """Batch size keeping a batch of dense n x n systems within MEMORY_BUDGET."""
+    return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
 
 
 def _source(pattern, x) -> int:
@@ -286,6 +293,23 @@ def _dense_green(pattern, weights: np.ndarray, src: int, route: str) -> np.ndarr
     return np.linalg.solve(eye - P.transpose(0, 2, 1), b)[:, :, 0]
 
 
+def _certify_rows(pattern, weights: np.ndarray, g: np.ndarray, src: int,
+                  tol: float) -> None:
+    """Hold a batch of Green rows to the certificate of a single row solve:
+    the l1 norm of each residual delta_x + g P - g, recomputed from the
+    neighbour table, must not exceed tol."""
+    r = -g
+    r[:, src] += 1.0
+    for e in range(2 * pattern.d):
+        # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
+        inside = pattern.nbr[:, e] >= 0
+        r[:, pattern.nbr[inside, e]] += weights[:, inside, e] * g[:, inside]
+    worst = float(np.abs(r).sum(axis=1).max(initial=0.0))
+    if worst > tol:
+        raise SolverConvergenceError(
+            f"batched Green row residual {worst:.3e} above tolerance {tol}")
+
+
 def _green_batches(law, pattern, src: int, route: str, tol: float,
                    env_seeds=None, x0=None):
     """Yield (weights, green, probabilities) over batches of environments.
@@ -293,16 +317,21 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
     env_seeds None enumerates every environment restricted to the region
     with its probability; otherwise one environment is sampled per seed and
     probabilities is None.  green holds the Green rows g(x, .) (definition
-    route) or the inverses G (formula route).  Above DENSE_BATCH_CUTOFF
-    sampled environments get one certified Krylov row solve each, warm
-    started from x0.
+    route) or the inverses G (formula route).  Dense batches of Green rows
+    are certified like single row solves; the formula route's inverses are
+    not certified.  Above DENSE_BATCH_CUTOFF sampled environments get one
+    certified row solve each on the path method="auto" picks (band LU on
+    d=2 boxes; Krylov, warm started from x0, elsewhere).
     """
     chunk = _chunk(pattern.n)
     if env_seeds is None or pattern.n <= DENSE_BATCH_CUTOFF:
         batches = (_enumerated(law, pattern, chunk) if env_seeds is None
                    else _sampled(law, pattern, env_seeds, chunk))
         for weights, probs in batches:
-            yield weights, _dense_green(pattern, weights, src, route), probs
+            green = _dense_green(pattern, weights, src, route)
+            if route == "definition":
+                _certify_rows(pattern, weights, green, src, tol)
+            yield weights, green, probs
         return
     if route != "definition":
         raise ValueError(
@@ -311,7 +340,7 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
 
     def one(env_seed: int):
         system = build_system(sample_environment(law, seed=env_seed), pattern.region)
-        g, _ = solve_green_row(system, src, tol, method="krylov", x0=x0)
+        g, _ = solve_green_row(system, src, tol, x0=x0)
         return system.weights, g
 
     for start in range(0, len(env_seeds), chunk):

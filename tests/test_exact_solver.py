@@ -179,3 +179,151 @@ def test_truncation_stability_under_width_doubling():
 def test_source_must_be_interior():
     with pytest.raises(ValueError):
         rl.green_row(ssrw_env(2), two_site_region(), (5, 5))
+
+
+def _banded_region(kind, a, c, lo):
+    if kind == "box":
+        return rl.BoxRegion(lo, [lo[0] + a - 1, lo[1] + c - 1])
+    if kind == "box3":
+        return rl.BoxRegion(lo + [0], [lo[0] + a - 1, lo[1] + c - 1, (a + c) % 4])
+    if kind == "half_space":
+        return rl.HalfSpaceTrunc(1 if a % 2 else -1, c, 2)
+    return rl.SlabRegion(min(a, c), max(a, c), 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["box", "half_space", "slab", "box3"]),
+       a=st.integers(1, 7), c=st.integers(1, 7),
+       lo=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       seed=st.integers(0, 2 ** 62), pick=st.integers(0, 10 ** 6))
+def test_banded_matches_dense_on_boxes(kind, a, c, lo, seed, pick):
+    # d=2 boxes, half-spaces and slabs, plus small d=3 boxes, where the
+    # shortest-axis-fastest order permutes three axes
+    region = _banded_region(kind, a, c, list(lo))
+    law = rl.SignedAxisKickLaw(region.d, 0.05, 0.02)
+    env = rl.sample_environment(law, seed=seed)
+    system = xs.build_system(env, region)
+    src = pick % system.n
+    tol = 1e-12
+
+    g_band, info = xs.solve_green_row(system, src, tol, method="banded")
+    g_dense, _ = xs.solve_green_row(system, src, tol, method="dense")
+    assert info.method == "banded"
+    delta = np.zeros(system.n)
+    delta[src] = 1.0
+    residual = delta + system.P.T @ g_band - g_band
+    assert np.abs(residual).sum() == pytest.approx(info.l1_residual, abs=1e-15)
+    assert info.sup_residual <= tol
+    assert np.max(np.abs(g_band - g_dense)) <= 1e-12
+
+    f = system.drift_field()
+    u_band = xs.solve_green_operator(system, f, tol, method="banded")
+    u_dense = xs.solve_green_operator(system, f, tol, method="dense")
+    assert np.max(np.abs(f + system.P @ u_band - u_band)) <= tol
+    assert np.max(np.abs(u_band - u_dense)) <= 1e-12
+
+    h_band = xs.solve_hitting(system, src, tol, method="banded")
+    h_dense = xs.solve_hitting(system, src, tol, method="dense")
+    assert h_band[src] == 1.0
+    assert np.max(np.abs(h_band - h_dense)) <= 1e-12
+
+
+def test_banded_needs_a_box_pattern_and_its_structure():
+    env = ssrw_env(2)
+    sites = rl.BoxRegion([0, 0], [2, 2]).interior_array()
+    system = xs.build_system(env, rl.SiteSetRegion(sites, 2))
+    with pytest.raises(ValueError):
+        xs.solve_green_row(system, 0, method="banded")
+    kick = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=9)
+    box = xs.build_system(kick, rl.BoxRegion([0, 0], [2, 2]))
+    b = np.zeros(box.n)
+    b[0] = 1.0
+    # entries are placed by A's own (row, column) pairs, so any CSR or CSC
+    # matrix on the pattern's index arrays solves correctly
+    x, _ = xs.solve_fixed_point(box.P.T, b, 1e-13, method="banded", pattern=box.pattern)
+    y, _ = xs.solve_fixed_point(box.P.T.tocsr(), b, 1e-13, method="banded",
+                                pattern=box.pattern)
+    assert np.array_equal(x, y)
+    pruned = box.P.tolil()
+    pruned[0, 1] = 0.0
+    for A in (box.P.tocoo(), pruned.tocsr()):
+        with pytest.raises(ValueError):
+            xs.solve_fixed_point(A, b, 1e-10, method="banded", pattern=box.pattern)
+
+
+def test_auto_picks_banded_on_d2_half_space_and_krylov_on_d3_slab():
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    region = rl.HalfSpaceTrunc(1, 30, 2)
+    env = rl.sample_environment(law, seed=4)
+    table = rl.green_row(env, region, (0, 0), tol=1e-10)
+    assert table.method == "banded"
+    assert xs.region_pattern(region).band_width == 31
+    krylov = rl.green_row(env, region, (0, 0), tol=1e-10, method="krylov")
+    assert np.max(np.abs(table.values - krylov.values)) < 1e-9
+
+    slab = rl.SlabRegion(4, 32, 3)
+    system = xs.build_system(ssrw_env(3), slab)
+    assert system.pattern.band_width == 520
+    _, info = xs.solve_fixed_point(system.P, np.ones(system.n), 1e-8,
+                                   norm="linf", pattern=system.pattern)
+    assert info.method == "krylov"
+
+
+def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
+    sites = rl.BoxRegion([0, 0], [24, 24]).interior_array()
+    site_set = xs.region_pattern(rl.SiteSetRegion(sites, 2))
+    assert site_set.n > xs.DENSE_CUTOFF
+    assert site_set.band_width is None
+    assert xs.auto_method(site_set.n, site_set) == "krylov"
+    _, info = xs.solve_green_row(
+        xs.build_system(ssrw_env(2), site_set.region), 0, 1e-10)
+    assert info.method == "krylov"
+    # a thin box passes the shape test but its band array exceeds the budget
+    thin = xs.region_pattern(rl.BoxRegion([0, 0], [99, 399]))
+    w = thin.band_width
+    assert w == 100 and w * w <= thin.n
+    assert (3 * w + 1) * thin.n > xs.MEMORY_BUDGET
+    assert xs.auto_method(thin.n, thin) == "krylov"
+    # the same box, half as long, fits
+    half = xs.region_pattern(rl.BoxRegion([0, 0], [99, 149]))
+    assert xs.auto_method(half.n, half) == "banded"
+    assert xs.auto_method(half.n) == "krylov"
+
+
+@pytest.mark.parametrize("method, solver", [("dense", "_dense_solve"),
+                                             ("banded", "_banded_solve")])
+def test_direct_solves_enforce_tol(monkeypatch, method, solver):
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=6)
+    system = xs.build_system(env, rl.BoxRegion([0, 0], [4, 4]))
+    exact, _ = xs.solve_green_row(system, 0, 1e-13, method=method)
+    # a direct solution off by 1e-6 is polished down to the tolerance ...
+    monkeypatch.setattr(xs, solver, lambda A, b, *rest: exact + 1e-6)
+    g, info = xs.solve_green_row(system, 0, 1e-11, method=method)
+    assert info.method == method and info.iterations > 0
+    assert info.l1_residual <= 1e-11
+    assert np.max(np.abs(g - exact)) < 1e-10
+    # ... and one the polish cannot mend raises
+    monkeypatch.setattr(xs, "_neumann_solve",
+                        lambda A, b, tol, norm, x0: (x0, xs._residual(A, b, x0), 1))
+    with pytest.raises(xs.SolverConvergenceError):
+        xs.solve_green_row(system, 0, 1e-11, method=method)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       seed=st.integers(0, 2 ** 62), pick=st.integers(0, 10 ** 6),
+       n_iters=st.integers(1, 120))
+def test_neumann_iterates_increase_to_the_dense_solution(size, seed, pick, n_iters):
+    # b = delta_x >= 0, so every iterate adds nonnegative mass and stays
+    # below the fixed point; only roundoff of 1e-12 is allowed
+    region = rl.BoxRegion([0, 0], [size[0] - 1, size[1] - 1])
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05, 0.02), seed=seed)
+    sites = region.interior_array()
+    x = tuple(sites[pick % len(sites)])
+    iterates = xs.neumann_green_iterates(env, region, x, n_iters)
+    dense = rl.green_row(env, region, x, tol=1e-13, method="dense").values
+    assert np.all(iterates[0] >= 0)
+    for prev, cur in zip(iterates, iterates[1:]):
+        assert np.all(cur >= prev - 1e-12)
+    for it in iterates:
+        assert np.all(it <= dense + 1e-12)

@@ -106,6 +106,29 @@ def test_formula_samples_match_per_site_hitting_solves(size, seeds, src_pick, a)
                                        rtol=1e-12, atol=1e-12)
 
 
+def test_dense_green_rows_are_certified():
+    region = rl.BoxRegion([-2, -2], [2, 2])
+    pattern = xs.region_pattern(region)
+    src = kal._source(pattern, (0, 0))
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    envs = [rl.sample_environment(law, seed=s) for s in range(4)]
+    weights = np.stack([env.weights_block(pattern.interior) for env in envs])
+    g = kal._dense_green(pattern, weights, src, "definition")
+    kal._certify_rows(pattern, weights, g, src, 1e-13)
+    # the batch certificate is the row solve's l1 residual
+    for b, env in enumerate(envs):
+        system = xs.build_system(env, region)
+        r = system.P.T @ g[b] - g[b]
+        r[src] += 1.0
+        bumped = g.copy()
+        bumped[b, 3] += 1e-9
+        with pytest.raises(xs.SolverConvergenceError):
+            kal._certify_rows(pattern, weights, bumped, src, 1e-9)
+        assert np.abs(r).sum() <= 1e-13
+    with pytest.raises(xs.SolverConvergenceError):
+        kal.kalikow_environment(law, region, (0, 0), n_env=3, method="mc", tol=1e-30)
+
+
 _cells = st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,14 @@ class FunctionalEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# Every float64 is an integer multiple of 2**-1074.  Samples all below
+# _TINY in magnitude are kept as exact integer sums on that grid, because
+# their mean and m2 would otherwise be rounded on the subnormal grid, in an
+# order that depends on how the shards were merged.
+_GRID_EXP = 1074
+_TINY = 2.0 ** -256
+
+
 @dataclass
 class MCEstimate:
     """Monte Carlo mean with standard error; merging shards is exact.
@@ -52,7 +60,10 @@ class MCEstimate:
     Carries the pooled moments (n, mean, m2), m2 being the sum of squared
     deviations from the mean, and merges them with the pairwise update of
     Chan, Golub & LeVeque, so no variance is formed as a difference of
-    large sums.
+    large sums.  Tiny samples (all below 2**-256, zeros included) carry
+    instead `grid`, the exact sums of samples * 2**1074 and of their
+    squares; these merge by integer addition, so pooled and merged
+    estimates of such samples agree bit for bit.
     """
 
     mean: float
@@ -60,6 +71,7 @@ class MCEstimate:
     n: int
     seed: int
     m2: float = 0.0
+    grid: tuple[int, int] | None = field(default=None, repr=False)
 
     @classmethod
     def from_samples(cls, samples, seed: int) -> "MCEstimate":
@@ -68,6 +80,10 @@ class MCEstimate:
         x = np.asarray(samples, dtype=np.float64)
         if x.shape[0] == 0:
             return cls.from_moments(0, math.nan, 0.0, seed)
+        top = np.abs(x).max()
+        if top < _TINY:
+            g = [int(v) for v in np.ldexp(x, _GRID_EXP)] if top else []
+            return cls._from_grid(x.shape[0], sum(g), sum(v * v for v in g), seed)
         dev = x - x[0]
         shift = dev.mean()
         return cls.from_moments(x.shape[0], float(x[0] + shift),
@@ -78,12 +94,24 @@ class MCEstimate:
         se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.nan
         return cls(mean=mean, se=se, n=n, seed=seed, m2=m2)
 
+    @classmethod
+    def _from_grid(cls, n: int, s1: int, s2: int, seed: int) -> "MCEstimate":
+        """Estimate from s1 = sum(X), s2 = sum(X * X), X = sample * 2**1074."""
+        c = n * s2 - s1 * s1  # n * m2 on the squared grid, exact
+        se = (math.ldexp(math.isqrt((c << 128) // (n * n * (n - 1))), -64 - _GRID_EXP)
+              if n > 1 else math.nan)
+        return cls(mean=s1 / (n << _GRID_EXP), se=se, n=n, seed=seed,
+                   m2=c / (n << 2 * _GRID_EXP), grid=(s1, s2))
+
     def merge(self, other: "MCEstimate") -> "MCEstimate":
         if other.n == 0:
-            return MCEstimate.from_moments(self.n, self.mean, self.m2, self.seed)
+            return replace(self)
         if self.n == 0:
-            return MCEstimate.from_moments(other.n, other.mean, other.m2, self.seed)
+            return replace(other, seed=self.seed)
         n = self.n + other.n
+        if self.grid is not None and other.grid is not None:
+            return MCEstimate._from_grid(n, self.grid[0] + other.grid[0],
+                                         self.grid[1] + other.grid[1], self.seed)
         delta = other.mean - self.mean
         return MCEstimate.from_moments(
             n,

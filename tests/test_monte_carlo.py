@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rwre_lab as rl
@@ -130,6 +130,8 @@ _shard = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=30
 
 
 @given(_shard, _shard, _shard)
+@example([0.0], [5e-324], [0.0])  # merged mean rounded to 5e-324, pooled to 0.0
+@example([0.0], [0.0], [0.0, 0.0, 0.0, 1.5e-323])  # true mean a half-ULP tie
 def test_estimate_merge_is_associative_and_pools(a, b, c):
     x, y, z = (mc.MCEstimate.from_samples(s, 0) for s in (a, b, c))
     pooled = mc.MCEstimate.from_samples(a + b + c, 0)

@@ -310,6 +310,22 @@ def _certify_rows(pattern, weights: np.ndarray, g: np.ndarray, src: int,
             f"batched Green row residual {worst:.3e} above tolerance {tol}")
 
 
+def _certify_inverses(pattern, weights: np.ndarray, G: np.ndarray, tol: float) -> None:
+    """Hold a batch of whole inverses G = (I - P)^-1 to a residual certificate:
+    the worst row l1 norm of R = I - G + P G, with P G gathered from the
+    neighbour table, must not exceed tol."""
+    R = -G
+    diag = np.arange(pattern.n)
+    R[:, diag, diag] += 1.0
+    for e in range(2 * pattern.d):
+        inside = pattern.nbr[:, e] >= 0
+        R[:, inside] += weights[:, inside, e, None] * G[:, pattern.nbr[inside, e]]
+    worst = float(np.abs(R).sum(axis=2).max(initial=0.0))
+    if worst > tol:
+        raise SolverConvergenceError(
+            f"batched Green inverse residual {worst:.3e} above tolerance {tol}")
+
+
 def _green_batches(law, pattern, src: int, route: str, tol: float,
                    env_seeds=None, x0=None):
     """Yield (weights, green, probabilities) over batches of environments.
@@ -318,10 +334,11 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
     with its probability; otherwise one environment is sampled per seed and
     probabilities is None.  green holds the Green rows g(x, .) (definition
     route) or the inverses G (formula route).  Dense batches of Green rows
-    are certified like single row solves; the formula route's inverses are
-    not certified.  Above DENSE_BATCH_CUTOFF sampled environments get one
-    certified row solve each on the path method="auto" picks (band LU on
-    d=2 boxes; Krylov, warm started from x0, elsewhere).
+    are certified like single row solves, and the formula route's inverses
+    by the worst row l1 norm of I - (I - P) G.  Above DENSE_BATCH_CUTOFF
+    sampled environments get one certified row solve each on the path
+    method="auto" picks (band LU on d=2 boxes; Krylov, warm started from
+    x0, elsewhere).
     """
     chunk = _chunk(pattern.n)
     if env_seeds is None or pattern.n <= DENSE_BATCH_CUTOFF:
@@ -331,6 +348,8 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
             green = _dense_green(pattern, weights, src, route)
             if route == "definition":
                 _certify_rows(pattern, weights, green, src, tol)
+            else:
+                _certify_inverses(pattern, weights, green, tol)
             yield weights, green, probs
         return
     if route != "definition":

@@ -279,8 +279,10 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
             continue
         live = np.arange(m)
         if not one_atom:
-            # child_seed(seed, c, w) for every walk w of the chunk, in one call
-            env_seeds = rng.site_hash(seed, np.column_stack([np.full(m, c), live]))
+            # the mixed seed word of child_seed(seed, c, w) for every walk w
+            # of the chunk, so each step only folds in the site
+            words = rng._seed_word(
+                rng.site_hash(seed, np.column_stack([np.full(m, c), live])))
         steps = 0
         while live.size:
             if steps == budget:
@@ -291,7 +293,7 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
             here = pos[live]
             atom = 0
             if not one_atom:
-                u = rng.site_uniforms(env_seeds[live], here)
+                u = rng._unit(rng._fold(words[live], here))
                 atom = np.minimum(np.searchsorted(atom_cum, u, side="right"), len(probs) - 1)
             u = gen.random(live.shape[0])
             k = np.minimum((step_cum[atom] <= u[:, None]).sum(axis=1), last)

@@ -27,14 +27,25 @@ _INV53 = 1.0 / float(1 << 53)
 def _splitmix64(z):
     """One splitmix64 finalization round (vectorized over uint64 arrays).
 
-    Wraparound on add/multiply is the point of the mix; the errstate guard
-    silences numpy's scalar overflow warning for 0-d inputs.
+    Wraparound on add/multiply is the point of the mix.  uint64 arrays wrap
+    silently; numpy warns on scalar overflow, so 0-d inputs mix under an
+    errstate guard.
     """
+    z = np.asarray(z, dtype=_U64)
+    if z.ndim:
+        return _mix(z)
     with np.errstate(over="ignore"):
-        z = (z + _GAMMA).astype(_U64, copy=False)
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        return _mix(z)
+
+
+def _mix(z):
+    z = z + _GAMMA
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
 def _seed_word(seed) -> np.ndarray:
@@ -42,6 +53,19 @@ def _seed_word(seed) -> np.ndarray:
     if np.ndim(seed):
         return _splitmix64(np.asarray(seed).astype(_U64))
     return _splitmix64(np.asarray(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=_U64))
+
+
+def _fold(words, coords) -> np.ndarray:
+    """Fold coordinate rows (..., d) into mixed seed words of shape (...)."""
+    h = np.broadcast_to(words, coords.shape[:-1]).copy()
+    for k in range(coords.shape[-1]):
+        h = _splitmix64(h ^ coords[..., k].astype(_U64))
+    return h
+
+
+def _unit(h) -> np.ndarray:
+    """Uniform [0,1) variates from the top 53 bits of hashes."""
+    return (h >> _U64(11)).astype(np.float64) * _INV53
 
 
 def site_hash(seed, coords) -> np.ndarray:
@@ -54,15 +78,12 @@ def site_hash(seed, coords) -> np.ndarray:
     coords[i]) would.
     """
     coords = np.asarray(coords, dtype=np.int64)
-    h = np.broadcast_to(_seed_word(seed), coords.shape[:-1]).copy()
-    for k in range(coords.shape[-1]):
-        h = _splitmix64(h ^ coords[..., k].astype(_U64))
-    return h
+    return _fold(_seed_word(seed), coords)
 
 
 def site_uniforms(seed, coords) -> np.ndarray:
     """Uniform [0,1) variates attached to lattice sites, shape (...,)."""
-    return (site_hash(seed, coords) >> _U64(11)).astype(np.float64) * _INV53
+    return _unit(site_hash(seed, coords))
 
 
 def child_seed(seed: int, *indices: int) -> int:

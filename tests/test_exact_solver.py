@@ -327,3 +327,68 @@ def test_neumann_iterates_increase_to_the_dense_solution(size, seed, pick, n_ite
         assert np.all(cur >= prev - 1e-12)
     for it in iterates:
         assert np.all(it <= dense + 1e-12)
+
+
+def _small_region(kind, d, a, c):
+    if kind == "box":
+        return rl.BoxRegion([0] * d, [a - 1, c - 1, (a + c) % 3][:d])
+    if kind == "half_space":
+        return rl.HalfSpaceTrunc(1 if a % 2 else -1, c, d)
+    return rl.SlabRegion(min(a, c), max(a, c), d)
+
+
+def _assert_krylov_matches_dense(system, src, tol=1e-13, close=1e-12):
+    g, info = xs.solve_green_row(system, src, tol, method="krylov")
+    assert info.method == "krylov" and info.l1_residual <= tol
+    assert np.max(np.abs(g - xs.solve_green_row(system, src, tol, method="dense")[0])) <= close
+    f = system.drift_field()
+    u = xs.solve_green_operator(system, f, tol, method="krylov")
+    assert np.max(np.abs(f + system.P @ u - u)) <= tol
+    assert np.max(np.abs(u - xs.solve_green_operator(system, f, tol, method="dense"))) <= close
+    h = xs.solve_hitting(system, src, tol, method="krylov")
+    assert np.max(np.abs(h - xs.solve_hitting(system, src, tol, method="dense"))) <= close
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["box", "half_space", "slab"]), d=st.sampled_from([2, 3]),
+       a=st.integers(1, 4), c=st.integers(1, 4),
+       reach=st.floats(0.0, 0.99), kick_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 62), pick=st.integers(0, 10 ** 6))
+def test_preconditioned_krylov_matches_dense_on_boxes(kind, d, a, c, reach, kick_share,
+                                                      seed, pick):
+    # kick a and shift lambda with eps = 4 d (a + lambda / 2) = reach < 1, so
+    # every draw is a kick law inside the small-perturbation regime
+    dev = reach / (4 * d)
+    law = rl.SignedAxisKickLaw(d, kick_share * dev, lambda_shift=2 * (1 - kick_share) * dev)
+    system = xs.build_system(rl.sample_environment(law, seed=seed), _small_region(kind, d, a, c))
+    _assert_krylov_matches_dense(system, pick % system.n)
+
+
+def test_krylov_reports_its_iterations():
+    # the mean-kernel inverse is exact for the SSRW, and close for a weak kick
+    ssrw = xs.build_system(ssrw_env(3), rl.BoxRegion([0, 0, 0], [9, 11, 13]))
+    _, info = xs.solve_fixed_point(ssrw.P, np.ones(ssrw.n), 1e-10, norm="linf",
+                                   method="krylov", pattern=ssrw.pattern)
+    assert info.iterations <= 2 and info.sup_residual <= 1e-10
+    law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
+    slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 16, 3))
+    _, info = xs.solve_fixed_point(slab.P, slab.drift_field(), 1e-10, norm="linf",
+                                   method="krylov", pattern=slab.pattern)
+    assert 1 <= info.iterations <= 20 and info.sup_residual <= 1e-10
+
+
+def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
+    # a zero mean weight makes the symmetrizing scaling infinite
+    system = xs.build_system(rl.sample_environment(rl.PointMassLaw([0.5, 0.0, 0.2, 0.3]), 0),
+                             rl.BoxRegion([0, 0], [14, 11]))
+    assert xs._mean_kernel_inverse(system.P, system.pattern) is None
+    _assert_krylov_matches_dense(system, 100)
+    # a strong drift along a long axis spreads it beyond float64 precision
+    strong = xs.build_system(
+        rl.sample_environment(rl.PointMassLaw([0.97, 0.01, 0.01, 0.01]), 0),
+        rl.BoxRegion([0, 0], [99, 399]))
+    assert xs._mean_kernel_inverse(strong.P, strong.pattern) is None
+    _, info = xs.solve_green_row(strong, strong.source_index((50, 200)), 1e-10, method="krylov")
+    assert info.l1_residual <= 1e-10
+    u = xs.solve_green_operator(strong, np.ones(strong.n), 1e-10, method="krylov")
+    assert np.max(np.abs(1.0 + strong.P @ u - u)) <= 1e-10

@@ -297,3 +297,20 @@ class TestHalfSpaceExperiment:
         assert rep.verdict == "no-failure-evidence"
         for row in rep.rows:
             assert row.drift[0] == pytest.approx(0.1, abs=1e-9)
+
+
+def test_formula_route_inverses_are_certified():
+    region = rl.BoxRegion([-2, -2], [2, 2])
+    pattern = xs.region_pattern(region)
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
+                        for s in range(4)])
+    G = kal._dense_green(pattern, weights, 0, "formula")
+    kal._certify_inverses(pattern, weights, G, 1e-13)
+    corrupted = G.copy()
+    corrupted[2, 7, 11] += 1e-9
+    with pytest.raises(xs.SolverConvergenceError):
+        kal._certify_inverses(pattern, weights, corrupted, 1e-10)
+    with pytest.raises(xs.SolverConvergenceError):
+        kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
+                                  tol=1e-30)

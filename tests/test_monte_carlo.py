@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,18 @@ def test_site_hash_accepts_one_seed_per_row():
     assert np.array_equal(rng.site_hash(seeds, coords), rows)
     assert np.array_equal(rng.site_uniforms(seeds, coords),
                           [rng.site_uniforms(int(s), c) for s, c in zip(seeds, coords)])
+
+
+def test_site_hash_and_uniforms_raise_no_overflow_warning():
+    # the mix wraps modulo 2^64 on purpose, for 0-d and array seeds alike
+    coords = np.array([[-7, 2 ** 40], [3, -1]])
+    seeds = np.array([2 ** 64 - 1, 2 ** 63 + 12345], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, c in ((2 ** 64 - 1, coords[0]), (np.uint64(2 ** 63), coords[1]),
+                        (2 ** 64 - 1, coords), (seeds, coords)):
+            rng.site_hash(seed, c)
+            rng.site_uniforms(seed, c)
 
 
 @pytest.mark.parametrize("stop", [mc.ExitRegion(rl.SlabRegion(4, None, 2)),

@@ -349,18 +349,6 @@ def law_moments(law: EnvironmentLaw) -> LawMoments:
     """Exact moments from the (finite) support table of a homogeneous law."""
     if not law.homogeneous:
         raise UnsupportedFamilyError("law_moments requires a homogeneous law")
-    if isinstance(law, ShiftedLaw):
-        base = law_moments(law.base)
-        probs, vecs = law.support()
-        eps = float(4 * law.d * np.max(np.abs(vecs - 1.0 / (2 * law.d))))
-        mean = base.mean.copy()
-        mean[0] += law.lambda_shift / 2.0
-        mean[1] -= law.lambda_shift / 2.0
-        return LawMoments(
-            d=law.d, eps=eps, sigma2=base.sigma2,
-            lam=base.lam + law.lambda_shift, mean=mean, var=base.var,
-            cov_axis=base.cov_axis, kappa=1.0 / (4 * law.d),
-        )
     probs, vecs = law.support()
     d = law.d
     mean = probs @ vecs

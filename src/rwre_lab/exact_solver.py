@@ -14,10 +14,8 @@ in the region's own ordering, and its l1/sup norms are reported.
 * "banded"  - LAPACK band LU (gbsv) on a box region, its unknowns reordered
               so the shortest axis runs fastest; the band array is filled
               straight from the region pattern's index arrays.
-* "neumann" - the plain fixed-point iteration, with optional periodic
-              geometric (Lyusternik) extrapolation of the dominant mode;
-              every extrapolation is validated against the exact residual
-              and reverted if it does not help.
+* "neumann" - the plain fixed-point iteration x += r, r = A r; it stops
+              at once on a non-finite residual.
 * "krylov"  - BiCGSTAB on (I - A), preconditioned on boxes by the
               mean-kernel DST inverse: (I - P_bar)^-1 for the constant kernel
               P_bar averaged from A by direction, applied in O(n log n) by a
@@ -204,8 +202,9 @@ def _norm(r, kind):
     return float(np.abs(r).max(initial=0.0))
 
 
-def _neumann_solve(A, b, tol, norm="l1", x0=None, extrapolate=True,
-                   restart=48, max_iter=MAX_ITER):
+def _neumann_solve(A, b, tol, norm="l1", x0=None):
+    """Plain fixed-point iteration x += r, r = A r from x0 (default 0);
+    returns (x, r, iterations)."""
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -213,33 +212,15 @@ def _neumann_solve(A, b, tol, norm="l1", x0=None, extrapolate=True,
         x = x0.copy()
         r = _residual(A, b, x)
     it = 0
-    while it < max_iter:
-        if _norm(r, norm) <= tol:
-            return x, r, it
-        start_l1 = float(np.abs(r).sum())
-        for _ in range(restart):
-            x += r
-            r = A @ r
-            it += 1
-            if _norm(r, norm) <= tol:
-                return x, r, it
-        if not extrapolate:
-            continue
-        end_l1 = float(np.abs(r).sum())
-        if start_l1 <= 0 or end_l1 <= 0:
-            continue
-        rho = (end_l1 / start_l1) ** (1.0 / restart)
-        if not (0.0 < rho < 0.99995):
-            continue
-        x_try = x + r / (1.0 - rho)
-        r_try = _residual(A, b, x_try)
+    while not (res := _norm(r, norm)) <= tol:
+        if not np.isfinite(res) or it == MAX_ITER:
+            raise SolverConvergenceError(
+                f"fixed-point solve did not reach tol={tol}: residual {res:.3e} "
+                f"after {it} iterations")
+        x += r
+        r = A @ r
         it += 1
-        if _norm(r_try, norm) < _norm(r, norm):
-            x, r = x_try, r_try
-    raise SolverConvergenceError(
-        f"fixed-point solve did not reach tol={tol} within {max_iter} iterations "
-        f"(residual {_norm(r, norm):.3e})"
-    )
+    return x, r, it
 
 
 def _on_pattern(A, pattern) -> bool:
@@ -299,7 +280,7 @@ def _mean_kernel_inverse(A, pattern):
     return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
 
 
-def _krylov_solve(A, b, tol, x0=None, pattern=None):
+def _krylov_solve(A, b, tol, pattern=None):
     """BiCGSTAB on I - A; returns (x, iterations)."""
     n = b.shape[0]
     S = sp.identity(n, format="csr") - A
@@ -310,7 +291,7 @@ def _krylov_solve(A, b, tol, x0=None, pattern=None):
         nonlocal its
         its += 1
 
-    x, _ = spla.bicgstab(S, b, x0=x0, rtol=1e-14, atol=atol,
+    x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=atol,
                          maxiter=max(200, int(4 * np.sqrt(n)) + 50),
                          M=_mean_kernel_inverse(A, pattern), callback=count)
     return x, its
@@ -350,14 +331,14 @@ def auto_method(n: int, pattern: RegionPattern | None = None) -> str:
     return "krylov"
 
 
-def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None, pattern=None):
+def solve_fixed_point(A, b, tol, norm="l1", method="auto", pattern=None):
     """Solve x = b + A x to a certified residual tolerance.
 
     pattern is the RegionPattern that A (P, P.T, or a copy of P with
     entries zeroed) was built on; the banded path needs it, and "auto"
-    picks that path only when it is given.  x0 warm starts the iterative
-    paths.  Returns (x, SolveInfo); the reported residual norms are
-    recomputed exactly from the returned solution.
+    picks that path only when it is given.  Returns (x, SolveInfo); the
+    reported residual norms are recomputed exactly from the returned
+    solution, and a NaN residual counts as above tol.
     """
     n = b.shape[0]
     if method == "auto":
@@ -368,14 +349,14 @@ def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None, pattern=None
     elif method == "banded":
         x = _banded_solve(A, b, pattern)
     elif method == "krylov":
-        x, it = _krylov_solve(A, b, tol, x0=x0, pattern=pattern)
+        x, it = _krylov_solve(A, b, tol, pattern=pattern)
     elif method == "neumann":
-        x, r, it = _neumann_solve(A, b, tol, norm=norm, x0=x0)
+        x, r, it = _neumann_solve(A, b, tol, norm=norm)
     else:
         raise ValueError(f"unknown solve method {method!r}")
     if method != "neumann":
         r = _residual(A, b, x)
-        if _norm(r, norm) > tol:
+        if not _norm(r, norm) <= tol:
             # polish with the certified fixed-point iteration
             x, r, polish = _neumann_solve(A, b, tol, norm=norm, x0=x)
             it += polish
@@ -385,7 +366,7 @@ def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None, pattern=None
         iterations=it,
         method=method,
     )
-    if info.sup_residual > tol:
+    if not info.sup_residual <= tol:
         raise SolverConvergenceError(
             f"residual {info.sup_residual:.3e} above tolerance {tol}")
     return x, info
@@ -397,7 +378,7 @@ def solve_fixed_point(A, b, tol, norm="l1", method="auto", x0=None, pattern=None
 
 
 def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
-                    method: str = "auto", x0=None) -> tuple[np.ndarray, SolveInfo]:
+                    method: str = "auto") -> tuple[np.ndarray, SolveInfo]:
     """Green row g(src, .) from the row identity g = delta_src + g P.
 
     The l1 norm of the residual is driven below tol, which also bounds the
@@ -405,7 +386,7 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
     """
     b = np.zeros(system.n)
     b[src] = 1.0
-    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method, x0=x0,
+    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method,
                              pattern=system.pattern)
 
 

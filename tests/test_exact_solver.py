@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -307,6 +308,36 @@ def test_direct_solves_enforce_tol(monkeypatch, method, solver):
                         lambda A, b, tol, norm, x0: (x0, xs._residual(A, b, x0), 1))
     with pytest.raises(xs.SolverConvergenceError):
         xs.solve_green_row(system, 0, 1e-11, method=method)
+
+
+def test_nan_solutions_are_not_certified(monkeypatch):
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=6)
+    system = xs.build_system(env, rl.BoxRegion([0, 0], [4, 4]))
+    # a NaN residual fails the certificate and stops the polish at once
+    monkeypatch.setattr(xs, "_dense_solve", lambda A, b: np.full(b.shape, np.nan))
+    with pytest.raises(xs.SolverConvergenceError):
+        xs.solve_green_row(system, 0, 1e-11, method="dense")
+    matvecs = []
+
+    def count(v):
+        matvecs.append(1)
+        return system.P.T @ v
+
+    A = spla.LinearOperator((system.n, system.n), matvec=count, dtype=np.float64)
+    b = np.zeros(system.n)
+    b[0] = 1.0
+    with pytest.raises(xs.SolverConvergenceError):
+        xs._neumann_solve(A, b, 1e-11, x0=np.full(system.n, np.nan))
+    assert len(matvecs) == 1
+
+
+def test_neumann_method_is_the_plain_fixed_point_iteration():
+    region = rl.SlabRegion(3, 12, 2)
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.04), seed=3)
+    table = rl.green_row(env, region, (0, 0), tol=1e-13, method="neumann")
+    assert table.method == "neumann" and table.l1_residual <= 1e-13
+    iterates = xs.neumann_green_iterates(env, region, (0, 0), table.iterations)
+    np.testing.assert_array_equal(table.values, iterates[-1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import rwre_lab as rl
 from rwre_lab import exact_solver as xs
 from rwre_lab import kalikow as kal
+from rwre_lab import rng
 
 
 def two_env_oracle_law():
@@ -314,3 +315,38 @@ def test_formula_route_inverses_are_certified():
     with pytest.raises(xs.SolverConvergenceError):
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
+
+
+def test_batch_certificates_reject_nan():
+    region = rl.BoxRegion([-2, -2], [2, 2])
+    pattern = xs.region_pattern(region)
+    src = kal._source(pattern, (0, 0))
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
+                        for s in range(3)])
+    g = kal._dense_green(pattern, weights, src, "definition")
+    g[1, 5] = np.nan
+    with pytest.raises(xs.SolverConvergenceError):
+        kal._certify_rows(pattern, weights, g, src, 1e-10)
+    G = kal._dense_green(pattern, weights, src, "formula")
+    G[2, 7, 11] = np.nan
+    with pytest.raises(xs.SolverConvergenceError):
+        kal._certify_inverses(pattern, weights, G, 1e-10)
+
+
+def test_sampled_krylov_green_batches_match_dense_rows():
+    # above DENSE_BATCH_CUTOFF each sampled environment gets its own row
+    # solve, and on a d=3 half-space that solve is preconditioned Krylov
+    region = rl.HalfSpaceTrunc(-1, 5, 3)
+    pattern = xs.region_pattern(region)
+    assert pattern.n > kal.DENSE_BATCH_CUTOFF
+    assert xs.auto_method(pattern.n, pattern) == "krylov"
+    src = kal._source(pattern, (0, 0, 0))
+    law = rl.SignedAxisKickLaw(3, 0.01, 1e-7)
+    seeds = [rng.child_seed(5, i) for i in range(4)]
+    batches = list(kal._green_batches(law, pattern, src, "definition", 1e-10, seeds))
+    weights = np.concatenate([w for w, _, _ in batches])
+    g = np.concatenate([g for _, g, _ in batches])
+    assert g.shape == (4, pattern.n)
+    dense = kal._dense_green(pattern, weights, src, "definition")
+    assert np.max(np.abs(g - dense)) <= 1e-9

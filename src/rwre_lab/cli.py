@@ -51,16 +51,27 @@ def _require(cfg: dict, key: str):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _descriptor(what: str, build, *args):
+    """Build a law or region from its descriptor; a missing key is a ConfigError."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ConfigError(f"{what} descriptor is missing required key {exc.args[0]!r}") from None
 
 
 def _law(cfg: dict):
-    law = law_from_dict(_require(cfg, "law"))
+    law = _descriptor("law", law_from_dict, _require(cfg, "law"))
     if law.d < 2:
         raise ConfigError("model requires d >= 2")
     return law
@@ -68,7 +79,7 @@ def _law(cfg: dict):
 
 def _region(cfg: dict, d: int):
     spec = _require(cfg, "region")
-    return build_region(_require(spec, "kind"), spec, d)
+    return _descriptor("region", build_region, _require(spec, "kind"), spec, d)
 
 
 class _Run:
@@ -276,7 +287,7 @@ def _run_fluctuations(run: _Run):
     base = _require(run.cfg, "law")
     if base.get("family") != "signed_axis_kick":
         raise ConfigError("fluctuation scans sweep the signed_axis_kick amplitude")
-    d = int(base["d"])
+    d = int(_require(base, "d"))
     shift = float(base.get("lambda_shift", 0.0))
     amplitudes = [float(a) for a in _require(run.cfg, "amplitudes")]
     scan = bal.fluctuation_scan(

@@ -67,10 +67,11 @@ def ssrw_weights(d: int) -> np.ndarray:
     return np.full(2 * d, 1.0 / (2 * d))
 
 
-def _apply_axis_shift(w: np.ndarray, lambda_shift: float) -> np.ndarray:
-    out = w.astype(np.float64).copy()
-    out[0] += lambda_shift / 2.0
-    out[1] -= lambda_shift / 2.0
+def _shift_e1(vecs: np.ndarray, lambda_shift: float) -> np.ndarray:
+    """A copy of a support table with every vector shifted by (lambda_shift/2)(e . e1)."""
+    out = vecs.copy()
+    out[:, 0] += lambda_shift / 2.0
+    out[:, 1] -= lambda_shift / 2.0
     return out
 
 
@@ -80,47 +81,53 @@ def _apply_axis_shift(w: np.ndarray, lambda_shift: float) -> np.ndarray:
 
 
 class EnvironmentLaw:
-    """Base class: a distribution over probability vectors, i.i.d. per site."""
+    """Base class: a distribution over probability vectors, i.i.d. per site.
+
+    A homogeneous law is its support table; each family builds it once
+    through _set_support.
+    """
 
     d: int
     family: str = "abstract"
     homogeneous: bool = True
 
+    def _set_support(self, probs, vecs) -> None:
+        """Validate and store the (probs, vectors) support table."""
+        if self.d < 2:
+            raise ValueError(f"model dimension must be >= 2, got {self.d}")
+        probs = np.asarray(probs, dtype=np.float64)
+        if abs(probs.sum() - 1.0) > WEIGHT_ATOL or np.any(probs < 0):
+            raise ValueError("support probabilities must be nonnegative and sum to 1")
+        self._probs = probs
+        self._vecs = np.array([validate_prob_vector(v, self.d) for v in vecs])
+        # random laws must stay in the small-perturbation range; point masses
+        # are deterministic oracle environments and may sit outside it
+        # (flagged through in_perturbation_range / degenerate)
+        if len(probs) > 1 and self.eps >= 1.0:
+            raise ValueError(f"perturbation size eps={self.eps:.6g} must be < 1")
+
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(probs, vectors) with probs shape (K,) and vectors shape (K, 2d)."""
-        raise NotImplementedError
+        return self._probs, self._vecs
 
     def site_support(self, site) -> tuple[np.ndarray, np.ndarray]:
         return self.support()
 
     @property
+    def eps(self) -> float:
+        """4d times the largest support deviation from 1/(2d)."""
+        probs, vecs = self.support()
+        return float(4 * self.d * np.max(np.abs(vecs - 1.0 / (2 * self.d))))
+
+    @property
     def degenerate(self) -> bool:
         """True when eps == 0 (exactly the unperturbed symmetric walk)."""
-        probs, vecs = self.support()
-        return bool(np.max(np.abs(vecs - 1.0 / (2 * self.d))) == 0.0)
+        return self.eps == 0.0
 
     @property
     def in_perturbation_range(self) -> bool:
         """True when 0 < eps < 1, the range the asymptotic results assume."""
-        probs, vecs = self.support()
-        eps = 4 * self.d * np.max(np.abs(vecs - 1.0 / (2 * self.d)))
-        return bool(0.0 < eps < 1.0)
-
-    def _validate(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"model dimension must be >= 2, got {self.d}")
-        probs, vecs = self.support()
-        if abs(probs.sum() - 1.0) > WEIGHT_ATOL or np.any(probs < 0):
-            raise ValueError("support probabilities must be nonnegative and sum to 1")
-        for v in vecs:
-            validate_prob_vector(v, self.d)
-        # random laws must stay in the small-perturbation range; point masses
-        # are deterministic oracle environments and may sit outside it
-        # (flagged through in_perturbation_range / degenerate)
-        if len(probs) > 1:
-            eps = 4 * self.d * np.max(np.abs(vecs - 1.0 / (2 * self.d)))
-            if eps >= 1.0:
-                raise ValueError(f"perturbation size eps={eps:.6g} must be < 1")
+        return 0.0 < self.eps < 1.0
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -135,13 +142,9 @@ class PointMassLaw(EnvironmentLaw):
     family = "point_mass"
 
     def __init__(self, weights, d: int | None = None):
-        w = np.asarray(weights, dtype=np.float64)
-        self.d = d if d is not None else w.shape[0] // 2
-        self.weights = validate_prob_vector(w, self.d)
-        self._validate()
-
-    def support(self):
-        return np.array([1.0]), self.weights[None, :]
+        self.d = d if d is not None else len(weights) // 2
+        self._set_support([1.0], [weights])
+        self.weights = self._vecs[0]
 
     def to_dict(self):
         return {
@@ -171,20 +174,12 @@ class SignedAxisKickLaw(EnvironmentLaw):
         self.d = d
         self.a = float(a)
         self.lambda_shift = float(lambda_shift)
-        self._validate()
-
-    def support(self):
-        d, a = self.d, self.a
-        base = ssrw_weights(d)
-        vecs = np.tile(base, (2 * d, 1))
-        for k in range(2 * d):
-            anti = k + 1 if k % 2 == 0 else k - 1
-            vecs[k, k] += a
-            vecs[k, anti] -= a
-        vecs[:, 0] += self.lambda_shift / 2.0
-        vecs[:, 1] -= self.lambda_shift / 2.0
-        probs = np.full(2 * d, 1.0 / (2 * d))
-        return probs, vecs
+        vecs = np.tile(ssrw_weights(d), (2 * d, 1))
+        k = np.arange(2 * d)
+        vecs[k, k] += self.a  # the kicked direction k gains a,
+        vecs[k, k ^ 1] -= self.a  # its opposite k ^ 1 loses a
+        self._set_support(np.full(2 * d, 1.0 / (2 * d)),
+                          _shift_e1(vecs, self.lambda_shift))
 
     def to_dict(self):
         return {
@@ -203,14 +198,8 @@ class EmpiricalLaw(EnvironmentLaw):
     def __init__(self, atoms: Sequence[tuple[float, Iterable[float]]], d: int | None = None):
         if not atoms:
             raise ValueError("empirical law needs at least one support atom")
-        first = np.asarray(atoms[0][1], dtype=np.float64)
-        self.d = d if d is not None else first.shape[0] // 2
-        self._probs = np.array([float(p) for p, _ in atoms])
-        self._vecs = np.array([validate_prob_vector(w, self.d) for _, w in atoms])
-        self._validate()
-
-    def support(self):
-        return self._probs, self._vecs
+        self.d = d if d is not None else len(atoms[0][1]) // 2
+        self._set_support([float(p) for p, _ in atoms], [w for _, w in atoms])
 
     def to_dict(self):
         return {
@@ -235,22 +224,10 @@ class ShiftedLaw(EnvironmentLaw):
         self.d = base.d
         self.lambda_shift = float(lambda_shift)
         probs, vecs = base.support()
-        for v in vecs:
-            shifted = _apply_axis_shift(v, self.lambda_shift)
-            if shifted[0] < -WEIGHT_ATOL or shifted[0] > 1 + WEIGHT_ATOL \
-                    or shifted[1] < -WEIGHT_ATOL or shifted[1] > 1 + WEIGHT_ATOL:
-                raise InvalidShiftError(
-                    f"shift {lambda_shift} pushes support point "
-                    f"{array_to_weight_map(v, self.d)} outside [0, 1]"
-                )
-        self._validate()
-
-    def support(self):
-        probs, vecs = self.base.support()
-        shifted = vecs.copy()
-        shifted[:, 0] += self.lambda_shift / 2.0
-        shifted[:, 1] -= self.lambda_shift / 2.0
-        return probs, shifted
+        try:
+            self._set_support(probs, _shift_e1(vecs, self.lambda_shift))
+        except ValueError as exc:
+            raise InvalidShiftError(f"shift {lambda_shift}: {exc}") from exc
 
     def to_dict(self):
         return {
@@ -276,9 +253,7 @@ class InhomogeneousTestLaw(EnvironmentLaw):
                 raise ValueError("site law dimension mismatch")
 
     def support(self):
-        raise UnsupportedFamilyError(
-            "inhomogeneous test laws have no homogeneous support table"
-        )
+        raise UnsupportedFamilyError("inhomogeneous test laws have no homogeneous support table")
 
     def site_support(self, site):
         law = self.site_map.get(tuple(int(c) for c in site), self.default)
@@ -355,9 +330,8 @@ def law_moments(law: EnvironmentLaw) -> LawMoments:
     centered = vecs - mean
     var = probs @ (centered ** 2)
     cov_axis = float(probs @ (centered[:, 0] * centered[:, 1]))
-    eps = float(4 * d * np.max(np.abs(vecs - 1.0 / (2 * d))))
     return LawMoments(
-        d=d, eps=eps, sigma2=float(var.sum()), lam=float(mean[0] - mean[1]),
+        d=d, eps=law.eps, sigma2=float(var.sum()), lam=float(mean[0] - mean[1]),
         mean=mean, var=var, cov_axis=cov_axis, kappa=1.0 / (4 * d),
     )
 
@@ -377,56 +351,38 @@ class EnvironmentRealization:
 
     The weight vector at a site is a pure function of (seed, coordinates),
     so query order never matters and disjoint sites can be realized in
-    parallel.  Scalar lookups are cached for walk loops.
+    parallel.
     """
 
     def __init__(self, law: EnvironmentLaw, seed: int):
         self.law = law
         self.d = law.d
         self.seed = int(seed)
-        self._cache: dict[tuple, np.ndarray] = {}
         if law.homogeneous:
-            probs, vecs = law.support()
+            probs, self._vecs = law.support()
             self._cum = np.cumsum(probs)
-            self._vecs = vecs
-            self._constant = vecs[0] if len(probs) == 1 else None
-        else:
-            self._cum = None
-            self._vecs = None
-            self._constant = None
-
-    @property
-    def is_constant(self) -> bool:
-        return self._constant is not None
 
     def weights(self, site) -> np.ndarray:
-        key = tuple(int(c) for c in site)
-        if self._constant is not None:
-            return self._constant
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self._cum is not None:
-            u = float(rng.site_uniforms(self.seed, np.array(key, dtype=np.int64)))
-            w = self._vecs[int(np.searchsorted(self._cum, u, side="right").clip(0, len(self._cum) - 1))]
-        else:
-            probs, vecs = self.law.site_support(key)
-            u = float(rng.site_uniforms(self.seed, np.array(key, dtype=np.int64)))
-            w = vecs[int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))]
-        self._cache[key] = w
-        return w
+        """The weight vector at one site: one row of weights_block."""
+        return self.weights_block(np.asarray([site]))[0]
 
     def weights_block(self, coords) -> np.ndarray:
         """Vectorized weights for an (N, d) coordinate array."""
         coords = np.asarray(coords, dtype=np.int64)
-        if self._constant is not None:
-            return np.broadcast_to(self._constant, (coords.shape[0], 2 * self.d)).copy()
-        if self._cum is not None:
-            u = rng.site_uniforms(self.seed, coords)
-            idx = np.searchsorted(self._cum, u, side="right")
-            np.clip(idx, 0, len(self._cum) - 1, out=idx)
-            return self._vecs[idx]
-        return np.array([self.weights(site) for site in coords])
+        if not self.law.homogeneous:
+            rows = []
+            for site, u in zip(coords, rng.site_uniforms(self.seed, coords)):
+                probs, vecs = self.law.site_support(site)
+                rows.append(_draw(np.cumsum(probs), vecs, u))
+            return np.array(rows)
+        if len(self._vecs) == 1:
+            return np.broadcast_to(self._vecs[0], (coords.shape[0], 2 * self.d)).copy()
+        return _draw(self._cum, self._vecs, rng.site_uniforms(self.seed, coords))
+
+
+def _draw(cum: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
+    """The support vectors that uniforms u pick against cumulative probabilities cum."""
+    return vecs[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
 
 
 def sample_environment(law: EnvironmentLaw, region=None, seed: int = 0) -> EnvironmentRealization:
@@ -454,7 +410,6 @@ class KConditionReport:
     rho: float
     eps0: float
     entries: list[KConditionEntry] = field(default_factory=list)
-    symmetry_status: str = "structural"
 
     @property
     def all_pass(self) -> bool:
@@ -471,7 +426,6 @@ class KConditionReport:
             "rho": self.rho,
             "eps0": self.eps0,
             "all_pass": self.all_pass,
-            "symmetry_status": self.symmetry_status,
             "conditions": [
                 {"name": e.name, "passed": e.passed, "margin": e.margin, "detail": e.detail}
                 for e in self.entries
@@ -482,32 +436,39 @@ class KConditionReport:
 _REL_TOL = 1e-12
 
 
-def _axis_symmetry_status(law: EnvironmentLaw) -> tuple[bool | None, str]:
-    """Is the law invariant under lattice isometries fixing e1?
+def _pooled(probs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support table with equal atoms merged: sorted atoms and their masses."""
+    atoms, inverse = np.unique(vecs, axis=0, return_inverse=True)
+    return atoms, np.bincount(inverse.reshape(-1), weights=probs, minlength=len(atoms))
 
-    Structural for the built-in families; for generic empirical laws the
-    answer falls back to exact moment-symmetry tests and may stay
-    undetermined.
+
+def _e1_fixing_generators(d: int):
+    """(name, column permutation) for generators of the isometries fixing e1:
+    the flip of e2 and the swaps of neighbouring perpendicular axes."""
+    flip = np.arange(2 * d)
+    flip[[2, 3]] = [3, 2]
+    yield "the flip of e2", flip
+    for i in range(1, d - 1):
+        swap = np.arange(2 * d)
+        swap[2 * i:2 * i + 4] = [2 * i + 2, 2 * i + 3, 2 * i, 2 * i + 1]
+        yield f"the swap of e{i + 1} and e{i + 2}", swap
+
+
+def _k2_symmetry(law: EnvironmentLaw) -> tuple[bool, str]:
+    """Is the law invariant under the lattice isometries fixing e1?
+
+    Exact on the support table: each generator permutes the weight columns,
+    and the pooled table must come back with the same atoms and masses.
     """
-    if isinstance(law, SignedAxisKickLaw):
-        return True, "structural: signed-axis kick is invariant under signed axis permutations"
-    if isinstance(law, ShiftedLaw):
-        ok, why = _axis_symmetry_status(law.base)
-        return ok, f"shift preserves e1-fixing symmetry; base: {why}"
-    mom = law_moments(law)
-    mean, var = mom.mean, mom.var
-    perp_means = np.concatenate([mean[2::2], mean[3::2]])
-    perp_vars = np.concatenate([var[2::2], var[3::2]])
-    scale = max(1.0, float(np.max(np.abs(mean))))
-    mean_ok = perp_means.size == 0 or np.ptp(perp_means) <= _REL_TOL * scale
-    var_ok = perp_vars.size == 0 or np.ptp(perp_vars) <= _REL_TOL * max(1.0, float(np.max(var)))
-    if isinstance(law, PointMassLaw):
-        w = law.weights
-        ok = np.ptp(w[2:]) <= _REL_TOL if w.size > 2 else True
-        return bool(ok), "structural: point mass checked componentwise"
-    if mean_ok and var_ok:
-        return None, "undetermined: moment-symmetry tests passed (means/variances equal across perpendicular directions)"
-    return False, "moment-symmetry test failed across perpendicular directions"
+    probs, vecs = law.support()
+    atoms, masses = _pooled(probs, vecs)
+    for name, perm in _e1_fixing_generators(law.d):
+        moved, moved_masses = _pooled(probs, vecs[:, perm])
+        if not (np.array_equal(moved, atoms)
+                and np.max(np.abs(moved_masses - masses)) <= _REL_TOL):
+            return False, f"support table is not invariant under {name}"
+    return True, ("support table is invariant under the flip of e2 and the swaps "
+                  "of neighbouring perpendicular axes")
 
 
 def check_k_conditions(law: EnvironmentLaw, rho: float, eps0: float) -> KConditionReport:
@@ -530,10 +491,8 @@ def check_k_conditions(law: EnvironmentLaw, rho: float, eps0: float) -> KConditi
     report.entries.append(KConditionEntry(
         "K1", mom.eps <= eps0, eps0 - mom.eps, f"eps={mom.eps:.6g} vs eps0={eps0:.6g}"))
 
-    sym_ok, sym_detail = _axis_symmetry_status(law)
-    report.symmetry_status = "undetermined" if sym_ok is None else "structural"
-    report.entries.append(KConditionEntry(
-        "K2", sym_ok is not False, None, sym_detail))
+    sym_ok, sym_detail = _k2_symmetry(law)
+    report.entries.append(KConditionEntry("K2", sym_ok, None, sym_detail))
 
     var_gap = float(mom.var[0] - mom.var[1])
     report.entries.append(KConditionEntry(

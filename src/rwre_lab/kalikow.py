@@ -41,8 +41,10 @@ from .env_model import (
     ssrw_law,
 )
 from .exact_solver import (
+    DENSE_CUTOFF,
     MEMORY_BUDGET,
     SolverConvergenceError,
+    auto_method,
     build_system,
     green_row,
     region_pattern,
@@ -52,7 +54,6 @@ from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegio
 from .runtime import deterministic_map
 
 ENUMERATION_CAP = 10 ** 6
-DENSE_BATCH_CUTOFF = 400
 DEFAULT_Z = 3.0
 
 
@@ -155,9 +156,6 @@ class KalikowEnv:
     def ratio(self, y, e_index: int) -> float:
         return float(self.ratios[self.site_index(y), e_index])
 
-    def row_sum(self, y) -> float:
-        return float(self.ratios[self.site_index(y)].sum())
-
     def drift(self, y) -> np.ndarray:
         return self.drift_vectors[self.site_index(y)]
 
@@ -203,10 +201,6 @@ class KalikowDriftReport:
     @property
     def drift_e1(self) -> float:
         return float(self.drift[0])
-
-    def ci(self, k: int = 0) -> tuple[float, float]:
-        return (float(self.drift[k] - self.z * self.se[k]),
-                float(self.drift[k] + self.z * self.se[k]))
 
     def to_dict(self) -> dict:
         return {
@@ -335,13 +329,13 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
     probabilities is None.  green holds the Green rows g(x, .) (definition
     route) or the inverses G (formula route).  Dense batches of Green rows
     are certified like single row solves, and the formula route's inverses
-    by the worst row l1 norm of I - (I - P) G.  Above DENSE_BATCH_CUTOFF
-    sampled environments get one certified row solve each on the path
-    method="auto" picks (band LU on d=2 boxes; preconditioned Krylov
-    elsewhere).
+    by the worst row l1 norm of I - (I - P) G.  Sampled environments are
+    stacked where method="auto" picks dense LU for the region; elsewhere
+    each gets one certified row solve on the path it picks (band LU on d=2
+    boxes; preconditioned Krylov elsewhere).
     """
     chunk = _chunk(pattern.n)
-    if env_seeds is None or pattern.n <= DENSE_BATCH_CUTOFF:
+    if env_seeds is None or auto_method(pattern.n, pattern) == "dense":
         batches = (_enumerated(law, pattern, chunk) if env_seeds is None
                    else _sampled(law, pattern, env_seeds, chunk))
         for weights, probs in batches:
@@ -355,7 +349,7 @@ def _green_batches(law, pattern, src: int, route: str, tol: float,
     if route != "definition":
         raise ValueError(
             "the formula route needs dense Green inverses and is only "
-            f"supported up to {DENSE_BATCH_CUTOFF} interior sites")
+            f"supported up to DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
 
     def one(env_seed: int):
         system = build_system(sample_environment(law, seed=env_seed), pattern.region)

@@ -120,9 +120,6 @@ class MCEstimate:
             self.seed,
         )
 
-    def ci(self, z: float = 3.0) -> tuple[float, float]:
-        return self.mean - z * self.se, self.mean + z * self.se
-
     def to_dict(self) -> dict:
         return {"mean": self.mean, "se": self.se, "n": self.n, "seed": self.seed}
 
@@ -379,9 +376,6 @@ class EmpiricalDistribution:
 
     def quantiles(self, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
         return {q: float(np.quantile(self.samples, q)) for q in qs}
-
-    def estimate(self) -> MCEstimate:
-        return MCEstimate.from_samples(self.samples, self.master_seed)
 
     def to_csv(self, path, meta: str | None = None) -> None:
         from .reporting import write_csv

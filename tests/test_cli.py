@@ -89,6 +89,22 @@ def test_dimension_validation_error(tmp_path):
     assert rc == 2
 
 
+KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
+
+
+@pytest.mark.parametrize("kind, payload, named", [
+    ("moments", {"law": {"family": "signed_axis_kick", "a": 0.01}}, "'d'"),
+    ("moments", {"law": {"family": "point_mass", "d": 2}}, "'weights'"),
+    ("green", {"law": KICK_D2, "region": {"kind": "box", "lo": [-2, -2]}}, "'hi'"),
+    ("moments", [{"law": KICK_D2}], "JSON object"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    rc = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_experiment_kind_mismatch(tmp_path):
     cfg = write_config(tmp_path, "m.json", {
         "experiment": "moments", "seed": 1,

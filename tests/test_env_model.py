@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,27 @@ def test_point_mass_sampling_is_constant():
         assert np.array_equal(env.weights(s), law.weights)
 
 
+def test_inhomogeneous_weights_are_rows_of_the_block():
+    law = rl.InhomogeneousTestLaw({(0, 0): rl.PointMassLaw([0.3, 0.2, 0.25, 0.25])}, d=2)
+    env = rl.sample_environment(law, seed=4)
+    sites = np.array([(0, 0), (5, -5)])
+    block = env.weights_block(sites)
+    assert np.array_equal(block, [[0.3, 0.2, 0.25, 0.25], [0.25] * 4])
+    for site, row in zip(sites, block):
+        assert np.array_equal(env.weights(site), row)
+
+
+def test_kick_support_table_by_hand():
+    a, s = 0.05, 0.01
+    q, h = 0.25, s / 2.0
+    probs, vecs = rl.SignedAxisKickLaw(2, a, s).support()
+    assert np.array_equal(probs, [0.25] * 4)
+    assert np.array_equal(vecs, [[q + a + h, q - a - h, q, q],
+                                 [q - a + h, q + a - h, q, q],
+                                 [q + h, q - h, q + a, q - a],
+                                 [q + h, q - h, q - a, q + a]])
+
+
 def test_kick_sampled_variance_matches_exact_moments():
     # empirical per-direction variance within 4 standard errors of a^2/d
     a, d, side = 0.05, 2, 316
@@ -194,3 +217,41 @@ class TestKConditions:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             rl.check_k_conditions(rl.SignedAxisKickLaw(2, 0.01), rho=0.0, eps0=0.5)
+
+
+SSRW_D3_JSON = json.dumps({"family": "point_mass", "d": 3,
+                           "weights": {lbl: 1 / 6 for lbl in
+                                       ["+e1", "-e1", "+e2", "-e2", "+e3", "-e3"]}})
+
+
+@pytest.mark.parametrize("law", [
+    rl.SignedAxisKickLaw(3, 0.01, 1e-7),
+    rl.SignedAxisKickLaw(4, 0.01, 1e-3),
+    rl.build_shifted_law(rl.SignedAxisKickLaw(3, 0.01), 1e-7),
+    rl.law_from_dict(json.loads(SSRW_D3_JSON)),
+], ids=["kick-d3", "kick-d4", "shifted-kick-d3", "ssrw-d3-json"])
+def test_k2_passes_on_e1_fixing_symmetric_tables(law):
+    assert rl.check_k_conditions(law, rho=0.5, eps0=0.9).entry("K2").passed
+
+
+@pytest.mark.parametrize("law, generator", [
+    (rl.PointMassLaw([0.3, 0.2, 0.3, 0.2]), "the flip of e2"),
+    (rl.PointMassLaw([1 / 6, 1 / 6, 0.2, 0.2, 2 / 15, 2 / 15]), "the swap of e2 and e3"),
+], ids=["point-mass-flip", "point-mass-swap"])
+def test_k2_fails_naming_the_generator(law, generator):
+    k2 = rl.check_k_conditions(law, rho=0.5, eps0=0.9).entry("K2")
+    assert not k2.passed
+    assert generator in k2.detail
+
+
+def test_k2_fails_on_equal_moments_without_the_flip():
+    # perpendicular means and variances agree, yet the flip of e2 maps the
+    # atoms to a different table
+    law = rl.EmpiricalLaw([(2 / 3, [0.25, 0.25, 0.27, 0.23]),
+                           (1 / 3, [0.25, 0.25, 0.21, 0.29])], 2)
+    m = rl.law_moments(law)
+    assert m.mean[2] == pytest.approx(m.mean[3], abs=1e-15)
+    assert m.var[2] == pytest.approx(m.var[3], abs=1e-15)
+    k2 = rl.check_k_conditions(law, rho=0.5, eps0=0.9).entry("K2")
+    assert not k2.passed
+    assert "the flip of e2" in k2.detail

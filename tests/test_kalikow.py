@@ -335,11 +335,11 @@ def test_batch_certificates_reject_nan():
 
 
 def test_sampled_krylov_green_batches_match_dense_rows():
-    # above DENSE_BATCH_CUTOFF each sampled environment gets its own row
+    # above DENSE_CUTOFF each sampled environment gets its own row
     # solve, and on a d=3 half-space that solve is preconditioned Krylov
     region = rl.HalfSpaceTrunc(-1, 5, 3)
     pattern = xs.region_pattern(region)
-    assert pattern.n > kal.DENSE_BATCH_CUTOFF
+    assert pattern.n > xs.DENSE_CUTOFF
     assert xs.auto_method(pattern.n, pattern) == "krylov"
     src = kal._source(pattern, (0, 0, 0))
     law = rl.SignedAxisKickLaw(3, 0.01, 1e-7)

@@ -57,29 +57,35 @@ def _load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
-    return cfg
+    return _object(f"config {path}", cfg)
 
 
-def _descriptor(what: str, build, *args):
-    """Build a law or region from its descriptor; a missing key is a ConfigError."""
+def _object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _descriptor(what: str, spec, build):
+    """build(spec) for a law or region descriptor; a descriptor that is not
+    a JSON object, or lacks a key, is a ConfigError."""
+    _object(f"{what} descriptor", spec)
     try:
-        return build(*args)
+        return build(spec)
     except KeyError as exc:
         raise ConfigError(f"{what} descriptor is missing required key {exc.args[0]!r}") from None
 
 
 def _law(cfg: dict):
-    law = _descriptor("law", law_from_dict, _require(cfg, "law"))
+    law = _descriptor("law", _require(cfg, "law"), law_from_dict)
     if law.d < 2:
         raise ConfigError("model requires d >= 2")
     return law
 
 
 def _region(cfg: dict, d: int):
-    spec = _require(cfg, "region")
-    return _descriptor("region", build_region, _require(spec, "kind"), spec, d)
+    return _descriptor("region", _require(cfg, "region"),
+                       lambda spec: build_region(spec["kind"], spec, d))
 
 
 class _Run:
@@ -284,7 +290,7 @@ def _run_prop31(run: _Run):
 
 
 def _run_fluctuations(run: _Run):
-    base = _require(run.cfg, "law")
+    base = _object("law descriptor", _require(run.cfg, "law"))
     if base.get("family") != "signed_axis_kick":
         raise ConfigError("fluctuation scans sweep the signed_axis_kick amplitude")
     d = int(_require(base, "d"))
@@ -341,18 +347,19 @@ def _run_freedman(run: _Run):
     points = run.cfg.get("points", [])
     rows = []
     for p in points:
-        value = bal.freedman_bound(u=float(p["u"]), b=float(p["b"]),
-                                   sum_v2=float(p["sum_v2"]))
-        rows.append([float(p["u"]), float(p["b"]), float(p["sum_v2"]), value])
+        p = _object("freedman point", p)
+        u, b, sum_v2 = (float(_require(p, k)) for k in ("u", "b", "sum_v2"))
+        rows.append([u, b, sum_v2, bal.freedman_bound(u=u, b=b, sum_v2=sum_v2)])
     if rows:
         run.csv("freedman_bounds.csv", ["u", "b", "sum_v2", "bound"], rows)
     run.report["bounds"] = [
         {"u": r[0], "b": r[1], "sum_v2": r[2], "bound": r[3]} for r in rows]
     tail = run.cfg.get("tail_test")
     if tail:
+        tail = _object("tail_test", tail)
         rep = bal.martingale_tail_test(
-            tail.get("increment", "plusminus"), int(tail["n"]),
-            [float(u) for u in tail["u_grid"]], int(tail["n_paths"]),
+            tail.get("increment", "plusminus"), int(_require(tail, "n")),
+            [float(u) for u in _require(tail, "u_grid")], int(_require(tail, "n_paths")),
             seed=run.seed, b=float(tail.get("b", 1.0)))
         run.csv("martingale_tails.csv",
                 ["u", "bound", "upper_freq", "lower_freq",

@@ -17,9 +17,11 @@ in the region's own ordering, and its l1/sup norms are reported.
 * "neumann" - the plain fixed-point iteration x += r, r = A r; it stops
               at once on a non-finite residual.
 * "krylov"  - BiCGSTAB on (I - A), preconditioned on boxes by the
-              mean-kernel DST inverse: (I - P_bar)^-1 for the constant kernel
-              P_bar averaged from A by direction, applied in O(n log n) by a
-              diagonal scaling that symmetrizes it and two DST-I transforms.
+              mean-kernel inverse: (I - P_bar)^-1 for the constant kernel
+              P_bar averaged from A by direction, applied as per-axis dense
+              sine transforms (DST-I matrices with the symmetrizing
+              scaling folded in) through BLAS matmuls in O(n sum_i m_i);
+              boxes whose axis matrices exceed MEMORY_BUDGET go without.
               SolveInfo.iterations counts its iterations plus polish steps.
 
 Every path is held to the tolerance: a direct or Krylov solution whose
@@ -44,7 +46,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn
 from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
@@ -53,8 +54,8 @@ from .lattice import BoxRegion, ExitClass, Region, RegionError
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
 MAX_ITER = 500_000
-# float64 entries (about 48 MB) that one band array or one batch of dense
-# systems may hold
+# float64 entries (about 48 MB) that one band array, one batch of dense
+# systems or one box's preconditioner axis matrices may hold
 MEMORY_BUDGET = 6_000_000
 
 
@@ -231,50 +232,82 @@ def _on_pattern(A, pattern) -> bool:
             and np.array_equal(A.indices, pattern._indices))
 
 
+def _dst1_matrix(m: int) -> np.ndarray:
+    """The m x m orthonormal DST-I matrix sqrt(2/(m+1)) sin(pi k j/(m+1)),
+    which is symmetric and its own inverse.  k j is reduced mod 2(m+1) in
+    integers, so every sine argument lies in [0, 2 pi)."""
+    kj = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * kj)
+
+
+def _mode_products(y, mats, shape):
+    """Multiply the C-ordered array y of the given shape by mats[i] along
+    every axis i, as BLAS matmuls; returns a new array."""
+    for i, (F, m) in enumerate(zip(mats, shape)):
+        post = int(np.prod(shape[i + 1:]))
+        if post == 1:
+            y = y.reshape(-1, m) @ F.T
+        else:
+            y = F @ y.reshape(-1, m, post)
+    return y
+
+
 def _mean_kernel_inverse(A, pattern):
     """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
     with the mean of A's entries in that direction, or None.
 
     On a box with killing, I - P_bar is a Kronecker sum of tridiagonal
     Toeplitz operators.  Scaling axis i by r_i^x_i, r_i = sqrt(p(-e_i) /
-    p(+e_i)), makes each one symmetric; its sine eigenvectors make the
-    inverse two orthonormal DST-I transforms around a division by
-    1 - sum_i 2 sqrt(p(+e_i) p(-e_i)) cos(pi k_i / (m_i + 1)) > 0.  None
-    off boxes, off the pattern's structure, where the spectrum is not
-    positive, or where the scaling overflows float64: a zero mean entry
-    makes it infinite, and a drift too strong for the box spreads it over
-    more than 2^53.
+    p(+e_i)), makes each one symmetric, and the orthonormal DST-I matrix
+    S_i of its length m_i diagonalizes it.  The inverse is then the forward
+    mode products S_i diag(r_i^-x) along every axis, a division by
+    1 - sum_i 2 sqrt(p(+e_i) p(-e_i)) cos(pi k_i / (m_i + 1)) > 0, and the
+    back mode products diag(r_i^x) S_i: dense per-axis sine transforms run
+    as BLAS matmuls in O(n sum_i m_i) flops, whatever the factors of m_i + 1.
+
+    None off boxes, off the pattern's structure, where the 2 sum_i m_i^2
+    entries of the axis matrices exceed MEMORY_BUDGET, where the spectrum
+    is not positive, or where the scaling overflows float64: a zero mean
+    entry makes it infinite, and a drift too strong for the box spreads it
+    over more than 2^53.
     """
     if pattern is None or pattern.band_width is None or not _on_pattern(A, pattern):
+        return None
+    shape = tuple(int(m) for m in pattern.region.hi - pattern.region.lo + 1)
+    if 2 * sum(m * m for m in shape) > MEMORY_BUDGET:
         return None
     # A steps along the entry's direction of P; the CSC view P.T steps back
     dirs = pattern.entry_dirs if A.format == "csr" else pattern.entry_dirs ^ 1
     ndir = 2 * pattern.d
     p = np.bincount(dirs, weights=A.data, minlength=ndir) / np.maximum(
         np.bincount(dirs, minlength=ndir), 1)
-    shape = tuple(pattern.region.hi - pattern.region.lo + 1)
-    log_scale = np.zeros(shape)
+    log_r = np.zeros(len(shape))
     spectrum = np.ones(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, m in enumerate(shape):
             if m == 1:
                 continue  # no steps along this axis
+            log_r[i] = 0.5 * np.log(p[2 * i + 1] / p[2 * i])
             k = np.arange(1.0, m + 1).reshape([-1 if j == i else 1 for j in range(len(shape))])
-            log_scale += (k - (m + 1) / 2) * (0.5 * np.log(p[2 * i + 1] / p[2 * i]))
             spectrum -= 2.0 * np.sqrt(p[2 * i] * p[2 * i + 1]) * np.cos(np.pi * k / (m + 1))
+        # the scaling's log range: sum_i max_x |log r_i^x| on centred x
+        span = float(np.dot((np.asarray(shape) - 1) / 2, np.abs(log_r)))
     # each transform adds values across the scaling's whole range, so a
     # range beyond float64's 53-bit precision loses the small side
-    if not (2.0 * np.abs(log_scale).max() <= 53 * np.log(2.0) and np.all(spectrum > 0)):
+    if not (2.0 * span <= 53 * np.log(2.0) and np.all(spectrum > 0)):
         return None
-    scale = np.exp(log_scale).ravel()
-    unscale = 1.0 / scale
+    forward, back = [], []
+    for m, lr in zip(shape, log_r):
+        S = _dst1_matrix(m)
+        scale = np.exp((np.arange(1.0, m + 1) - (m + 1) / 2) * lr)
+        forward.append(S / scale)
+        back.append(scale[:, None] * S)
     inv_spectrum = 1.0 / spectrum
 
     def apply(v):
-        y = dstn((unscale * v.ravel()).reshape(shape), type=1, norm="ortho",
-                 overwrite_x=True)
+        y = _mode_products(v.reshape(shape), forward, shape).reshape(shape)
         y *= inv_spectrum
-        return scale * dstn(y, type=1, norm="ortho", overwrite_x=True).ravel()
+        return _mode_products(y, back, shape).ravel()
 
     n = pattern.n
     return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)

@@ -133,6 +133,18 @@ class TestDriftGreen:
         expected = 0.1 * rl.green_operator(env, slab, ones, (0, 0), tol=1e-12)
         assert stats.mean == pytest.approx(expected, abs=1e-8)
 
+    def test_krylov_samples_do_not_depend_on_worker_count(self, monkeypatch):
+        # n = 1734 > DENSE_CUTOFF: every solve is preconditioned Krylov,
+        # whose preconditioner calls BLAS from the pool's threads
+        law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
+        assert rl.SlabRegion(3, 8, 3).interior_count() == 1734
+        runs = []
+        for threads in ("1", "2", "1"):
+            monkeypatch.setenv("RWRE_THREADS", threads)
+            stats = bal.mean_drift_green_check(law, 3, 8, 6, seed=4)
+            runs.append(stats.distribution.samples.tobytes())
+        assert runs[0] == runs[1] == runs[2]
+
     def test_kick_law_beats_bound_smallscale(self):
         law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
         stats = bal.mean_drift_green_check(law, 3, 18, 30, seed=2)

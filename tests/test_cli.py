@@ -97,6 +97,11 @@ KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
     ("moments", {"law": {"family": "point_mass", "d": 2}}, "'weights'"),
     ("green", {"law": KICK_D2, "region": {"kind": "box", "lo": [-2, -2]}}, "'hi'"),
     ("moments", [{"law": KICK_D2}], "JSON object"),
+    ("freedman", {"points": [{"b": 1, "sum_v2": 1}]}, "'u'"),
+    ("freedman", {"tail_test": {"n": 50, "u_grid": [2]}}, "'n_paths'"),
+    ("moments", {"law": "kick"}, "law descriptor must be a JSON object"),
+    ("green", {"law": KICK_D2, "region": "box"}, "region descriptor must be a JSON object"),
+    ("fluctuations", {"law": "kick"}, "law descriptor must be a JSON object"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
     cfg = write_config(tmp_path, "bad.json", payload)

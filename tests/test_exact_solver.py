@@ -395,6 +395,38 @@ def test_preconditioned_krylov_matches_dense_on_boxes(kind, d, a, c, reach, kick
     _assert_krylov_matches_dense(system, pick % system.n)
 
 
+def _mean_kernel(A, pattern):
+    """I - P_bar as a dense matrix, P_bar averaging A's entries by the step
+    each one makes between interior sites."""
+    coo = A.tocoo()
+    steps = pattern.interior[coo.col] - pattern.interior[coo.row]
+    _, which = np.unique(steps, axis=0, return_inverse=True)
+    mean = np.bincount(which, weights=coo.data) / np.bincount(which)
+    P_bar = np.zeros((pattern.n, pattern.n))
+    P_bar[coo.row, coo.col] = mean[which]
+    return np.eye(pattern.n) - P_bar
+
+
+@pytest.mark.parametrize("hi", [[4, 6], [0, 5], [3, 4, 2], [2, 0, 3], [0, 4, 0]])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_mean_kernel_inverse_is_exact(hi, transpose):
+    d = len(hi)
+    law = rl.SignedAxisKickLaw(d, 0.02, lambda_shift=0.04)
+    system = xs.build_system(rl.sample_environment(law, seed=1), rl.BoxRegion([0] * d, hi))
+    A = system.P.T if transpose else system.P
+    assert A.format == ("csc" if transpose else "csr")
+    v = np.random.default_rng(0).standard_normal(system.n)
+    exact = np.linalg.solve(_mean_kernel(A, system.pattern), v)
+    M = xs._mean_kernel_inverse(A, system.pattern)
+    assert np.max(np.abs(M.matvec(v) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_mean_kernel_inverse_exists_on_the_d3_slab():
+    law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
+    slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 32, 3))
+    assert xs._mean_kernel_inverse(slab.P, slab.pattern) is not None
+
+
 def test_krylov_reports_its_iterations():
     # the mean-kernel inverse is exact for the SSRW, and close for a weak kick
     ssrw = xs.build_system(ssrw_env(3), rl.BoxRegion([0, 0, 0], [9, 11, 13]))
@@ -423,3 +455,10 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
     assert info.l1_residual <= 1e-10
     u = xs.solve_green_operator(strong, np.ones(strong.n), 1e-10, method="krylov")
     assert np.max(np.abs(1.0 + strong.P @ u - u)) <= 1e-10
+    # the axis matrices of a box 2000 sites long exceed the memory budget
+    long = xs.build_system(rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), 0),
+                           rl.BoxRegion([0, 0], [1, 1999]))
+    assert 2 * (2 ** 2 + 2000 ** 2) > xs.MEMORY_BUDGET
+    assert xs._mean_kernel_inverse(long.P.T, long.pattern) is None
+    _, info = xs.solve_green_row(long, long.source_index((0, 1000)), 1e-10, method="krylov")
+    assert info.method == "krylov" and info.l1_residual <= 1e-10

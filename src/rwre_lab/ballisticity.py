@@ -323,7 +323,7 @@ def drift_green_origin(env, region, tol: float = 1e-10) -> float:
     """Green operator applied to the local e1-drift, evaluated at the origin."""
     system = build_system(env, region)
     u = solve_green_operator(system, system.drift_field(), tol)
-    return float(u[system.source_index((0,) * region.d)])
+    return float(u[system.pattern.source_index((0,) * region.d)])
 
 
 @dataclass
@@ -476,7 +476,7 @@ def _nonfrontal_exit_probability(env, region: Region, tol: float) -> float:
         idx = np.nonzero(outside)[0][nonfrontal]
         b[idx] += system.weights[idx, e]
     h = solve_green_operator(system, b, tol)
-    return float(h[system.source_index((0,) * region.d)])
+    return float(h[system.pattern.source_index((0,) * region.d)])
 
 
 @dataclass
@@ -586,7 +586,7 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
             on_plane = slab_pat.interior[:, 0] == 0
             lateral_ok = np.all(np.abs(slab_pat.interior[:, 1:]) <= sub_hw, axis=1)
             subgrid_idx = np.nonzero(on_plane & lateral_ok)[0]
-            origin_idx = system.source_index((0,) * d)
+            origin_idx = system.pattern.source_index((0,) * d)
         u = solve_green_operator(system, system.drift_field(), tol)
         vals = u[subgrid_idx] / L
         rho_hat_samples[i] = float(np.max((1.0 - vals) / (1.0 + vals)))

@@ -188,7 +188,7 @@ def _run_kalikow_drift(run: _Run):
 
 
 def _eps_k_family(cfg: dict) -> kal.EpsKFamilySpec:
-    fam = cfg.get("family", {})
+    fam = _object("family", cfg.get("family", {}))
     return kal.EpsKFamilySpec(
         box_k_max=int(fam.get("box_k_max", 3)),
         slab_L_max=int(fam.get("slab_L_max", 4)),

@@ -35,7 +35,11 @@ moderate size); everything else, every d=3 region included, gets Krylov.
 
 Every public quantity builds its system once (`build_system`) and solves on
 it through `solve_green_row`, `solve_green_operator` or `solve_hitting`;
-callers that already hold a system call those directly.
+callers that already hold a system call those directly.  Batches of
+environments on one region (the Kalikow experiments) get their Green rows
+or whole inverses from `solve_green_batch`: one stacked dense LU where
+"auto" picks dense, held to the single-solve certificate column by column,
+and one `solve_fixed_point` per environment elsewhere.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
 from .lattice import BoxRegion, ExitClass, Region, RegionError
+from .runtime import deterministic_map
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -129,6 +134,13 @@ class RegionPattern:
         b = self.band_width
         return perm, (b + rows - cols) * self.n + cols, (b + cols - rows) * self.n + rows
 
+    def source_index(self, site) -> int:
+        """Index of an interior site in the pattern's enumeration."""
+        idx = int(self.region.index_block(np.asarray([site], dtype=np.int64))[0])
+        if idx < 0:
+            raise ValueError(f"site {tuple(site)} is not interior to the region")
+        return idx
+
     @cached_property
     def entry_dirs(self) -> np.ndarray:
         """Direction index (into dirs) of each stored entry of P, in CSR order."""
@@ -168,12 +180,6 @@ class QuenchedSystem:
     def drift_field(self) -> np.ndarray:
         """Local drift along e1 at every interior site."""
         return self.weights[:, 0] - self.weights[:, 1]
-
-    def source_index(self, site) -> int:
-        idx = int(self.region.index_block(np.asarray([site], dtype=np.int64))[0])
-        if idx < 0:
-            raise ValueError(f"site {tuple(site)} is not interior to the region")
-        return idx
 
 
 def build_system(env: EnvironmentRealization, region: Region) -> QuenchedSystem:
@@ -316,7 +322,7 @@ def _mean_kernel_inverse(A, pattern):
 def _krylov_solve(A, b, tol, pattern=None):
     """BiCGSTAB on I - A; returns (x, iterations)."""
     n = b.shape[0]
-    S = sp.identity(n, format="csr") - A
+    S = spla.LinearOperator((n, n), matvec=lambda v: v - A @ v, dtype=np.float64)
     atol = tol / max(1.0, np.sqrt(n))
     its = 0
 
@@ -423,6 +429,80 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
                              pattern=system.pattern)
 
 
+def batch_size(n: int) -> int:
+    """Batch size keeping a batch of dense n x n systems within MEMORY_BUDGET."""
+    return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
+
+
+def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.ndarray,
+                         src: int | None, tol: float) -> None:
+    """Hold every column x of a `solve_green_batch` result, which solves
+    (I - A) x = b, to the certificate of one `solve_fixed_point` call:
+    the l1 norm of b - x + A x must not exceed tol.  Rows g(src, .) have
+    A = P.T, b = e_src; column y of the inverses G has A = P, b = e_y.
+    A x comes from the weights and the neighbour table, never from the
+    factored matrix, so the certificate also checks the assembly."""
+    x = green if src is None else green[:, :, None]
+    r = -x
+    if src is None:
+        diag = np.arange(pattern.n)
+        r[:, diag, diag] += 1.0
+    else:
+        r[:, src] += 1.0
+    for e in range(2 * pattern.d):
+        inside = np.nonzero(pattern.nbr[:, e] >= 0)[0]
+        nb = pattern.nbr[inside, e]
+        # P steps y -> nbr[y, e]: P gathers from nb, P.T scatters to it;
+        # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
+        dst, frm = (inside, nb) if src is None else (nb, inside)
+        r[:, dst] += weights[:, inside, e, None] * x[:, frm]
+    worst = float(np.abs(r).sum(axis=1).max(initial=0.0))
+    if not worst <= tol:  # NaN fails too
+        raise SolverConvergenceError(
+            f"batched Green residual {worst:.3e} above tolerance {tol}")
+
+
+def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | None,
+                      tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Green rows g(src, .), shape (B, n), or with src None the whole
+    inverses G = (I - P)^-1, shape (B, n, n), for the environments whose
+    weights on the pattern's interior are stacked in weights (B, n, 2d).
+
+    Where method="auto" picks dense LU, the batch is one stacked LU held
+    to the single-solve certificate column by column; elsewhere each
+    environment gets one `solve_fixed_point` row solve, and whole inverses
+    are refused.
+    """
+    B, n = weights.shape[:2]
+    if auto_method(n, pattern) == "dense":
+        # assemble I - P once, in place
+        eye_minus_p = np.zeros((B, n, n))
+        keep = pattern.inside_mask
+        rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
+        eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
+        np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
+        if src is None:
+            green = np.linalg.inv(eye_minus_p)
+        else:
+            b = np.zeros((B, n, 1))
+            b[:, src, 0] = 1.0
+            green = np.linalg.solve(eye_minus_p.transpose(0, 2, 1), b)[:, :, 0]
+        _certify_green_batch(pattern, weights, green, src, tol)
+        return green
+    if src is None:
+        raise ValueError(
+            "whole Green inverses need dense LU and are only supported up to "
+            f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
+    e_src = np.zeros(n)
+    e_src[src] = 1.0
+
+    def one(w: np.ndarray) -> np.ndarray:
+        g, _ = solve_fixed_point(pattern.matrix(w).T, e_src, tol, pattern=pattern)
+        return g
+
+    return np.stack(deterministic_map(one, list(weights)))
+
+
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
     if callable(f):
         vals = np.asarray(f(system.pattern.interior), dtype=np.float64)
@@ -502,7 +582,7 @@ class GreenTable:
 
 
 def _green_table(system: QuenchedSystem, x, tol: float, method: str) -> GreenTable:
-    g, info = solve_green_row(system, system.source_index(x), tol, method)
+    g, info = solve_green_row(system, system.pattern.source_index(x), tol, method)
     return GreenTable(
         source=tuple(int(c) for c in x),
         sites=system.pattern.interior,
@@ -528,7 +608,7 @@ def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
     out = []
     g = np.zeros(system.n)
     r = np.zeros(system.n)
-    r[system.source_index(x)] = 1.0
+    r[system.pattern.source_index(x)] = 1.0
     for _ in range(n_iters):
         g = g + r
         r = PT @ r
@@ -546,29 +626,29 @@ def green_operator(env: EnvironmentRealization, region: Region, f, x,
                    tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """Green operator value sum_y g(x,y) f(y)."""
     system = build_system(env, region)
-    return float(solve_green_operator(system, f, tol, method)[system.source_index(x)])
+    return float(solve_green_operator(system, f, tol, method)[system.pattern.source_index(x)])
 
 
 def hitting_probability_field(env: EnvironmentRealization, region: Region, y,
                               tol: float = DEFAULT_TOL, method: str = "auto") -> np.ndarray:
     """P_z(walk hits y before exiting), for every interior start z."""
     system = build_system(env, region)
-    return solve_hitting(system, system.source_index(y), tol, method)
+    return solve_hitting(system, system.pattern.source_index(y), tol, method)
 
 
 def hitting_probability(env: EnvironmentRealization, region: Region, z, y,
                         tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """P_z(hit y before the first exit)."""
     system = build_system(env, region)
-    h = solve_hitting(system, system.source_index(y), tol, method)
-    return float(h[system.source_index(z)])
+    h = solve_hitting(system, system.pattern.source_index(y), tol, method)
+    return float(h[system.pattern.source_index(z)])
 
 
 def no_return_probability(env: EnvironmentRealization, region: Region, y,
                           tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """P_y(no return to y before exiting); exterior neighbors never return."""
     system = build_system(env, region)
-    y_idx = system.source_index(y)
+    y_idx = system.pattern.source_index(y)
     h = solve_hitting(system, y_idx, tol, method)
     pat = system.pattern
     total = 0.0

@@ -22,7 +22,8 @@ problems are estimated by Monte Carlo over environments with exact
 per-environment solves; ratio estimators share environments between
 numerator and denominator and report delta-method standard errors.  One
 batched path turns environments (enumerated or sampled) into per-environment
-Green data for both routes and for the half-space experiment.
+Green data for both routes and for the half-space experiment; every solve
+and its certificate is `exact_solver.solve_green_batch`.
 """
 
 from __future__ import annotations
@@ -40,18 +41,8 @@ from .env_model import (
     sample_environment,
     ssrw_law,
 )
-from .exact_solver import (
-    DENSE_CUTOFF,
-    MEMORY_BUDGET,
-    SolverConvergenceError,
-    auto_method,
-    build_system,
-    green_row,
-    region_pattern,
-    solve_green_row,
-)
+from .exact_solver import batch_size, green_row, region_pattern, solve_green_batch
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
-from .runtime import deterministic_map
 
 ENUMERATION_CAP = 10 ** 6
 DEFAULT_Z = 3.0
@@ -236,18 +227,6 @@ def _enumeration_size(tables) -> int:
     return total
 
 
-def _chunk(n: int) -> int:
-    """Batch size keeping a batch of dense n x n systems within MEMORY_BUDGET."""
-    return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
-
-
-def _source(pattern, x) -> int:
-    src = int(pattern.region.index_block(np.asarray([x], dtype=np.int64))[0])
-    if src < 0:
-        raise ValueError(f"base point {tuple(x)} must be interior to the region")
-    return src
-
-
 def _enumerated(law, pattern, chunk: int):
     """Every environment restricted to the region, as (weights, probabilities)."""
     tables = _site_atom_tables(law, pattern.interior)
@@ -270,95 +249,19 @@ def _sampled(law, pattern, env_seeds, chunk: int):
                         for s in env_seeds[start:start + chunk]]), None
 
 
-def _dense_green(pattern, weights: np.ndarray, src: int, route: str) -> np.ndarray:
-    """Stacked dense LU on a batch: Green rows g(x, .) for the definition
-    route, whole inverses G = (I - P)^-1 for the formula route."""
-    B, n = weights.shape[:2]
-    P = np.zeros((B, n, n))
-    rows = np.repeat(np.arange(n), 2 * pattern.d)
-    cols = pattern.nbr.ravel()
-    keep = cols >= 0
-    P[:, rows[keep], cols[keep]] = weights.reshape(B, -1)[:, keep]
-    eye = np.broadcast_to(np.eye(n), (B, n, n))
-    if route == "formula":
-        return np.linalg.inv(eye - P)
-    b = np.zeros((B, n, 1))
-    b[:, src, 0] = 1.0
-    return np.linalg.solve(eye - P.transpose(0, 2, 1), b)[:, :, 0]
-
-
-def _certify_rows(pattern, weights: np.ndarray, g: np.ndarray, src: int,
-                  tol: float) -> None:
-    """Hold a batch of Green rows to the certificate of a single row solve:
-    the l1 norm of each residual delta_x + g P - g, recomputed from the
-    neighbour table, must not exceed tol."""
-    r = -g
-    r[:, src] += 1.0
-    for e in range(2 * pattern.d):
-        # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
-        inside = pattern.nbr[:, e] >= 0
-        r[:, pattern.nbr[inside, e]] += weights[:, inside, e] * g[:, inside]
-    worst = float(np.abs(r).sum(axis=1).max(initial=0.0))
-    if not worst <= tol:  # NaN fails too
-        raise SolverConvergenceError(
-            f"batched Green row residual {worst:.3e} above tolerance {tol}")
-
-
-def _certify_inverses(pattern, weights: np.ndarray, G: np.ndarray, tol: float) -> None:
-    """Hold a batch of whole inverses G = (I - P)^-1 to a residual certificate:
-    the worst row l1 norm of R = I - G + P G, with P G gathered from the
-    neighbour table, must not exceed tol."""
-    R = -G
-    diag = np.arange(pattern.n)
-    R[:, diag, diag] += 1.0
-    for e in range(2 * pattern.d):
-        inside = pattern.nbr[:, e] >= 0
-        R[:, inside] += weights[:, inside, e, None] * G[:, pattern.nbr[inside, e]]
-    worst = float(np.abs(R).sum(axis=2).max(initial=0.0))
-    if not worst <= tol:  # NaN fails too
-        raise SolverConvergenceError(
-            f"batched Green inverse residual {worst:.3e} above tolerance {tol}")
-
-
-def _green_batches(law, pattern, src: int, route: str, tol: float,
-                   env_seeds=None):
+def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """Yield (weights, green, probabilities) over batches of environments.
 
     env_seeds None enumerates every environment restricted to the region
     with its probability; otherwise one environment is sampled per seed and
-    probabilities is None.  green holds the Green rows g(x, .) (definition
-    route) or the inverses G (formula route).  Dense batches of Green rows
-    are certified like single row solves, and the formula route's inverses
-    by the worst row l1 norm of I - (I - P) G.  Sampled environments are
-    stacked where method="auto" picks dense LU for the region; elsewhere
-    each gets one certified row solve on the path it picks (band LU on d=2
-    boxes; preconditioned Krylov elsewhere).
+    probabilities is None.  green holds the certified Green rows g(src, .),
+    or the whole inverses G when src is None (`solve_green_batch`).
     """
-    chunk = _chunk(pattern.n)
-    if env_seeds is None or auto_method(pattern.n, pattern) == "dense":
-        batches = (_enumerated(law, pattern, chunk) if env_seeds is None
-                   else _sampled(law, pattern, env_seeds, chunk))
-        for weights, probs in batches:
-            green = _dense_green(pattern, weights, src, route)
-            if route == "definition":
-                _certify_rows(pattern, weights, green, src, tol)
-            else:
-                _certify_inverses(pattern, weights, green, tol)
-            yield weights, green, probs
-        return
-    if route != "definition":
-        raise ValueError(
-            "the formula route needs dense Green inverses and is only "
-            f"supported up to DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
-
-    def one(env_seed: int):
-        system = build_system(sample_environment(law, seed=env_seed), pattern.region)
-        g, _ = solve_green_row(system, src, tol)
-        return system.weights, g
-
-    for start in range(0, len(env_seeds), chunk):
-        weights, g = zip(*deterministic_map(one, env_seeds[start:start + chunk]))
-        yield np.stack(weights), np.stack(g), None
+    chunk = batch_size(pattern.n)
+    batches = (_enumerated(law, pattern, chunk) if env_seeds is None
+               else _sampled(law, pattern, env_seeds, chunk))
+    for weights, probs in batches:
+        yield weights, solve_green_batch(pattern, weights, src, tol), probs
 
 
 def _formula_samples(G: np.ndarray, weights: np.ndarray, pattern, src: int):
@@ -392,10 +295,14 @@ def kalikow_environment(law: EnvironmentLaw, region: Region, x,
     method "exact" enumerates every environment restricted to the region
     (finite-support laws only), "mc" samples environments; "auto" prefers
     exact and falls back to Monte Carlo when the enumeration would exceed
-    enumeration_cap combinations.
+    enumeration_cap combinations.  route is "definition" or "formula".
     """
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto', 'exact' or 'mc'")
+    if route not in ("definition", "formula"):
+        raise ValueError(f"unknown route {route!r}; expected 'definition' or 'formula'")
     pattern = region_pattern(region)
-    src = _source(pattern, x)
+    src = pattern.source_index(x)
     total = _enumeration_size(_site_atom_tables(law, pattern.interior))
     notice = None
     if method == "auto":
@@ -408,11 +315,14 @@ def kalikow_environment(law: EnvironmentLaw, region: Region, x,
     elif method == "exact" and total > enumeration_cap:
         raise EnumerationBlowupError(
             f"{total} combinations exceed enumeration cap {enumeration_cap}")
+    if method == "mc" and n_env < 1:
+        raise ValueError(f"Monte Carlo needs n_env >= 1, got {n_env}")
 
     exact = method == "exact"
     env_seeds = None if exact else [rng.child_seed(seed, i) for i in range(n_env)]
     acc = _RatioAccumulator(pattern.n, pattern.d)
-    for weights, green, probs in _green_batches(law, pattern, src, route, tol, env_seeds):
+    green_src = src if route == "definition" else None
+    for weights, green, probs in _green_batches(law, pattern, green_src, tol, env_seeds):
         if route == "definition":
             acc.add(green[:, :, None] * weights, green, weights=probs)
         else:
@@ -677,6 +587,8 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     negative half-space drift's upper bound exclude zero with opposite
     signs, and perpendicular components stay within z standard errors of 0.
     """
+    if n_env < 1:
+        raise ValueError(f"the half-space experiment needs n_env >= 1, got {n_env}")
     k_report = check_k_conditions(law, rho, eps0)
     warning = None
     if not k_report.all_pass:
@@ -697,13 +609,12 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
         for N in N_list:
             region = HalfSpaceTrunc(sign, int(N), d)
             pattern = region_pattern(region)
-            src = _source(pattern, origin)
+            src = pattern.source_index(origin)
             # SSRW Green value at the origin, the control variate's scale
             g0_origin = float(green_row(ssrw_env, region, origin,
                                         tol=min(tol, 1e-12)).values[src])
             acc = _RatioAccumulator(1, d)
-            for weights, g, _ in _green_batches(law, pattern, src, "definition", tol,
-                                                env_seeds):
+            for weights, g, _ in _green_batches(law, pattern, src, tol, env_seeds):
                 g00, w0 = g[:, src, None], weights[:, src]
                 # mean-zero companion: the same centered-drift variate scaled
                 # by the deterministic unperturbed Green value

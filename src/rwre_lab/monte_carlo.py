@@ -344,7 +344,7 @@ def estimate_velocity(law: EnvironmentLaw, n_steps: int, n_walks: int,
 class EmpiricalDistribution:
     """Exact functional values across independent environments (no inner MC noise).
 
-    The mean and variance are computed from the samples minus the first
+    The moments are those of `MCEstimate.from_samples`, centred on the first
     sample, so bit-identical samples (a deterministic law) give a variance of
     exactly 0 and a mean equal to the sample, on any machine and for any n.
     """
@@ -357,22 +357,21 @@ class EmpiricalDistribution:
     def n(self) -> int:
         return int(self.samples.shape[0])
 
-    def _centred(self) -> np.ndarray:
-        return self.samples - self.samples[0]
+    @property
+    def _estimate(self) -> MCEstimate:
+        return MCEstimate.from_samples(self.samples, self.master_seed)
 
     @property
     def mean(self) -> float:
-        if self.n == 0:
-            return math.nan
-        return float(self.samples[0] + self._centred().mean())
+        return self._estimate.mean
 
     @property
     def variance(self) -> float:
-        return float(self._centred().var(ddof=1)) if self.n > 1 else 0.0
+        return self._estimate.m2 / (self.n - 1) if self.n > 1 else 0.0
 
     @property
     def se(self) -> float:
-        return math.sqrt(self.variance / self.n) if self.n > 1 else math.nan
+        return self._estimate.se
 
     def quantiles(self, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
         return {q: float(np.quantile(self.samples, q)) for q in qs}

@@ -102,6 +102,9 @@ KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
     ("moments", {"law": "kick"}, "law descriptor must be a JSON object"),
     ("green", {"law": KICK_D2, "region": "box"}, "region descriptor must be a JSON object"),
     ("fluctuations", {"law": "kick"}, "law descriptor must be a JSON object"),
+    ("kalikow-drift", {"law": KICK_D2, "region": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+                       "method": "exakt", "n_env": 4}, "'exakt'"),
+    ("eps-k", {"law": KICK_D2, "family": "default"}, "family must be a JSON object"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -131,7 +131,7 @@ def test_exit_mass_plus_unkilled_mass_is_one(size, seed, method, tol):
     table = rl.green_row(env, region, (0, 0), tol=tol, method=method)
     system = xs.build_system(env, region)
     residual = system.P.T @ table.values - table.values
-    residual[system.source_index((0, 0))] += 1.0
+    residual[system.pattern.source_index((0, 0))] += 1.0
     assert dist.total() + residual.sum() == pytest.approx(1.0, abs=1e-13)
     assert abs(dist.total() - 1.0) <= table.l1_residual + 1e-13
 
@@ -451,7 +451,8 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
         rl.sample_environment(rl.PointMassLaw([0.97, 0.01, 0.01, 0.01]), 0),
         rl.BoxRegion([0, 0], [99, 399]))
     assert xs._mean_kernel_inverse(strong.P, strong.pattern) is None
-    _, info = xs.solve_green_row(strong, strong.source_index((50, 200)), 1e-10, method="krylov")
+    _, info = xs.solve_green_row(strong, strong.pattern.source_index((50, 200)), 1e-10,
+                                 method="krylov")
     assert info.l1_residual <= 1e-10
     u = xs.solve_green_operator(strong, np.ones(strong.n), 1e-10, method="krylov")
     assert np.max(np.abs(1.0 + strong.P @ u - u)) <= 1e-10
@@ -460,5 +461,23 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
                            rl.BoxRegion([0, 0], [1, 1999]))
     assert 2 * (2 ** 2 + 2000 ** 2) > xs.MEMORY_BUDGET
     assert xs._mean_kernel_inverse(long.P.T, long.pattern) is None
-    _, info = xs.solve_green_row(long, long.source_index((0, 1000)), 1e-10, method="krylov")
+    _, info = xs.solve_green_row(long, long.pattern.source_index((0, 1000)), 1e-10,
+                                 method="krylov")
     assert info.method == "krylov" and info.l1_residual <= 1e-10
+
+
+def test_green_batch_per_environment_path_matches_row_solves():
+    # n = 861 > DENSE_CUTOFF on a d=2 box: every environment gets band LU
+    region = rl.HalfSpaceTrunc(1, 20, 2)
+    pattern = xs.region_pattern(region)
+    assert pattern.n == 861 and xs.auto_method(pattern.n, pattern) == "banded"
+    src = pattern.source_index((0, 0))
+    envs = [rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s) for s in range(3)]
+    weights = np.stack([env.weights_block(pattern.interior) for env in envs])
+    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
+    for b, env in enumerate(envs):
+        row, info = xs.solve_green_row(xs.build_system(env, region), src, 1e-10)
+        assert info.method == "banded"
+        assert np.array_equal(g[b], row)
+    with pytest.raises(ValueError, match="DENSE_CUTOFF"):
+        xs.solve_green_batch(pattern, weights, None, 1e-10)

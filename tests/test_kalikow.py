@@ -95,7 +95,7 @@ def test_formula_samples_match_per_site_hitting_solves(size, seeds, src_pick, a)
     law = rl.SignedAxisKickLaw(2, a, 0.01)
     envs = [rl.sample_environment(law, seed=s) for s in seeds]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
-    G = kal._dense_green(pattern, weights, src, "formula")
+    G = xs.solve_green_batch(pattern, weights, None)
     num, den = kal._formula_samples(G, weights, pattern, src)
     for b, env in enumerate(envs):
         for y_idx, y in enumerate(pattern.interior):
@@ -107,15 +107,28 @@ def test_formula_samples_match_per_site_hitting_solves(size, seeds, src_pick, a)
                                        rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"method": "exakt"}, "'exakt'"),
+    ({"route": "formular"}, "'formular'"),
+    ({"method": "mc", "n_env": 0}, "n_env"),
+])
+def test_bad_arguments_raise_value_error(kwargs, named):
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    with pytest.raises(ValueError, match=named):
+        rl.kalikow_environment(law, rl.BoxRegion([-1, -1], [1, 1]), (0, 0), **kwargs)
+    if "n_env" in kwargs:
+        with pytest.raises(ValueError, match=named):
+            rl.theorem3_experiment(law, rho=0.5, N_list=(3,), n_env=0, force=True)
+
+
 def test_dense_green_rows_are_certified():
     region = rl.BoxRegion([-2, -2], [2, 2])
     pattern = xs.region_pattern(region)
-    src = kal._source(pattern, (0, 0))
+    src = pattern.source_index((0, 0))
     law = rl.SignedAxisKickLaw(2, 0.05)
     envs = [rl.sample_environment(law, seed=s) for s in range(4)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
-    g = kal._dense_green(pattern, weights, src, "definition")
-    kal._certify_rows(pattern, weights, g, src, 1e-13)
+    g = xs.solve_green_batch(pattern, weights, src, 1e-13)
     # the batch certificate is the row solve's l1 residual
     for b, env in enumerate(envs):
         system = xs.build_system(env, region)
@@ -124,7 +137,7 @@ def test_dense_green_rows_are_certified():
         bumped = g.copy()
         bumped[b, 3] += 1e-9
         with pytest.raises(xs.SolverConvergenceError):
-            kal._certify_rows(pattern, weights, bumped, src, 1e-9)
+            xs._certify_green_batch(pattern, weights, bumped, src, 1e-9)
         assert np.abs(r).sum() <= 1e-13
     with pytest.raises(xs.SolverConvergenceError):
         kal.kalikow_environment(law, region, (0, 0), n_env=3, method="mc", tol=1e-30)
@@ -306,12 +319,11 @@ def test_formula_route_inverses_are_certified():
     law = rl.SignedAxisKickLaw(2, 0.05)
     weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
                         for s in range(4)])
-    G = kal._dense_green(pattern, weights, 0, "formula")
-    kal._certify_inverses(pattern, weights, G, 1e-13)
+    G = xs.solve_green_batch(pattern, weights, None, 1e-13)
     corrupted = G.copy()
     corrupted[2, 7, 11] += 1e-9
     with pytest.raises(xs.SolverConvergenceError):
-        kal._certify_inverses(pattern, weights, corrupted, 1e-10)
+        xs._certify_green_batch(pattern, weights, corrupted, None, 1e-10)
     with pytest.raises(xs.SolverConvergenceError):
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
@@ -320,18 +332,18 @@ def test_formula_route_inverses_are_certified():
 def test_batch_certificates_reject_nan():
     region = rl.BoxRegion([-2, -2], [2, 2])
     pattern = xs.region_pattern(region)
-    src = kal._source(pattern, (0, 0))
+    src = pattern.source_index((0, 0))
     law = rl.SignedAxisKickLaw(2, 0.05)
     weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
                         for s in range(3)])
-    g = kal._dense_green(pattern, weights, src, "definition")
+    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
     g[1, 5] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
-        kal._certify_rows(pattern, weights, g, src, 1e-10)
-    G = kal._dense_green(pattern, weights, src, "formula")
+        xs._certify_green_batch(pattern, weights, g, src, 1e-10)
+    G = xs.solve_green_batch(pattern, weights, None, 1e-10)
     G[2, 7, 11] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
-        kal._certify_inverses(pattern, weights, G, 1e-10)
+        xs._certify_green_batch(pattern, weights, G, None, 1e-10)
 
 
 def test_sampled_krylov_green_batches_match_dense_rows():
@@ -341,12 +353,15 @@ def test_sampled_krylov_green_batches_match_dense_rows():
     pattern = xs.region_pattern(region)
     assert pattern.n > xs.DENSE_CUTOFF
     assert xs.auto_method(pattern.n, pattern) == "krylov"
-    src = kal._source(pattern, (0, 0, 0))
+    src = pattern.source_index((0, 0, 0))
     law = rl.SignedAxisKickLaw(3, 0.01, 1e-7)
     seeds = [rng.child_seed(5, i) for i in range(4)]
-    batches = list(kal._green_batches(law, pattern, src, "definition", 1e-10, seeds))
-    weights = np.concatenate([w for w, _, _ in batches])
+    batches = list(kal._green_batches(law, pattern, src, 1e-10, seeds))
     g = np.concatenate([g for _, g, _ in batches])
     assert g.shape == (4, pattern.n)
-    dense = kal._dense_green(pattern, weights, src, "definition")
+    # independent reference: one dense LU row solve per environment
+    dense = np.stack([
+        xs.solve_green_row(xs.build_system(rl.sample_environment(law, seed=s), region),
+                           src, 1e-10, method="dense")[0]
+        for s in seeds])
     assert np.max(np.abs(g - dense)) <= 1e-9

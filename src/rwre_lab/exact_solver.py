@@ -37,13 +37,27 @@ Every public quantity builds its system once (`build_system`) and solves on
 it through `solve_green_row`, `solve_green_operator` or `solve_hitting`;
 callers that already hold a system call those directly.  Batches of
 environments on one region (the Kalikow experiments) get their Green rows
-or whole inverses from `solve_green_batch`: one stacked dense LU where
-"auto" picks dense, held to the single-solve certificate column by column,
-and one `solve_fixed_point` per environment elsewhere.
+or whole inverses from `solve_green_batch`, held to the single-solve
+certificate column by column:
+
+* lockstep  - Green rows on a d=2 box neither small nor elongated, in a
+              batch of at least 2000 unknowns (`_lockstep_pays`): all B
+              environments iterate together as preconditioned Richardson
+              x <- x + M r, r = b + P^T x - x, with one mean-kernel inverse
+              M for the batch's averaged weights applied to the (B, *shape)
+              block, and P^T x as 2d offset slices of the weights.  A batch
+              without M, or whose worst l1 residual stalls, falls back
+              whole to the paths below;
+* stacked dense LU where "auto" picks dense, for rows and whole inverses;
+* one `solve_fixed_point` row solve per environment elsewhere.
+
+`batch_size` sizes batches by B n unknowns where rows go lockstep, by
+B n^2 dense entries otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,6 +117,14 @@ class RegionPattern:
         data = weights.ravel()[self.inside_mask][self._order]
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
+    @cached_property
+    def shape(self) -> tuple[int, ...] | None:
+        """Side lengths of a box region, whose interior enumeration is the
+        C order of this shape; None when the region is not a box."""
+        if not isinstance(self.region, BoxRegion):
+            return None
+        return tuple(int(m) for m in self.region.hi - self.region.lo + 1)
+
     @property
     def band_width(self) -> int | None:
         """Band half-width of I - P with the shortest box axis fastest.
@@ -110,9 +132,7 @@ class RegionPattern:
         Stepping along the longest (slowest) axis moves n / max(shape)
         places; None when the region is not a box.
         """
-        if not isinstance(self.region, BoxRegion):
-            return None
-        return self.n // int(np.max(self.region.hi - self.region.lo + 1))
+        return None if self.shape is None else self.n // max(self.shape)
 
     @cached_property
     def band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,9 +144,8 @@ class RegionPattern:
         (2b + 1, n) LAPACK band array of I - P; pos_t is the same for P.T,
         whose CSC view stores the same entries in the same order.
         """
-        shape = self.region.hi - self.region.lo + 1
-        axes = np.argsort(-shape, kind="stable")
-        perm = np.arange(self.n).reshape(tuple(shape)).transpose(axes).ravel()
+        axes = np.argsort(-np.asarray(self.shape), kind="stable")
+        perm = np.arange(self.n).reshape(self.shape).transpose(axes).ravel()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.n)
         rows = inv[np.repeat(np.arange(self.n), np.diff(self._indptr))]
@@ -145,6 +164,11 @@ class RegionPattern:
     def entry_dirs(self) -> np.ndarray:
         """Direction index (into dirs) of each stored entry of P, in CSR order."""
         return np.tile(np.arange(2 * self.d), self.n)[self.inside_mask][self._order]
+
+    @cached_property
+    def dir_counts(self) -> np.ndarray:
+        """Number of stored entries of P in each direction (index into dirs)."""
+        return self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
 
 
 def region_pattern(region: Region) -> RegionPattern:
@@ -250,7 +274,7 @@ def _mode_products(y, mats, shape):
     """Multiply the C-ordered array y of the given shape by mats[i] along
     every axis i, as BLAS matmuls; returns a new array."""
     for i, (F, m) in enumerate(zip(mats, shape)):
-        post = int(np.prod(shape[i + 1:]))
+        post = math.prod(shape[i + 1:])
         if post == 1:
             y = y.reshape(-1, m) @ F.T
         else:
@@ -258,9 +282,9 @@ def _mode_products(y, mats, shape):
     return y
 
 
-def _mean_kernel_inverse(A, pattern):
-    """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
-    with the mean of A's entries in that direction, or None.
+def _mean_kernel_factors(p, shape):
+    """(forward, back, inv_spectrum) of (I - P_bar)^-1 on a box of the given
+    shape, where P_bar steps in direction e with probability p[e], or None.
 
     On a box with killing, I - P_bar is a Kronecker sum of tridiagonal
     Toeplitz operators.  Scaling axis i by r_i^x_i, r_i = sqrt(p(-e_i) /
@@ -271,22 +295,13 @@ def _mean_kernel_inverse(A, pattern):
     back mode products diag(r_i^x) S_i: dense per-axis sine transforms run
     as BLAS matmuls in O(n sum_i m_i) flops, whatever the factors of m_i + 1.
 
-    None off boxes, off the pattern's structure, where the 2 sum_i m_i^2
-    entries of the axis matrices exceed MEMORY_BUDGET, where the spectrum
-    is not positive, or where the scaling overflows float64: a zero mean
-    entry makes it infinite, and a drift too strong for the box spreads it
-    over more than 2^53.
+    None where the 2 sum_i m_i^2 entries of the axis matrices exceed
+    MEMORY_BUDGET, where the spectrum is not positive, or where the scaling
+    overflows float64: a zero mean entry makes it infinite, and a drift too
+    strong for the box spreads it over more than 2^53.
     """
-    if pattern is None or pattern.band_width is None or not _on_pattern(A, pattern):
-        return None
-    shape = tuple(int(m) for m in pattern.region.hi - pattern.region.lo + 1)
     if 2 * sum(m * m for m in shape) > MEMORY_BUDGET:
         return None
-    # A steps along the entry's direction of P; the CSC view P.T steps back
-    dirs = pattern.entry_dirs if A.format == "csr" else pattern.entry_dirs ^ 1
-    ndir = 2 * pattern.d
-    p = np.bincount(dirs, weights=A.data, minlength=ndir) / np.maximum(
-        np.bincount(dirs, minlength=ndir), 1)
     log_r = np.zeros(len(shape))
     spectrum = np.ones(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,12 +323,40 @@ def _mean_kernel_inverse(A, pattern):
         scale = np.exp((np.arange(1.0, m + 1) - (m + 1) / 2) * lr)
         forward.append(S / scale)
         back.append(scale[:, None] * S)
-    inv_spectrum = 1.0 / spectrum
+    return forward, back, 1.0 / spectrum
+
+
+def _apply_mean_kernel(factors, v):
+    """(I - P_bar)^-1 from `_mean_kernel_factors` applied along the trailing
+    axes of v, C-ordered with shape (..., *shape): one BLAS matmul per axis
+    for all leading indices."""
+    forward, back, inv_spectrum = factors
+    shape = inv_spectrum.shape
+    y = _mode_products(v, forward, shape).reshape(v.shape)
+    y *= inv_spectrum
+    return _mode_products(y, back, shape).reshape(v.shape)
+
+
+def _mean_kernel_inverse(A, pattern):
+    """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
+    with the mean of A's entries in that direction (`_mean_kernel_factors`),
+    or None: off boxes, off the pattern's structure, and wherever
+    `_mean_kernel_factors` gives None.
+    """
+    if pattern is None or pattern.shape is None or not _on_pattern(A, pattern):
+        return None
+    # A steps along the entry's direction of P; the CSC view P.T steps back
+    dirs, counts = pattern.entry_dirs, pattern.dir_counts
+    if A.format != "csr":
+        dirs, counts = dirs ^ 1, counts[np.arange(2 * pattern.d) ^ 1]
+    p = np.bincount(dirs, weights=A.data, minlength=2 * pattern.d) / np.maximum(counts, 1)
+    shape = pattern.shape
+    factors = _mean_kernel_factors(p, shape)
+    if factors is None:
+        return None
 
     def apply(v):
-        y = _mode_products(v.reshape(shape), forward, shape).reshape(shape)
-        y *= inv_spectrum
-        return _mode_products(y, back, shape).ravel()
+        return _apply_mean_kernel(factors, v.reshape(shape)).ravel()
 
     n = pattern.n
     return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
@@ -429,9 +472,88 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
                              pattern=system.pattern)
 
 
-def batch_size(n: int) -> int:
-    """Batch size keeping a batch of dense n x n systems within MEMORY_BUDGET."""
+# B n unknowns per lockstep batch: its dozen (B, n) arrays then take a few
+# MB, which keeps each elementwise sweep near a core's cache (on a d=2
+# half-space N=30, batches of 10-34 took half the time per environment of
+# batches of 200)
+_LOCKSTEP_UNKNOWNS = 1 << 16
+# lockstep iterations before a batch falls back; about where one band LU per
+# environment of a d=2 half-space N=20-30 becomes cheaper
+_LOCKSTEP_MAX_ITER = 60
+
+
+def _lockstep_pays(pattern: RegionPattern, B: int, src: int | None) -> bool:
+    """Whether `solve_green_batch` of B environments goes lockstep
+    (`_lockstep_rows`).
+
+    Only for Green rows (src given, never whole inverses), and only on d=2
+    boxes whose shortest side w has at least 8 sites and w^2 >= the sum of
+    the sides.  Smaller boxes keep their stacked dense LU, against which
+    lockstep gains little or loses (a 7 x 7 box with 20 environments ran
+    1.6x slower); elongated boxes keep band LU, whose work per environment
+    is n w^2 against n sum_i m_i per lockstep sweep.  The batch's B n
+    unknowns must reach 2000, which pays each iteration's fixed cost.  d=3
+    boxes keep preconditioned Krylov, which measured faster.
+    """
+    if src is None or pattern.shape is None or pattern.d != 2:
+        return False
+    w = min(pattern.shape)
+    return w >= 8 and w * w >= sum(pattern.shape) and B * pattern.n >= 2000
+
+
+def batch_size(pattern: RegionPattern, src: int | None) -> int:
+    """Environments per `solve_green_batch` call: _LOCKSTEP_UNKNOWNS
+    unknowns where such a batch goes lockstep, otherwise a batch of dense
+    n x n systems within MEMORY_BUDGET."""
+    n = pattern.n
+    size = int(np.clip(_LOCKSTEP_UNKNOWNS // n, 1, 4096))
+    if _lockstep_pays(pattern, size, src):
+        return size
     return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
+
+
+def _lockstep_rows(pattern: RegionPattern, weights: np.ndarray, src: int,
+                   tol: float) -> np.ndarray | None:
+    """Green rows of a batch on a box by preconditioned Richardson, all
+    environments in lockstep: x <- x + M r, r = b + P^T x - x, with
+    M = (I - P_bar^T)^-1 for the batch's mean kernel P_bar, until the
+    worst l1 residual is at most tol.  None when M does not exist, when an
+    iteration fails to shrink that residual, or after _LOCKSTEP_MAX_ITER
+    iterations."""
+    B, n = weights.shape[:2]
+    shape, nd, size = pattern.shape, 2 * pattern.d, B * n
+    # P^T x moves x[y] w[y, e] from y to y + e, a fixed offset in the flat C
+    # order of the whole batch; a step out of the box gets weight 0, so no
+    # offset slice carries mass into another line or environment
+    moves, p = [], np.empty(nd)
+    for e in range(nd):
+        w = np.where(pattern.nbr[:, e] >= 0, weights[:, :, e], 0.0).ravel()
+        # P_bar steps along e with the batch's mean weight on the inside entries
+        p[e] = w.sum() / (B * max(int(pattern.dir_counts[e]), 1))
+        offset = math.prod(shape[e // 2 + 1:])
+        frm, to = slice(0, size - offset), slice(offset, size)
+        if e % 2:
+            frm, to = to, frm
+        moves.append((frm, to, w[frm]))
+    # P^T steps back along each direction of P
+    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1], shape)
+    if factors is None:
+        return None
+    x, r, buf = np.zeros((3, size))
+    r[src::n] = 1.0  # b = e_src
+    worst = np.inf
+    for _ in range(_LOCKSTEP_MAX_ITER):
+        x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
+        np.negative(x, out=r)
+        r[src::n] += 1.0
+        for frm, to, w in moves:
+            r[to] += np.multiply(w, x[frm], out=buf[frm])
+        last, worst = worst, float(np.abs(r, out=buf).reshape(B, n).sum(axis=1).max())
+        if worst <= tol:
+            return x.reshape(B, n)
+        if not worst < last:  # stagnation; NaN fails too
+            return None
+    return None
 
 
 def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.ndarray,
@@ -462,31 +584,48 @@ def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.
             f"batched Green residual {worst:.3e} above tolerance {tol}")
 
 
+def _dense_green_batch(pattern: RegionPattern, weights: np.ndarray,
+                       src: int | None) -> np.ndarray:
+    """`solve_green_batch` by one stacked dense LU, uncertified."""
+    B, n = weights.shape[:2]
+    # assemble I - P once, in place
+    eye_minus_p = np.zeros((B, n, n))
+    keep = pattern.inside_mask
+    rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
+    eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
+    np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
+    if src is None:
+        return np.linalg.inv(eye_minus_p)
+    b = np.zeros((B, n, 1))
+    b[:, src, 0] = 1.0
+    return np.linalg.solve(eye_minus_p.transpose(0, 2, 1), b)[:, :, 0]
+
+
 def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | None,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """Green rows g(src, .), shape (B, n), or with src None the whole
     inverses G = (I - P)^-1, shape (B, n, n), for the environments whose
     weights on the pattern's interior are stacked in weights (B, n, 2d).
 
-    Where method="auto" picks dense LU, the batch is one stacked LU held
-    to the single-solve certificate column by column; elsewhere each
-    environment gets one `solve_fixed_point` row solve, and whole inverses
-    are refused.
+    Rows of a batch that `_lockstep_pays` for are solved in lockstep
+    (`_lockstep_rows`); when that has no preconditioner or stalls, the
+    batch takes the path below instead.  Where method="auto" picks dense
+    LU, the batch is stacked LUs of at most `batch_size(pattern, None)`
+    systems; elsewhere each environment gets one `solve_fixed_point` row
+    solve, and whole inverses are refused.  Every direct or lockstep result
+    is held to the single-solve certificate column by column
+    (`_certify_green_batch`).
     """
     B, n = weights.shape[:2]
-    if auto_method(n, pattern) == "dense":
-        # assemble I - P once, in place
-        eye_minus_p = np.zeros((B, n, n))
-        keep = pattern.inside_mask
-        rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
-        eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
-        np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
-        if src is None:
-            green = np.linalg.inv(eye_minus_p)
-        else:
-            b = np.zeros((B, n, 1))
-            b[:, src, 0] = 1.0
-            green = np.linalg.solve(eye_minus_p.transpose(0, 2, 1), b)[:, :, 0]
+    green = None
+    if _lockstep_pays(pattern, B, src):
+        green = _lockstep_rows(pattern, weights, src, tol)
+    if green is None and auto_method(n, pattern) == "dense":
+        step = batch_size(pattern, None)
+        parts = [_dense_green_batch(pattern, weights[i:i + step], src)
+                 for i in range(0, B, step)]
+        green = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if green is not None:
         _certify_green_batch(pattern, weights, green, src, tol)
         return green
     if src is None:

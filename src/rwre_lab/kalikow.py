@@ -242,10 +242,10 @@ def _enumerated(law, pattern, chunk: int):
         yield weights, probs
 
 
-def _sampled(law, pattern, env_seeds, chunk: int):
-    """One sampled environment per seed, as (weights, None) batches."""
+def _sampled(law, sites, env_seeds, chunk: int):
+    """One sampled environment per seed on the sites, as (weights, None) batches."""
     for start in range(0, len(env_seeds), chunk):
-        yield np.stack([sample_environment(law, seed=s).weights_block(pattern.interior)
+        yield np.stack([sample_environment(law, seed=s).weights_block(sites)
                         for s in env_seeds[start:start + chunk]]), None
 
 
@@ -257,9 +257,9 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     probabilities is None.  green holds the certified Green rows g(src, .),
     or the whole inverses G when src is None (`solve_green_batch`).
     """
-    chunk = batch_size(pattern.n)
+    chunk = batch_size(pattern, src)
     batches = (_enumerated(law, pattern, chunk) if env_seeds is None
-               else _sampled(law, pattern, env_seeds, chunk))
+               else _sampled(law, pattern.interior, env_seeds, chunk))
     for weights, probs in batches:
         yield weights, solve_green_batch(pattern, weights, src, tol), probs
 
@@ -603,31 +603,40 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     mean_w = law_moments(law).mean
     ssrw_env = sample_environment(ssrw_law(d), seed=0)
     env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+    regions = [HalfSpaceTrunc(sign, int(N), d) for sign in (1, -1) for N in N_list]
+    patterns = [region_pattern(region) for region in regions]
+    srcs = [pattern.source_index(origin) for pattern in patterns]
+    # SSRW Green value at the origin, the control variate's scale
+    g0_origins = [float(green_row(ssrw_env, region, origin, tol=min(tol, 1e-12)).values[src])
+                  for region, src in zip(regions, srcs)]
+    # each environment is sampled once, on the box that holds every region
+    n_max = max(int(N) for N in N_list)
+    union = BoxRegion([-n_max] * d, [n_max] * d)
+    gathers = [union.index_block(pattern.interior) for pattern in patterns]
+    accs = [_RatioAccumulator(1, d) for _ in regions]
+    # equal chunks, none above the batch size of any region
+    n_chunks = math.ceil(n_env / min(batch_size(p, s) for p, s in zip(patterns, srcs)))
+    chunk = math.ceil(n_env / n_chunks)
+    for union_weights, _ in _sampled(law, union.interior_array(), env_seeds, chunk):
+        for pattern, src, gather, g0_origin, acc in zip(patterns, srcs, gathers,
+                                                        g0_origins, accs):
+            weights = union_weights[:, gather]
+            g = solve_green_batch(pattern, weights, src, tol)
+            g00, w0 = g[:, src, None], weights[:, src]
+            # mean-zero companion: the same centered-drift variate scaled
+            # by the deterministic unperturbed Green value
+            c = w0 - mean_w
+            cv = g0_origin * (c[:, 0::2] - c[:, 1::2])
+            drift_num = g00 * (w0[:, 0::2] - w0[:, 1::2]) - cv
+            acc.add((g00 * w0)[:, None], g00, drift_num=drift_num[:, None])
     rows: list[HalfSpaceDriftRow] = []
-
-    for sign in (1, -1):
-        for N in N_list:
-            region = HalfSpaceTrunc(sign, int(N), d)
-            pattern = region_pattern(region)
-            src = pattern.source_index(origin)
-            # SSRW Green value at the origin, the control variate's scale
-            g0_origin = float(green_row(ssrw_env, region, origin,
-                                        tol=min(tol, 1e-12)).values[src])
-            acc = _RatioAccumulator(1, d)
-            for weights, g, _ in _green_batches(law, pattern, src, tol, env_seeds):
-                g00, w0 = g[:, src, None], weights[:, src]
-                # mean-zero companion: the same centered-drift variate scaled
-                # by the deterministic unperturbed Green value
-                c = w0 - mean_w
-                cv = g0_origin * (c[:, 0::2] - c[:, 1::2])
-                drift_num = g00 * (w0[:, 0::2] - w0[:, 1::2]) - cv
-                acc.add((g00 * w0)[:, None], g00, drift_num=drift_num[:, None])
-            drift, se = acc.ratio(acc.drift_cols)
-            rows.append(HalfSpaceDriftRow(
-                sign=sign, N=int(N), n_sites=region.interior_count(),
-                drift=drift[0], se=se[0], den_mean=float(acc.den[0]),
-                g0_origin=g0_origin,
-            ))
+    for region, g0_origin, acc in zip(regions, g0_origins, accs):
+        drift, se = acc.ratio(acc.drift_cols)
+        rows.append(HalfSpaceDriftRow(
+            sign=region.sign, N=region.N, n_sites=region.interior_count(),
+            drift=drift[0], se=se[0], den_mean=float(acc.den[0]),
+            g0_origin=g0_origin,
+        ))
 
     # stabilization across the last two truncations, per sign
     stabilized = {}

@@ -467,10 +467,11 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
 
 
 def test_green_batch_per_environment_path_matches_row_solves():
-    # n = 861 > DENSE_CUTOFF on a d=2 box: every environment gets band LU
-    region = rl.HalfSpaceTrunc(1, 20, 2)
+    # n = 1032 > DENSE_CUTOFF on an elongated d=2 box, which stays off the
+    # lockstep path: every environment gets band LU
+    region = rl.SlabRegion(4, 64, 2)
     pattern = xs.region_pattern(region)
-    assert pattern.n == 861 and xs.auto_method(pattern.n, pattern) == "banded"
+    assert pattern.n == 1032 and xs.auto_method(pattern.n, pattern) == "banded"
     src = pattern.source_index((0, 0))
     envs = [rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s) for s in range(3)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
@@ -481,3 +482,93 @@ def test_green_batch_per_environment_path_matches_row_solves():
         assert np.array_equal(g[b], row)
     with pytest.raises(ValueError, match="DENSE_CUTOFF"):
         xs.solve_green_batch(pattern, weights, None, 1e-10)
+
+
+def _row_solves(pattern, weights, src, tol):
+    """One independent `solve_fixed_point` row solve per environment."""
+    e_src = np.zeros(pattern.n)
+    e_src[src] = 1.0
+    return np.stack([xs.solve_fixed_point(pattern.matrix(w).T, e_src, tol, pattern=pattern)[0]
+                     for w in weights])
+
+
+@pytest.mark.parametrize("N, B", [(10, 40), (20, 12), (30, 4)])
+def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
+    region = rl.HalfSpaceTrunc(-1, N, 2)
+    pattern = xs.region_pattern(region)
+    src = pattern.source_index((0, 0))
+    assert xs._lockstep_pays(pattern, B, src)
+    law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
+    envs = [rl.sample_environment(law, seed=rng.child_seed(N, s)) for s in range(B)]
+    weights = np.stack([env.weights_block(pattern.interior) for env in envs])
+    tol = 1e-10
+    lockstep = xs._lockstep_rows(pattern, weights, src, tol)
+    assert lockstep is not None
+    xs._certify_green_batch(pattern, weights, lockstep, src, tol)
+    assert np.array_equal(xs.solve_green_batch(pattern, weights, src, tol), lockstep)
+    for g, env in zip(lockstep, envs):
+        system = xs.build_system(env, region)
+        row, info = xs.solve_green_row(system, src, tol)
+        # both residuals are at most tol in l1, and ||(I - P^T)^-1||_1 is the
+        # largest expected exit time, which bounds the l1 error of each
+        exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-12).max()
+        assert np.abs(g - row).sum() <= exit_time * (tol + info.l1_residual) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("case", ["no preconditioner", "stagnation"])
+def test_lockstep_falls_back_to_per_environment_row_solves(case):
+    region = rl.HalfSpaceTrunc(1, 30 if case == "no preconditioner" else 10, 2)
+    pattern = xs.region_pattern(region)
+    src = pattern.source_index((0, 0))
+    if case == "no preconditioner":
+        # the drift spreads the mean kernel's scaling over more than 2^53
+        law = rl.PointMassLaw([0.97, 0.01, 0.01, 0.01])
+        weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
+                            for s in range(2)])
+        assert xs._mean_kernel_inverse(pattern.matrix(weights[0]).T, pattern) is None
+    else:
+        # disorder far from the mean kernel: Richardson diverges at once
+        weights = np.random.default_rng(0).dirichlet(np.ones(4), size=(10, pattern.n))
+    assert xs._lockstep_pays(pattern, weights.shape[0], src)
+    assert xs._lockstep_rows(pattern, weights, src, 1e-10) is None
+    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
+    assert np.array_equal(g, _row_solves(pattern, weights, src, 1e-10))
+
+
+@pytest.mark.parametrize("region, B, lockstep", [
+    (rl.HalfSpaceTrunc(1, 10, 2), 40, True),
+    (rl.HalfSpaceTrunc(-1, 20, 2), 40, True),
+    (rl.HalfSpaceTrunc(1, 30, 2), 40, True),
+    (rl.HalfSpaceTrunc(1, 8, 2), 20, True),
+    (rl.SlabRegion(4, 64, 2), 40, False),     # elongated: band LU
+    (rl.BoxRegion([-2, -2], [2, 2]), 400, False),  # tiny: stacked dense LU
+    (rl.BoxRegion([-3, -3], [3, 3]), 20, False),
+    (rl.HalfSpaceTrunc(1, 10, 3), 40, False),  # d = 3: Krylov
+    (rl.HalfSpaceTrunc(1, 10, 2), 4, False),   # too few unknowns per iteration
+    (rl.SiteSetRegion([(0, 0), (1, 0), (1, 1)], 2), 400, False),
+])
+def test_lockstep_dispatch(region, B, lockstep):
+    pattern = xs.region_pattern(region)
+    src = pattern.source_index((0,) * region.d)
+    assert xs._lockstep_pays(pattern, B, src) is lockstep
+    assert not xs._lockstep_pays(pattern, B, None)  # whole inverses
+    if not lockstep:
+        return
+    # lockstep batches are sized by B n, whole inverses by n^2
+    assert xs.batch_size(pattern, src) == xs._LOCKSTEP_UNKNOWNS // pattern.n
+    assert xs.batch_size(pattern, None) == min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096)
+
+
+def test_whole_inverses_never_go_lockstep(monkeypatch):
+    region = rl.HalfSpaceTrunc(1, 8, 2)
+    pattern = xs.region_pattern(region)
+    weights = np.stack([rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s)
+                        .weights_block(pattern.interior) for s in range(20)])
+    assert xs._lockstep_pays(pattern, 20, pattern.source_index((0, 0)))
+
+    def refuse(*args):
+        raise AssertionError("whole inverses took the lockstep path")
+
+    monkeypatch.setattr(xs, "_lockstep_rows", refuse)
+    G = xs.solve_green_batch(pattern, weights, None, 1e-10)
+    assert G.shape == (20, pattern.n, pattern.n)

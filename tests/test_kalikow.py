@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,49 @@ class TestHalfSpaceExperiment:
         assert rep.verdict == "no-failure-evidence"
         for row in rep.rows:
             assert row.drift[0] == pytest.approx(0.1, abs=1e-9)
+
+    @pytest.mark.parametrize("law", [
+        rl.SignedAxisKickLaw(2, 0.05, 1e-5),  # lockstep batches
+        # no mean-kernel preconditioner on N=30: one row solve per environment
+        rl.PointMassLaw([0.97, 0.01, 0.01, 0.01]),
+    ])
+    def test_output_is_byte_identical_across_workers_and_reruns(self, law, monkeypatch):
+        def run(threads):
+            monkeypatch.setenv("RWRE_THREADS", threads)
+            rep = rl.theorem3_experiment(law, rho=0.5, N_list=(10, 30), n_env=10,
+                                         seed=7, force=True)
+            return json.dumps(rep.to_dict(), sort_keys=True)
+
+        one = run("1")
+        assert run("4") == one
+        assert run("1") == one
+
+    def test_each_environment_is_sampled_once_and_gathered(self, monkeypatch):
+        law, seed, n_env = self.law(), 9, 5
+        seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+        drawn, batches = [], []
+        sample = kal.sample_environment
+        solve = kal.solve_green_batch
+
+        def spy_sample(law_, seed=0):
+            drawn.append(seed)
+            return sample(law_, seed=seed)
+
+        def spy_solve(pattern, weights, src, tol):
+            batches.append((pattern, weights.copy()))
+            return solve(pattern, weights, src, tol)
+
+        monkeypatch.setattr(kal, "sample_environment", spy_sample)
+        monkeypatch.setattr(kal, "solve_green_batch", spy_solve)
+        rl.theorem3_experiment(law, rho=0.5, N_list=(3, 5), n_env=n_env, seed=seed)
+        # one draw per environment seed, and one for the SSRW reference
+        assert sorted(drawn) == sorted(seeds + [0])
+        assert len(batches) == 4
+        for pattern, weights in batches:
+            # bit-identical to sampling each region on its own
+            want = np.stack([sample(law, seed=s).weights_block(pattern.interior)
+                             for s in seeds])
+            assert np.array_equal(weights, want)
 
 
 def test_formula_route_inverses_are_certified():

@@ -17,15 +17,22 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import rng
-from .env_model import EnvironmentLaw, law_moments, sample_environment
-from .exact_solver import build_system, solve_green_operator
-from .lattice import BallisticityBox, CorollaryBox, Region, SlabRegion
+from .env_model import EnvironmentLaw, law_moments, sample_weights
+from .exact_solver import (
+    BatchSolveError,
+    build_system,
+    operator_batch_size,
+    region_pattern,
+    solve_green_operator,
+    solve_operator_batch,
+)
+from .lattice import BallisticityBox, CorollaryBox, SlabRegion
 from .monte_carlo import (
     EmpiricalDistribution,
     ExitRegion,
+    FunctionalEvaluationError,
     MCEstimate,
     annealed_walks,
-    sample_statistic_over_environments,
 )
 
 DEFAULT_Z = 3.0
@@ -131,12 +138,8 @@ class MartingaleTailReport:
         return all(r.within_bound for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "increment": self.increment, "n_steps": self.n_steps,
-            "n_paths": self.n_paths, "b": self.b, "step_v2": self.step_v2,
-            "seed": self.seed, "all_within": self.all_within,
-            "rows": [vars(r) for r in self.rows],
-        }
+        return {**vars(self), "all_within": self.all_within,
+                "rows": [vars(r) for r in self.rows]}
 
 
 def martingale_tail_test(increment: str, n: int, u_grid, n_paths: int, seed: int,
@@ -235,25 +238,9 @@ class ConditionPReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M, "d": self.d,
-            "sup_estimate": self.sup_estimate,
-            "sup_upper_ci": self.sup_upper_ci,
-            "log_threshold": self.log_threshold,
-            "threshold_exponent": self.threshold_exponent,
-            "log_m0": self.log_m0_value,
-            "below_m0": self.below_m0,
-            "verdict": self.verdict,
-            "n_per_site": self.n_per_site,
-            "star_total": self.star_total,
-            "star_scanned": self.star_scanned,
-            "seed": self.seed,
-            "starts": [
-                {"site": list(s.site), "p_hat": s.p_hat, "se": s.se,
-                 "n": s.n, "hits": s.hits}
-                for s in self.starts
-            ],
-        }
+        out = {k: v for k, v in vars(self).items() if k not in ("starts", "log_m0_value")}
+        return {**out, "log_m0": self.log_m0_value,
+                "starts": [{**vars(s), "site": list(s.site)} for s in self.starts]}
 
 
 def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
@@ -292,13 +279,8 @@ def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
     sup_estimate = max(r.p_hat for r in rows)
     # Bonferroni-corrected exact upper confidence bounds per start
     level = alpha / len(rows)
-    uppers = []
-    for r in rows:
-        if r.hits >= r.n:
-            uppers.append(1.0)
-        else:
-            uppers.append(float(beta_dist.ppf(1.0 - level, r.hits + 1, r.n - r.hits)))
-    sup_upper = max(uppers)
+    sup_upper = max(float(beta_dist.ppf(1.0 - level, r.hits + 1, r.n - r.hits))
+                    if r.hits < r.n else 1.0 for r in rows)
 
     exponent = 15 * d + 5
     log_threshold = -exponent * math.log(M)
@@ -326,6 +308,41 @@ def drift_green_origin(env, region, tol: float = 1e-10) -> float:
     return float(u[system.pattern.source_index((0,) * region.d)])
 
 
+def _batched_solves(law: EnvironmentLaw, env_seeds, tol: float, *problems):
+    """Per batch of env_seeds, the solutions u = (I - P)^-1 field(pattern, w),
+    shape (B, n), of every (pattern, field) problem, where w is the batch's
+    (B, n, 2d) weight block on the pattern (`sample_weights`).  A failed
+    solve raises FunctionalEvaluationError with its environment's seed."""
+    size = min(operator_batch_size(pattern) for pattern, _ in problems)
+    for start in range(0, len(env_seeds), size):
+        seeds, out = env_seeds[start:start + size], []
+        for pattern, field in problems:
+            w = sample_weights(law, pattern.interior, seeds)
+            try:
+                out.append(solve_operator_batch(pattern, w, field(pattern, w), tol))
+            except BatchSolveError as exc:
+                raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
+        yield out
+
+
+def _drift_field(pattern, weights: np.ndarray) -> np.ndarray:
+    """Local drift along e1 at every site of a (B, n, 2d) weight block."""
+    return weights[:, :, 0] - weights[:, :, 1]
+
+
+def _drift_origin_samples(law: EnvironmentLaw, region, n_env: int, seed: int,
+                          tol: float) -> EmpiricalDistribution:
+    """`drift_green_origin` for the environments of seeds
+    rng.child_seed(seed, i), i < n_env, solved in batches."""
+    pattern = region_pattern(region)
+    origin = pattern.source_index((0,) * pattern.d)
+    env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+    # copies: a view would keep each batch's whole solution alive
+    samples = [u[:, origin].copy()
+               for u, in _batched_solves(law, env_seeds, tol, (pattern, _drift_field))]
+    return EmpiricalDistribution(np.concatenate(samples), env_seeds, seed)
+
+
 @dataclass
 class DriftGreenStats:
     """Across-environment statistics of the slab drift operator at the origin."""
@@ -346,14 +363,7 @@ class DriftGreenStats:
     distribution: EmpiricalDistribution | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "L": self.L, "W": self.W, "d": self.d, "n_env": self.n_env,
-            "mean": self.mean, "variance": self.variance, "se": self.se,
-            "bound": self.bound, "lower_cb": self.lower_cb,
-            "bound_holds_with_ci": self.bound_holds_with_ci,
-            "eps_L": self.eps_L, "eps_L_warning": self.eps_L_warning,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in vars(self).items() if k != "distribution"}
 
 
 def mean_drift_green_check(law: EnvironmentLaw, L: int, W: int, n_env: int,
@@ -364,14 +374,13 @@ def mean_drift_green_check(law: EnvironmentLaw, L: int, W: int, n_env: int,
     Requires a positive average drift; warns when eps * L leaves the small
     perturbation regime (>= 3/4).
     """
+    if n_env < 1:
+        raise ValueError(f"the slab drift-operator check needs n_env >= 1, got {n_env}")
     mom = law_moments(law)
     if mom.lam <= 0:
         raise ValueError(f"positive average drift required, got lambda={mom.lam:.3g}")
     d = law.d
-    region = SlabRegion(L, W, d)
-    dist = sample_statistic_over_environments(
-        law, region, lambda env, reg: drift_green_origin(env, reg, tol=tol),
-        n_env, seed)
+    dist = _drift_origin_samples(law, SlabRegion(L, W, d), n_env, seed, tol)
     bound = 0.4 * d * mom.lam * L * L
     lower_cb = dist.mean - z * dist.se
     return DriftGreenStats(
@@ -408,12 +417,7 @@ class FluctuationScanReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "L": self.L, "W": self.W, "d": self.d, "alpha": self.alpha,
-            "c_alpha": self.c_alpha, "c_alpha_case": self.c_alpha_case,
-            "slope": self.slope, "ratios": self.ratios, "seed": self.seed,
-            "rows": [vars(r) for r in self.rows],
-        }
+        return {**vars(self), "rows": [vars(r) for r in self.rows]}
 
 
 def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
@@ -427,6 +431,8 @@ def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
     variance (a deterministic law) makes the slope NaN, and the ratio whose
     denominator is that row NaN as well.
     """
+    if n_env < 1:
+        raise ValueError(f"the fluctuation scan needs n_env >= 1, got {n_env}")
     amplitudes = [float(a) for a in amplitudes]
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
@@ -437,9 +443,7 @@ def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
     for i, a in enumerate(amplitudes):
         law = law_family(a)
         mom = law_moments(law)
-        dist = sample_statistic_over_environments(
-            law, region, lambda env, reg: drift_green_origin(env, reg, tol=tol),
-            n_env, rng.child_seed(seed, i))
+        dist = _drift_origin_samples(law, region, n_env, rng.child_seed(seed, i), tol)
         rows.append(FluctuationRow(
             amplitude=a, sigma2=mom.sigma2, mean=dist.mean,
             variance=dist.variance, n_env=n_env))
@@ -462,21 +466,17 @@ def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
 # ---------------------------------------------------------------------------
 
 
-def _nonfrontal_exit_probability(env, region: Region, tol: float) -> float:
-    """P_0(first exit is not through the frontal side), by one column solve."""
-    system = build_system(env, region)
-    pat = system.pattern
-    b = np.zeros(pat.n)
-    for e in range(2 * pat.d):
-        outside = pat.nbr[:, e] < 0
-        if not np.any(outside):
-            continue
-        targets = pat.interior[outside] + pat.dirs[e]
-        nonfrontal = targets[:, 0] < region.frontal_min
-        idx = np.nonzero(outside)[0][nonfrontal]
-        b[idx] += system.weights[idx, e]
-    h = solve_green_operator(system, b, tol)
-    return float(h[system.pattern.source_index((0,) * region.d)])
+def _nonfrontal_exit_field(pattern, weights: np.ndarray) -> np.ndarray:
+    """The one-step probability of leaving the region through a non-frontal
+    boundary site, at every interior site of a (B, n, 2d) weight block;
+    (I - P)^-1 of it is P_y(first exit is not through the frontal side)."""
+    field = np.zeros(weights.shape[:2])
+    for e in range(2 * pattern.d):
+        targets = pattern.interior[:, 0] + pattern.dirs[e, 0]
+        idx = np.nonzero((pattern.nbr[:, e] < 0)
+                         & (targets < pattern.region.frontal_min))[0]
+        field[:, idx] += weights[:, idx, e]
+    return field
 
 
 @dataclass
@@ -507,23 +507,12 @@ class RhoStats:
     eps_L: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta, "eta": self.eta, "L": self.L, "M": self.M,
-            "lambda0": self.lambda0, "d": self.d, "n_env": self.n_env,
-            "seed": self.seed,
-            "q_mean": float(self.q_samples.mean()),
-            "rho_mean": float(self.rho_samples.mean()),
-            "sqrt_rho": self.sqrt_rho_estimate.to_dict(),
-            "rho_hat_max": self.rho_hat_max,
-            "p_hat": self.p_hat,
-            "p_indicator_se": self.p_indicator_se,
-            "g_threshold": self.g_threshold,
-            "lateral_half_width": self.lateral_half_width,
-            "lateral_capped": self.lateral_capped,
-            "subgrid_halfwidth": self.subgrid_halfwidth,
-            "slab_W": self.slab_W,
-            "eps_L": self.eps_L,
-        }
+        arrays = ("q_samples", "rho_samples", "rho_hat_samples", "g_origin_samples",
+                  "sqrt_rho_estimate")
+        return {**{k: v for k, v in vars(self).items() if k not in arrays},
+                "q_mean": float(self.q_samples.mean()),
+                "rho_mean": float(self.rho_samples.mean()),
+                "sqrt_rho": self.sqrt_rho_estimate.to_dict()}
 
 
 def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
@@ -540,6 +529,8 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
     lateral half-width and the hyperplane subgrid for the sup are truncated
     to declared values; truncation never happens silently.
     """
+    if n_env < 1:
+        raise ValueError(f"rho statistics need n_env >= 1, got {n_env}")
     mom = law_moments(law)
     if L is None:
         if mom.eps <= 0:
@@ -568,31 +559,26 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
             "lateral capping; reduce theta")
 
     slab_W = 4 * L * L if slab_W is None else int(slab_W)
-    slab = SlabRegion(L, slab_W, d)
     sub_hw = 2 * L if subgrid_halfwidth is None else int(subgrid_halfwidth)
-    slab_pat = None
-
-    q_samples = np.empty(n_env)
-    rho_hat_samples = np.empty(n_env)
-    g_origin = np.empty(n_env)
+    box_pat, slab_pat = region_pattern(box), region_pattern(SlabRegion(L, slab_W, d))
+    box_origin, slab_origin = (p.source_index((0,) * d) for p in (box_pat, slab_pat))
+    on_plane = slab_pat.interior[:, 0] == 0
+    lateral_ok = np.all(np.abs(slab_pat.interior[:, 1:]) <= sub_hw, axis=1)
+    subgrid_idx = np.nonzero(on_plane & lateral_ok)[0]
     g_threshold = lambda0 * L + 4.0 / (L * L)
 
-    for i in range(n_env):
-        env = sample_environment(law, seed=rng.child_seed(seed, i, 11))
-        q_samples[i] = _nonfrontal_exit_probability(env, box, tol)
-        system = build_system(env, slab)
-        if slab_pat is None:
-            slab_pat = system.pattern
-            on_plane = slab_pat.interior[:, 0] == 0
-            lateral_ok = np.all(np.abs(slab_pat.interior[:, 1:]) <= sub_hw, axis=1)
-            subgrid_idx = np.nonzero(on_plane & lateral_ok)[0]
-            origin_idx = system.pattern.source_index((0,) * d)
-        u = solve_green_operator(system, system.drift_field(), tol)
-        vals = u[subgrid_idx] / L
-        rho_hat_samples[i] = float(np.max((1.0 - vals) / (1.0 + vals)))
-        g_origin[i] = float(u[origin_idx])
+    q_parts, rho_hat_parts, g_parts = [], [], []
+    env_seeds = [rng.child_seed(seed, i, 11) for i in range(n_env)]
+    for h, u in _batched_solves(law, env_seeds, tol, (box_pat, _nonfrontal_exit_field),
+                                (slab_pat, _drift_field)):
+        # copies: a view would keep the batch's whole solution alive
+        q_parts.append(h[:, box_origin].copy())
+        vals = u[:, subgrid_idx] / L
+        rho_hat_parts.append(np.max((1.0 - vals) / (1.0 + vals), axis=1))
+        g_parts.append(u[:, slab_origin].copy())
+    rho_hat_samples, g_origin = np.concatenate(rho_hat_parts), np.concatenate(g_parts)
 
-    q_samples = np.clip(q_samples, 0.0, 1.0)
+    q_samples = np.clip(np.concatenate(q_parts), 0.0, 1.0)
     rho_samples = q_samples / np.maximum(1.0 - q_samples, 1e-300)
     sqrt_rho = MCEstimate.from_samples(np.sqrt(rho_samples), seed)
     indicator = (g_origin <= g_threshold).astype(np.float64)

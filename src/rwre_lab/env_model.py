@@ -390,6 +390,16 @@ def sample_environment(law: EnvironmentLaw, region=None, seed: int = 0) -> Envir
     return EnvironmentRealization(law, seed)
 
 
+def sample_weights(law: EnvironmentLaw, sites, env_seeds) -> np.ndarray:
+    """One sampled environment per seed on the (N, d) sites, as a (B, N, 2d)
+    block whose row b is the environment of seed env_seeds[b]."""
+    sites = np.asarray(sites, dtype=np.int64)
+    block = np.empty((len(env_seeds), sites.shape[0], 2 * law.d))
+    for b, s in enumerate(env_seeds):
+        block[b] = sample_environment(law, seed=s).weights_block(sites)
+    return block
+
+
 # ---------------------------------------------------------------------------
 # Structural symmetry conditions
 # ---------------------------------------------------------------------------

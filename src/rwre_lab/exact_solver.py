@@ -34,11 +34,15 @@ band array fits MEMORY_BUDGET gets the banded path (every d=2 box of
 moderate size); everything else, every d=3 region included, gets Krylov.
 
 Every public quantity builds its system once (`build_system`) and solves on
-it through `solve_green_row`, `solve_green_operator` or `solve_hitting`;
-callers that already hold a system call those directly.  Batches of
-environments on one region (the Kalikow experiments) get their Green rows
-or whole inverses from `solve_green_batch`, held to the single-solve
-certificate column by column:
+it through `solve_green_row`, `solve_green_operator` or `solve_hitting`.
+Every per-environment statistic of the experiments (Kalikow, half-space,
+slab drift, fluctuation and rho) instead stacks the weights of a batch of
+environments on one region in a (B, n, 2d) block
+(`env_model.sample_weights`) and makes one batch call.  Operator solves
+u = f + P u go to `solve_operator_batch`: per environment the
+`solve_green_operator` solve, on `deterministic_map`.  Green rows and whole
+inverses go to `solve_green_batch`, held to the single-solve certificate
+column by column:
 
 * lockstep  - Green rows on a d=2 box neither small nor elongated, in a
               batch of at least 2000 unknowns (`_lockstep_pays`): all B
@@ -51,13 +55,17 @@ certificate column by column:
 * stacked dense LU where "auto" picks dense, for rows and whole inverses;
 * one `solve_fixed_point` row solve per environment elsewhere.
 
-`batch_size` sizes batches by B n unknowns where rows go lockstep, by
-B n^2 dense entries otherwise.
+`batch_size` sizes Green batches by B n unknowns where rows go lockstep, by
+B n^2 dense entries otherwise; `operator_batch_size` by B n unknowns, at
+least one environment per worker.  A failed per-environment solve raises
+BatchSolveError naming the environment.  Region patterns are kept across
+calls, keyed by region descriptor.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +76,7 @@ from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
 from .lattice import BoxRegion, ExitClass, Region, RegionError
-from .runtime import deterministic_map
+from .runtime import deterministic_map, worker_count
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -80,6 +88,15 @@ MEMORY_BUDGET = 6_000_000
 
 class SolverConvergenceError(RuntimeError):
     """Fixed-point iteration failed to converge (broken substochasticity?)."""
+
+
+class BatchSolveError(SolverConvergenceError):
+    """The solve of one environment of a batch failed; index is its place
+    in the batch, and the failure itself is the exception's cause."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +188,21 @@ class RegionPattern:
         return self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
 
 
+# patterns kept across calls, keyed by region descriptor, least recently used
+# first; their neighbour tables together hold at most MEMORY_BUDGET entries
+_PATTERNS: dict[str, RegionPattern] = {}
+_PATTERNS_LOCK = threading.Lock()
+
+
 def region_pattern(region: Region) -> RegionPattern:
-    pat = getattr(region, "_solver_pattern", None)
-    if pat is None:
-        pat = RegionPattern(region)
-        region._solver_pattern = pat
+    """The region's pattern, built once per region descriptor and kept
+    while the cache's bound allows."""
+    key = repr(region.descriptor())
+    with _PATTERNS_LOCK:
+        pat = _PATTERNS.pop(key, None) or RegionPattern(region)
+        _PATTERNS[key] = pat
+        while sum(p.nbr.size for p in _PATTERNS.values()) > MEMORY_BUDGET:
+            del _PATTERNS[next(iter(_PATTERNS))]
     return pat
 
 
@@ -189,17 +216,14 @@ class QuenchedSystem:
         self.region = region
         self.env = env
         self.weights = env.weights_block(self.pattern.interior)
-        self._P = None
 
     @property
     def n(self) -> int:
         return self.pattern.n
 
-    @property
+    @cached_property
     def P(self) -> sp.csr_matrix:
-        if self._P is None:
-            self._P = self.pattern.matrix(self.weights)
-        return self._P
+        return self.pattern.matrix(self.weights)
 
     def drift_field(self) -> np.ndarray:
         """Local drift along e1 at every interior site."""
@@ -472,10 +496,10 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
                              pattern=system.pattern)
 
 
-# B n unknowns per lockstep batch: its dozen (B, n) arrays then take a few
-# MB, which keeps each elementwise sweep near a core's cache (on a d=2
-# half-space N=30, batches of 10-34 took half the time per environment of
-# batches of 200)
+# B n unknowns per lockstep or operator batch: its dozen (B, n) arrays, or
+# its (B, n, 2d) weight block, then take a few MB, which keeps each
+# elementwise sweep near a core's cache (on a d=2 half-space N=30, lockstep
+# batches of 10-34 took half the time per environment of batches of 200)
 _LOCKSTEP_UNKNOWNS = 1 << 16
 # lockstep iterations before a batch falls back; about where one band LU per
 # environment of a d=2 half-space N=20-30 becomes cheaper
@@ -510,6 +534,14 @@ def batch_size(pattern: RegionPattern, src: int | None) -> int:
     if _lockstep_pays(pattern, size, src):
         return size
     return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
+
+
+def operator_batch_size(pattern: RegionPattern) -> int:
+    """Environments per `solve_operator_batch` call: _LOCKSTEP_UNKNOWNS
+    unknowns, but at least one environment per worker, as long as the
+    (B, n, 2d) weight block stays within MEMORY_BUDGET entries."""
+    cap = max(1, MEMORY_BUDGET // (2 * pattern.d * pattern.n))
+    return min(cap, max(worker_count(), _LOCKSTEP_UNKNOWNS // pattern.n))
 
 
 def _lockstep_rows(pattern: RegionPattern, weights: np.ndarray, src: int,
@@ -634,12 +666,43 @@ def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | No
             f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
     e_src = np.zeros(n)
     e_src[src] = 1.0
+    return _solve_each(pattern, weights, np.broadcast_to(e_src, (B, n)), tol, rows=True)
 
-    def one(w: np.ndarray) -> np.ndarray:
-        g, _ = solve_fixed_point(pattern.matrix(w).T, e_src, tol, pattern=pattern)
-        return g
 
-    return np.stack(deterministic_map(one, list(weights)))
+def _operator_tol(tol: float, f: np.ndarray) -> float:
+    """The sup-norm tolerance of the operator solve u = f + P u: tol,
+    relative to the field's sup norm where that exceeds 1."""
+    return tol * max(1.0, float(np.abs(f).max(initial=0.0)))
+
+
+def _solve_each(pattern: RegionPattern, weights: np.ndarray, rhs: np.ndarray,
+                tol: float, rows: bool) -> np.ndarray:
+    """x_b = rhs_b + A_b x_b for every environment b of a batch, one
+    `solve_fixed_point` each on `deterministic_map`: Green rows have
+    A_b = P_b^T and an l1 residual within tol, operator solves A_b = P_b and
+    a sup-norm residual within `_operator_tol`.  A failure raises
+    BatchSolveError naming b."""
+    def one(b: int) -> np.ndarray:
+        try:
+            P = pattern.matrix(weights[b])
+            if rows:
+                return solve_fixed_point(P.T, rhs[b], tol, pattern=pattern)[0]
+            return solve_fixed_point(P, rhs[b], _operator_tol(tol, rhs[b]), norm="linf",
+                                     pattern=pattern)[0]
+        except Exception as exc:  # noqa: BLE001 - annotate with the environment
+            raise BatchSolveError(str(exc), b) from exc
+
+    return np.stack(deterministic_map(one, range(len(weights))))
+
+
+def solve_operator_batch(pattern: RegionPattern, weights: np.ndarray, fields: np.ndarray,
+                         tol: float = DEFAULT_TOL) -> np.ndarray:
+    """u_b = (I - P_b)^-1 f_b, shape (B, n), for the environments whose
+    weights on the pattern's interior are stacked in weights (B, n, 2d) and
+    the fields f stacked in fields (B, n): per environment the solve of
+    `solve_green_operator`, on `deterministic_map`.  A failed solve raises
+    BatchSolveError naming the environment."""
+    return _solve_each(pattern, weights, fields, tol, rows=False)
 
 
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
@@ -660,9 +723,8 @@ def solve_green_operator(system: QuenchedSystem, f, tol: float = DEFAULT_TOL,
     array aligned with the interior enumeration.
     """
     vals = _as_field(f, system)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    u, _ = solve_fixed_point(system.P, vals, tol * scale, norm="linf", method=method,
-                             pattern=system.pattern)
+    u, _ = solve_fixed_point(system.P, vals, _operator_tol(tol, vals), norm="linf",
+                             method=method, pattern=system.pattern)
     return u
 
 
@@ -743,15 +805,12 @@ def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
                            n_iters: int) -> list[np.ndarray]:
     """The first n_iters plain fixed-point iterates of the Green row solve."""
     system = build_system(env, region)
-    PT = system.P.T
-    out = []
-    g = np.zeros(system.n)
-    r = np.zeros(system.n)
+    out, g, r = [], np.zeros(system.n), np.zeros(system.n)
     r[system.pattern.source_index(x)] = 1.0
     for _ in range(n_iters):
-        g = g + r
-        r = PT @ r
-        out.append(g.copy())
+        g = g + r  # a new array per iterate
+        r = system.P.T @ r
+        out.append(g)
     return out
 
 
@@ -839,8 +898,6 @@ def exit_distribution(env: EnvironmentRealization, region: Region, x,
     g = table.values
     for e in range(2 * pat.d):
         outside = pat.nbr[:, e] < 0
-        if not np.any(outside):
-            continue
         targets = pat.interior[outside] + pat.dirs[e]
         flow = g[outside] * system.weights[outside, e]
         for t, m in zip(targets, flow):

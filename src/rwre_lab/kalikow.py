@@ -39,6 +39,7 @@ from .env_model import (
     check_k_conditions,
     law_moments,
     sample_environment,
+    sample_weights,
     ssrw_law,
 )
 from .exact_solver import batch_size, green_row, region_pattern, solve_green_batch
@@ -211,11 +212,8 @@ class KalikowDriftReport:
 
 
 def _site_atom_tables(law: EnvironmentLaw, sites: np.ndarray):
-    tables = []
-    for s in sites:
-        probs, vecs = law.site_support(tuple(int(c) for c in s))
-        tables.append((np.asarray(probs), np.asarray(vecs)))
-    return tables
+    return [tuple(np.asarray(a) for a in law.site_support(tuple(int(c) for c in s)))
+            for s in sites]
 
 
 def _enumeration_size(tables) -> int:
@@ -242,13 +240,6 @@ def _enumerated(law, pattern, chunk: int):
         yield weights, probs
 
 
-def _sampled(law, sites, env_seeds, chunk: int):
-    """One sampled environment per seed on the sites, as (weights, None) batches."""
-    for start in range(0, len(env_seeds), chunk):
-        yield np.stack([sample_environment(law, seed=s).weights_block(sites)
-                        for s in env_seeds[start:start + chunk]]), None
-
-
 def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """Yield (weights, green, probabilities) over batches of environments.
 
@@ -259,7 +250,8 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """
     chunk = batch_size(pattern, src)
     batches = (_enumerated(law, pattern, chunk) if env_seeds is None
-               else _sampled(law, pattern.interior, env_seeds, chunk))
+               else ((sample_weights(law, pattern.interior, env_seeds[i:i + chunk]), None)
+                     for i in range(0, len(env_seeds), chunk)))
     for weights, probs in batches:
         yield weights, solve_green_batch(pattern, weights, src, tol), probs
 
@@ -450,24 +442,8 @@ class EpsKReport:
                        "many connected sets, of which this probe scans a finite family")
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "global_min_lcb": self.global_min_lcb,
-            "global_min_estimate": self.global_min_estimate,
-            "n_env": self.n_env,
-            "seed": self.seed,
-            "z": self.z,
-            "disclaimer": self.disclaimer,
-            "sets": [
-                {
-                    "label": s.label, "n_sites": s.n_sites,
-                    "min_lcb": s.min_lcb, "min_ucb": s.min_ucb,
-                    "min_estimate": s.min_estimate,
-                    "argmin_site": list(s.argmin_site), "exact": s.exact,
-                }
-                for s in self.sets
-            ],
-        }
+        return {**vars(self), "sets": [{**vars(s), "argmin_site": list(s.argmin_site)}
+                                       for s in self.sets]}
 
 
 def estimate_eps_k(law: EnvironmentLaw, family_spec: EpsKFamilySpec | None = None,
@@ -553,25 +529,9 @@ class Theorem3Report:
         raise KeyError((sign, N))
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "stabilized": self.stabilized,
-            "N_list": self.N_list,
-            "n_env": self.n_env,
-            "seed": self.seed,
-            "z": self.z,
-            "k_report": self.k_report,
-            "warning": self.warning,
-            "rows": [
-                {
-                    "sign": r.sign, "N": r.N, "n_sites": r.n_sites,
-                    "drift": [float(v) for v in r.drift],
-                    "se": [float(v) for v in r.se],
-                    "den_mean": r.den_mean, "g0_origin": r.g0_origin,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**vars(self), "rows": [
+            {**vars(r), "drift": [float(v) for v in r.drift], "se": [float(v) for v in r.se]}
+            for r in self.rows]}
 
 
 def theorem3_experiment(law: EnvironmentLaw, rho: float,
@@ -612,12 +572,14 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     # each environment is sampled once, on the box that holds every region
     n_max = max(int(N) for N in N_list)
     union = BoxRegion([-n_max] * d, [n_max] * d)
+    union_sites = union.interior_array()
     gathers = [union.index_block(pattern.interior) for pattern in patterns]
     accs = [_RatioAccumulator(1, d) for _ in regions]
     # equal chunks, none above the batch size of any region
     n_chunks = math.ceil(n_env / min(batch_size(p, s) for p, s in zip(patterns, srcs)))
     chunk = math.ceil(n_env / n_chunks)
-    for union_weights, _ in _sampled(law, union.interior_array(), env_seeds, chunk):
+    for start in range(0, n_env, chunk):
+        union_weights = sample_weights(law, union_sites, env_seeds[start:start + chunk])
         for pattern, src, gather, g0_origin, acc in zip(patterns, srcs, gathers,
                                                         g0_origins, accs):
             weights = union_weights[:, gather]
@@ -659,8 +621,7 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
         verdict = "inconclusive"
     elif pos_lcb > 0 and neg_ucb < 0:
         verdict = "kalikow-fails-evidence"
-    elif (final_pos.drift[0] - z * final_pos.se[0] > 0
-          and final_neg.drift[0] - z * final_neg.se[0] > 0):
+    elif pos_lcb > 0 and final_neg.drift[0] - z * final_neg.se[0] > 0:
         verdict = "no-failure-evidence"
     else:
         verdict = "inconclusive"

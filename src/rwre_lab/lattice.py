@@ -31,6 +31,11 @@ class RegionError(ValueError):
     pass
 
 
+def _steps(d: int) -> np.ndarray:
+    """The 2d unit steps +-e_k, as rows."""
+    return np.vstack([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
+
+
 class Region:
     """Common interface for lattice domains."""
 
@@ -67,19 +72,8 @@ class Region:
     def boundary_array(self) -> np.ndarray:
         """Outer boundary sites, lexicographically sorted."""
         interior = self.interior_array()
-        seen = set()
-        out = []
-        interior_set = {tuple(s) for s in interior}
-        for s in interior:
-            for k in range(self.d):
-                for step in (1, -1):
-                    nb = list(s)
-                    nb[k] += step
-                    tb = tuple(nb)
-                    if tb not in interior_set and tb not in seen:
-                        seen.add(tb)
-                        out.append(tb)
-        out.sort()
+        near = {tuple(s) for s in (interior[:, None] + _steps(self.d)).reshape(-1, self.d)}
+        out = sorted(near - {tuple(s) for s in interior})
         return np.array(out, dtype=np.int64).reshape(len(out), self.d)
 
     def is_frontal_site(self, site) -> bool:
@@ -371,16 +365,6 @@ def classify_exit(region: Region, site) -> ExitClass:
     """
     if region.contains(site):
         raise RegionError(f"site {tuple(site)} is interior, not on the boundary")
-    adjacent = False
-    for k in range(region.d):
-        for step in (1, -1):
-            nb = list(site)
-            nb[k] += step
-            if region.contains(nb):
-                adjacent = True
-                break
-        if adjacent:
-            break
-    if not adjacent:
+    if not any(region.contains(nb) for nb in np.asarray(site) + _steps(region.d)):
         raise RegionError(f"site {tuple(site)} is not adjacent to the region interior")
     return ExitClass.FRONTAL if region.is_frontal_site(site) else ExitClass.OTHER

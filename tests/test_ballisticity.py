@@ -5,6 +5,7 @@ import pytest
 
 import rwre_lab as rl
 from rwre_lab import ballisticity as bal
+from rwre_lab import exact_solver as xs
 
 
 class TestScaleConstants:
@@ -145,6 +146,18 @@ class TestDriftGreen:
             runs.append(stats.distribution.samples.tobytes())
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize("L, W, d, method", [
+        (2, 8, 2, "dense"), (4, 64, 2, "banded"), (3, 8, 3, "krylov")])
+    def test_samples_equal_the_one_environment_reference(self, L, W, d, method):
+        slab = rl.SlabRegion(L, W, d)
+        pattern = xs.region_pattern(slab)
+        assert xs.auto_method(pattern.n, pattern) == method
+        law = rl.SignedAxisKickLaw(d, 0.02, 0.05)
+        stats = bal.mean_drift_green_check(law, L, W, 7, seed=12)
+        ref = rl.sample_statistic_over_environments(law, slab, bal.drift_green_origin, 7, 12)
+        assert np.array_equal(stats.distribution.samples, ref.samples)
+        assert stats.distribution.seeds == ref.seeds
+
     def test_kick_law_beats_bound_smallscale(self):
         law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
         stats = bal.mean_drift_green_check(law, 3, 18, 30, seed=2)
@@ -210,11 +223,53 @@ class TestRhoStatistics:
         # frontal and back exits are symmetric; side exits are a small excess
         env = rl.sample_environment(rl.ssrw_law(2), seed=1)
         box = rl.CorollaryBox(4, 2)
-        q = bal._nonfrontal_exit_probability(env, box, tol=1e-11)
+        pattern = xs.region_pattern(box)
+        w = env.weights_block(pattern.interior)[None]
+        h = xs.solve_operator_batch(pattern, w, bal._nonfrontal_exit_field(pattern, w), 1e-11)
+        q = h[0, pattern.source_index((0, 0))]
         dist = rl.exit_distribution(env, box, (0, 0), tol=1e-11)
         assert q == pytest.approx(1 - dist.frontal_mass(), abs=1e-8)
         assert q == pytest.approx(0.5, abs=0.02)
         assert q >= 0.5
+
+    def test_samples_equal_per_environment_solves(self):
+        law = rl.SignedAxisKickLaw(2, 0.02)
+        stats = bal.rho_statistics(law, theta=0.2, eta=0.5, n_env=6, seed=4,
+                                   lateral_cap=12, slab_W=10, subgrid_halfwidth=3)
+        box, slab = rl.CorollaryBox(16, 2, lateral_cap=12), rl.SlabRegion(2, 10, 2)
+        q, rho_hat, g = [], [], []
+        for i in range(6):
+            env = rl.sample_environment(law, seed=rl.rng.child_seed(4, i, 11))
+            system = xs.build_system(env, box)
+            pat = system.pattern
+            b = np.zeros(pat.n)
+            for e in range(4):
+                outside = pat.nbr[:, e] < 0
+                idx = np.nonzero(outside)[0][(pat.interior[outside] + pat.dirs[e])[:, 0] < 16]
+                b[idx] += system.weights[idx, e]
+            q.append(xs.solve_green_operator(system, b, 1e-10)[pat.source_index((0, 0))])
+            system = xs.build_system(env, slab)
+            u = xs.solve_green_operator(system, system.drift_field(), 1e-10)
+            grid = np.nonzero((system.pattern.interior[:, 0] == 0)
+                              & (np.abs(system.pattern.interior[:, 1]) <= 3))[0]
+            vals = u[grid] / 2
+            rho_hat.append(np.max((1.0 - vals) / (1.0 + vals)))
+            g.append(u[system.pattern.source_index((0, 0))])
+        assert stats.L == 2 and stats.M == 16
+        assert np.array_equal(stats.q_samples, np.clip(q, 0.0, 1.0))
+        assert np.array_equal(stats.rho_hat_samples, rho_hat)
+        assert np.array_equal(stats.g_origin_samples, g)
+
+    def test_samples_do_not_depend_on_worker_count(self, monkeypatch):
+        law = rl.SignedAxisKickLaw(2, 0.02)
+        runs = []
+        for threads in ("1", "2", "1"):
+            monkeypatch.setenv("RWRE_THREADS", threads)
+            stats = bal.rho_statistics(law, theta=0.2, eta=0.5, n_env=5, seed=8,
+                                       lateral_cap=12)
+            runs.append(b"".join(a.tobytes() for a in (
+                stats.q_samples, stats.rho_hat_samples, stats.g_origin_samples)))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_eps_zero_needs_explicit_L(self):
         with pytest.raises(ValueError):
@@ -232,3 +287,36 @@ class TestRhoStatistics:
                                    lateral_cap=40)
         assert stats.lateral_capped
         assert stats.lateral_half_width == 40
+
+
+KICK = rl.SignedAxisKickLaw(2, 0.02, 0.05)
+STATISTICS = {
+    "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 2, 8, n_env, seed),
+    "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
+        lambda a: rl.SignedAxisKickLaw(2, a, 0.05), [0.01, 0.02], 2, 8, n_env, 0.5, seed),
+    "rho": lambda n_env, seed: bal.rho_statistics(
+        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=8),
+}
+
+
+@pytest.mark.parametrize("name, failing_seed", [
+    ("drift", lambda seed: rl.rng.child_seed(seed, 2)),
+    ("fluctuations", lambda seed: rl.rng.child_seed(rl.rng.child_seed(seed, 0), 2)),
+    # box solves come first in each batch
+    ("rho", lambda seed: rl.rng.child_seed(seed, 2, 11)),
+])
+def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
+    monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
+    solve, calls = xs.solve_fixed_point, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise xs.SolverConvergenceError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(xs, "solve_fixed_point", third_fails)
+    with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
+        STATISTICS[name](5, 31)
+    assert exc.value.env_seed == failing_seed(31)
+    assert "injected failure" in str(exc.value)

@@ -105,6 +105,12 @@ KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
     ("kalikow-drift", {"law": KICK_D2, "region": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
                        "method": "exakt", "n_env": 4}, "'exakt'"),
     ("eps-k", {"law": KICK_D2, "family": "default"}, "family must be a JSON object"),
+    ("prop31", {"law": {**KICK_D2, "lambda_shift": 0.05}, "L": 2, "W": 8, "n_env": 0},
+     "n_env"),
+    ("fluctuations", {"law": KICK_D2, "amplitudes": [0.01, 0.02], "L": 2, "W": 8,
+                      "n_env": 0}, "n_env"),
+    ("rho", {"law": KICK_D2, "theta": 0.2, "eta": 0.5, "L": 2, "lateral_cap": 8,
+             "n_env": 0}, "n_env"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
     cfg = write_config(tmp_path, "bad.json", payload)

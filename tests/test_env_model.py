@@ -96,6 +96,16 @@ def test_sampled_weights_stay_in_ellipticity_band():
     assert np.all(np.abs(w - 0.25) <= m.eps / 8 + 1e-12)
 
 
+def test_sample_weights_stacks_one_environment_per_seed():
+    sites = rl.SlabRegion(2, 3, 2).interior_array()
+    for law in (rl.SignedAxisKickLaw(2, 0.05), rl.ssrw_law(2)):
+        block = rl.env_model.sample_weights(law, sites, [7, 3, 7])
+        want = np.stack([rl.sample_environment(law, seed=s).weights_block(sites)
+                         for s in (7, 3, 7)])
+        assert block.shape == (3, sites.shape[0], 4)
+        assert np.array_equal(block, want)
+
+
 def test_sampling_determinism_and_order_independence():
     law = rl.SignedAxisKickLaw(2, 0.05)
     sites = [(0, 0), (3, -2), (100, 7), (-40, 11)]

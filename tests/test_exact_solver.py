@@ -572,3 +572,82 @@ def test_whole_inverses_never_go_lockstep(monkeypatch):
     monkeypatch.setattr(xs, "_lockstep_rows", refuse)
     G = xs.solve_green_batch(pattern, weights, None, 1e-10)
     assert G.shape == (20, pattern.n, pattern.n)
+
+
+def test_region_patterns_are_kept_by_descriptor(monkeypatch):
+    monkeypatch.setattr(xs, "_PATTERNS", {})
+    slab = xs.region_pattern(rl.SlabRegion(2, 8, 2))
+    assert xs.region_pattern(rl.SlabRegion(2, 8, 2)) is slab
+    assert xs.region_pattern(rl.BoxRegion([-2, -8], [1, 8])) is not slab
+    # least recently used go first once the neighbour tables exceed the budget
+    monkeypatch.setattr(xs, "MEMORY_BUDGET", 2 * slab.nbr.size)
+    box = xs.region_pattern(rl.BoxRegion([-2, -8], [1, 8]))
+    assert xs.region_pattern(rl.SlabRegion(2, 8, 2)) is slab
+    xs.region_pattern(rl.HalfSpaceTrunc(1, 3, 2))
+    assert xs.region_pattern(rl.SlabRegion(2, 8, 2)) is slab
+    assert xs.region_pattern(rl.BoxRegion([-2, -8], [1, 8])) is not box
+    # a pattern above the whole budget is not kept
+    monkeypatch.setattr(xs, "MEMORY_BUDGET", slab.nbr.size - 1)
+    xs.region_pattern(rl.SlabRegion(2, 8, 2))
+    assert xs._PATTERNS == {}
+    assert xs.region_pattern(rl.SlabRegion(2, 8, 2)) is not slab
+
+
+def test_region_pattern_cache_under_concurrent_callers(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    regions = [rl.SlabRegion(2, 8, 2), rl.HalfSpaceTrunc(1, 3, 2), rl.BoxRegion([0, 0], [5, 2])]
+    monkeypatch.setattr(xs, "_PATTERNS", {})
+    # room for two of the three patterns: calls keep evicting each other
+    monkeypatch.setattr(xs, "MEMORY_BUDGET", 4 * (68 + 28))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda i: (i % 3, xs.region_pattern(regions[i % 3])),
+                                range(600), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for k, pattern in got:
+        assert pattern.region.descriptor() == regions[k].descriptor()
+    assert sum(p.nbr.size for p in xs._PATTERNS.values()) <= xs.MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("region", [rl.SlabRegion(2, 8, 2), rl.SlabRegion(4, 64, 2),
+                                    rl.SlabRegion(3, 8, 3)])
+def test_operator_batch_is_the_single_environment_solve(region):
+    pattern = xs.region_pattern(region)
+    law = rl.SignedAxisKickLaw(region.d, 0.02, 0.05)
+    envs = [rl.sample_environment(law, seed=s) for s in range(3)]
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(3))
+    fields = 3.0 * (weights[:, :, 0] - weights[:, :, 1])  # sup norm above 1
+    u = xs.solve_operator_batch(pattern, weights, fields, 1e-10)
+    for env, f, u_b in zip(envs, fields, u):
+        want = xs.solve_green_operator(xs.build_system(env, region), f, 1e-10)
+        assert np.array_equal(u_b, want)
+
+
+def test_operator_batch_failure_names_the_environment(monkeypatch):
+    pattern = xs.region_pattern(rl.SlabRegion(2, 8, 2))
+    weights = rl.env_model.sample_weights(rl.ssrw_law(2), pattern.interior, range(4))
+    fields = np.ones(weights.shape[:2])
+    fields[2, 5] = np.nan
+    with pytest.raises(xs.BatchSolveError) as exc:
+        xs.solve_operator_batch(pattern, weights, fields)
+    assert exc.value.index == 2
+    assert isinstance(exc.value.__cause__, xs.SolverConvergenceError)
+
+
+def test_operator_batch_size(monkeypatch):
+    monkeypatch.setenv("RWRE_THREADS", "1")
+    small, slab3 = xs.region_pattern(rl.SlabRegion(2, 8, 2)), xs.region_pattern(
+        rl.SlabRegion(4, 32, 3))
+    assert xs.operator_batch_size(small) == xs._LOCKSTEP_UNKNOWNS // small.n
+    assert xs.operator_batch_size(slab3) == 1
+    monkeypatch.setenv("RWRE_THREADS", "3")
+    assert xs.operator_batch_size(slab3) == 3
+    assert xs.operator_batch_size(small) == xs._LOCKSTEP_UNKNOWNS // small.n
+    # the (B, n, 2d) block stays within MEMORY_BUDGET entries
+    monkeypatch.setattr(xs, "MEMORY_BUDGET", 2 * 6 * slab3.n)
+    assert xs.operator_batch_size(slab3) == 2

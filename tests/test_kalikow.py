@@ -345,7 +345,10 @@ class TestHalfSpaceExperiment:
             batches.append((pattern, weights.copy()))
             return solve(pattern, weights, src, tol)
 
+        # environments are drawn through env_model.sample_weights, the SSRW
+        # reference through kalikow's own import
         monkeypatch.setattr(kal, "sample_environment", spy_sample)
+        monkeypatch.setattr(rl.env_model, "sample_environment", spy_sample)
         monkeypatch.setattr(kal, "solve_green_batch", spy_solve)
         rl.theorem3_experiment(law, rho=0.5, N_list=(3, 5), n_env=n_env, seed=seed)
         # one draw per environment seed, and one for the SSRW reference

@@ -385,8 +385,8 @@ def _draw(cum: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
     return vecs[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
 
 
-def sample_environment(law: EnvironmentLaw, region=None, seed: int = 0) -> EnvironmentRealization:
-    """Draw an i.i.d. environment; `region` is advisory (sampling is lazy)."""
+def sample_environment(law: EnvironmentLaw, seed: int = 0) -> EnvironmentRealization:
+    """Draw an i.i.d. environment; its sites are sampled lazily, on demand."""
     return EnvironmentRealization(law, seed)
 
 

@@ -1,19 +1,20 @@
 """Exact quenched computations on finite regions.
 
-Everything here reduces to substochastic linear systems x = b + A x, where
-A is built from the environment weights restricted to the region interior
-(mass stepping outside is killed).  Killing makes the spectral radius of A
-strictly less than one, so the fixed point exists and the Neumann iterates
+Every solve takes a `QuenchedSystem`, a region's `RegionPattern` plus one
+environment's (n, 2d) weights on its interior, and reduces to x = b + A x
+with A = P or P^T; each path derives what it needs from the weights.  Mass
+stepping outside is killed, which makes the spectral radius of A strictly
+less than one, so the fixed point exists and the Neumann iterates
 x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
 Four solve strategies share one exact certificate: after any solve the
 residual r = b + A x - x is recomputed with a fresh matrix-vector product
 in the region's own ordering, and its l1/sup norms are reported.
 
-* "dense"   - LU on the assembled (I - A); reference path for small systems.
+* "dense"   - LU on I - A assembled from the weights; the small-system path.
 * "banded"  - LAPACK band LU (gbsv) on a box region, its unknowns reordered
               so the shortest axis runs fastest; the band array is filled
-              straight from the region pattern's index arrays.
+              straight from the weights.
 * "neumann" - the plain fixed-point iteration x += r, r = A r; it stops
               at once on a non-finite residual.
 * "krylov"  - BiCGSTAB on (I - A), preconditioned on boxes by the
@@ -33,16 +34,14 @@ a box whose band half-width b satisfies b * b <= n and whose (3b + 1) x n
 band array fits MEMORY_BUDGET gets the banded path (every d=2 box of
 moderate size); everything else, every d=3 region included, gets Krylov.
 
-Every public quantity builds its system once (`build_system`) and solves on
-it through `solve_green_row`, `solve_green_operator` or `solve_hitting`.
-Every per-environment statistic of the experiments (Kalikow, half-space,
-slab drift, fluctuation and rho) instead stacks the weights of a batch of
-environments on one region in a (B, n, 2d) block
-(`env_model.sample_weights`) and makes one batch call.  Operator solves
-u = f + P u go to `solve_operator_batch`: per environment the
-`solve_green_operator` solve, on `deterministic_map`.  Green rows and whole
-inverses go to `solve_green_batch`, held to the single-solve certificate
-column by column:
+Public quantities solve on one `build_system` result through
+`solve_green_row`, `solve_green_operator` or `solve_hitting`.  Statistics
+over environments (Kalikow, half-space, slab drift, fluctuation and rho)
+make one batch call per (B, n, 2d) weight block (`env_model.sample_weights`)
+on one region, which solves QuenchedSystem(pattern, weights[b]) for each b
+on `deterministic_map`: `solve_operator_batch` by `solve_green_operator`,
+`solve_green_batch` by `solve_green_row` unless one of its two shortcuts,
+held to the single-solve certificate column by column, applies:
 
 * lockstep  - Green rows on a d=2 box neither small nor elongated, in a
               batch of at least 2000 unknowns (`_lockstep_pays`): all B
@@ -51,15 +50,14 @@ column by column:
               M for the batch's averaged weights applied to the (B, *shape)
               block, and P^T x as 2d offset slices of the weights.  A batch
               without M, or whose worst l1 residual stalls, falls back
-              whole to the paths below;
-* stacked dense LU where "auto" picks dense, for rows and whole inverses;
-* one `solve_fixed_point` row solve per environment elsewhere.
+              whole to the other paths;
+* stacked dense LU where "auto" picks dense, for rows and whole inverses.
 
 `batch_size` sizes Green batches by B n unknowns where rows go lockstep, by
 B n^2 dense entries otherwise; `operator_batch_size` by B n unknowns, at
-least one environment per worker.  A failed per-environment solve raises
-BatchSolveError naming the environment.  Region patterns are kept across
-calls, keyed by region descriptor.
+least one environment per worker.  A failed per-environment solve or
+certificate raises BatchSolveError naming the environment.  Region patterns
+are kept across calls, keyed by region descriptor.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ class SolverConvergenceError(RuntimeError):
 
 
 class BatchSolveError(SolverConvergenceError):
-    """The solve of one environment of a batch failed; index is its place
-    in the batch, and the failure itself is the exception's cause."""
+    """The solve or certificate of one environment of a batch failed; index
+    is its place in the batch, and a failed solve is the exception's cause."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -157,16 +155,16 @@ class RegionPattern:
 
         perm[k] is the interior index of the k-th unknown in band order
         (longest axis slowest, shortest fastest).  pos[k] is the flat
-        position of the k-th stored entry of P (CSR order) in the
-        (2b + 1, n) LAPACK band array of I - P; pos_t is the same for P.T,
-        whose CSC view stores the same entries in the same order.
+        position of the k-th inside step, weights.ravel()[inside_mask][k],
+        in the (2b + 1, n) LAPACK band array of I - P; pos_t is the same
+        for I - P^T.
         """
         axes = np.argsort(-np.asarray(self.shape), kind="stable")
         perm = np.arange(self.n).reshape(self.shape).transpose(axes).ravel()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.n)
-        rows = inv[np.repeat(np.arange(self.n), np.diff(self._indptr))]
-        cols = inv[self._indices]
+        rows = inv[np.repeat(np.arange(self.n), 2 * self.d)[self.inside_mask]]
+        cols = inv[self.nbr.ravel()[self.inside_mask]]
         b = self.band_width
         return perm, (b + rows - cols) * self.n + cols, (b + cols - rows) * self.n + rows
 
@@ -206,16 +204,13 @@ def region_pattern(region: Region) -> RegionPattern:
     return pat
 
 
+@dataclass(eq=False)
 class QuenchedSystem:
-    """Environment weights bound to a region's sparsity pattern."""
+    """One environment's (n, 2d) weights on a region's pattern: P steps from
+    interior site y to pattern.nbr[y, e] with weight weights[y, e]."""
 
-    def __init__(self, env: EnvironmentRealization, region: Region):
-        if env.d != region.d:
-            raise ValueError("environment and region dimensions differ")
-        self.pattern = region_pattern(region)
-        self.region = region
-        self.env = env
-        self.weights = env.weights_block(self.pattern.interior)
+    pattern: RegionPattern
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -231,7 +226,11 @@ class QuenchedSystem:
 
 
 def build_system(env: EnvironmentRealization, region: Region) -> QuenchedSystem:
-    return QuenchedSystem(env, region)
+    """The environment's weights on the region's pattern."""
+    if env.d != region.d:
+        raise ValueError("environment and region dimensions differ")
+    pattern = region_pattern(region)
+    return QuenchedSystem(pattern, env.weights_block(pattern.interior))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +275,6 @@ def _neumann_solve(A, b, tol, norm="l1", x0=None):
         r = A @ r
         it += 1
     return x, r, it
-
-
-def _on_pattern(A, pattern) -> bool:
-    """Whether A is a CSR or CSC matrix on the pattern's own index arrays:
-    P, its CSC view P.T, or a copy of P with entries zeroed."""
-    return (sp.issparse(A) and A.format in ("csr", "csc")
-            and np.array_equal(A.indptr, pattern._indptr)
-            and np.array_equal(A.indices, pattern._indices))
 
 
 def _dst1_matrix(m: int) -> np.ndarray:
@@ -361,33 +352,32 @@ def _apply_mean_kernel(factors, v):
     return _mode_products(y, back, shape).reshape(v.shape)
 
 
-def _mean_kernel_inverse(A, pattern):
+def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
     """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
-    with the mean of A's entries in that direction (`_mean_kernel_factors`),
-    or None: off boxes, off the pattern's structure, and wherever
+    with the mean of P's entries in that direction, or (I - P_bar^T)^-1
+    with transpose (`_mean_kernel_factors`); None off boxes and wherever
     `_mean_kernel_factors` gives None.
     """
-    if pattern is None or pattern.shape is None or not _on_pattern(A, pattern):
+    pattern, shape = system.pattern, system.pattern.shape
+    if shape is None:
         return None
-    # A steps along the entry's direction of P; the CSC view P.T steps back
-    dirs, counts = pattern.entry_dirs, pattern.dir_counts
-    if A.format != "csr":
-        dirs, counts = dirs ^ 1, counts[np.arange(2 * pattern.d) ^ 1]
-    p = np.bincount(dirs, weights=A.data, minlength=2 * pattern.d) / np.maximum(counts, 1)
-    shape = pattern.shape
-    factors = _mean_kernel_factors(p, shape)
+    nd = 2 * pattern.d
+    p = np.bincount(pattern.entry_dirs, weights=system.P.data, minlength=nd) \
+        / np.maximum(pattern.dir_counts, 1)
+    # P^T steps back along each direction of P
+    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, shape)
     if factors is None:
         return None
 
     def apply(v):
         return _apply_mean_kernel(factors, v.reshape(shape)).ravel()
 
-    n = pattern.n
-    return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
+    return spla.LinearOperator((system.n, system.n), matvec=apply, dtype=np.float64)
 
 
-def _krylov_solve(A, b, tol, pattern=None):
-    """BiCGSTAB on I - A; returns (x, iterations)."""
+def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
+    """BiCGSTAB on I - P, or I - P^T with transpose; returns (x, iterations)."""
+    A = system.P.T if transpose else system.P
     n = b.shape[0]
     S = spla.LinearOperator((n, n), matvec=lambda v: v - A @ v, dtype=np.float64)
     atol = tol / max(1.0, np.sqrt(n))
@@ -399,27 +389,38 @@ def _krylov_solve(A, b, tol, pattern=None):
 
     x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=atol,
                          maxiter=max(200, int(4 * np.sqrt(n)) + 50),
-                         M=_mean_kernel_inverse(A, pattern), callback=count)
+                         M=_mean_kernel_inverse(system, transpose), callback=count)
     return x, its
 
 
-def _dense_solve(A, b):
-    n = b.shape[0]
-    return np.linalg.solve(np.eye(n) - (A.toarray() if sp.issparse(A) else np.asarray(A)), b)
+def _eye_minus_p(pattern: RegionPattern, weights: np.ndarray) -> np.ndarray:
+    """I - P, shape (B, n, n), for every environment of a (B, n, 2d) weight
+    block, assembled in place."""
+    B, n = weights.shape[:2]
+    eye_minus_p = np.zeros((B, n, n))
+    keep = pattern.inside_mask
+    rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
+    eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
+    return np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
 
 
-def _banded_solve(A, b, pattern):
-    """Band LU on I - A, where A is P, P.T or P with entries zeroed."""
-    w = None if pattern is None else pattern.band_width
+def _dense_solve(system: QuenchedSystem, b, transpose: bool):
+    """Dense LU on I - P, or I - P^T with transpose."""
+    eye_minus_p = _eye_minus_p(system.pattern, system.weights[None])[0]
+    return np.linalg.solve(eye_minus_p.T if transpose else eye_minus_p, b)
+
+
+def _banded_solve(system: QuenchedSystem, b, transpose: bool):
+    """Band LU on I - P, or I - P^T with transpose."""
+    pattern = system.pattern
+    w = pattern.band_width
     if w is None:
         raise ValueError("banded solves need the pattern of a box region")
-    if not _on_pattern(A, pattern):
-        raise ValueError("banded solves need A on the pattern's own sparsity structure")
     n = pattern.n
     perm, pos, pos_t = pattern.band_order
     ab = np.zeros((2 * w + 1) * n)
     ab[w * n:(w + 1) * n] = 1.0
-    ab[pos if A.format == "csr" else pos_t] = -A.data
+    ab[pos_t if transpose else pos] = -system.weights.ravel()[pattern.inside_mask]
     y = solve_banded((w, w), ab.reshape(2 * w + 1, n), b[perm],
                      overwrite_ab=True, overwrite_b=True, check_finite=False)
     x = np.empty(n)
@@ -427,35 +428,35 @@ def _banded_solve(A, b, pattern):
     return x
 
 
-def auto_method(n: int, pattern: RegionPattern | None = None) -> str:
+def auto_method(n: int, pattern: RegionPattern) -> str:
     """The path method="auto" takes for n unknowns on the given pattern."""
     if n <= DENSE_CUTOFF:
         return "dense"
-    w = None if pattern is None else pattern.band_width
+    w = pattern.band_width
     if w is not None and w * w <= n and (3 * w + 1) * n <= MEMORY_BUDGET:
         return "banded"
     return "krylov"
 
 
-def solve_fixed_point(A, b, tol, norm="l1", method="auto", pattern=None):
-    """Solve x = b + A x to a certified residual tolerance.
+def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
+                      transpose=False):
+    """Solve x = b + A x to a certified residual tolerance, where A is the
+    system's P, or P^T with transpose.
 
-    pattern is the RegionPattern that A (P, P.T, or a copy of P with
-    entries zeroed) was built on; the banded path needs it, and "auto"
-    picks that path only when it is given.  Returns (x, SolveInfo); the
-    reported residual norms are recomputed exactly from the returned
-    solution, and a NaN residual counts as above tol.
+    Returns (x, SolveInfo); the reported residual norms are recomputed
+    exactly from the returned solution, and a NaN residual counts as above
+    tol.
     """
-    n = b.shape[0]
+    A = system.P.T if transpose else system.P
     if method == "auto":
-        method = auto_method(n, pattern)
+        method = auto_method(system.n, system.pattern)
     it = 0
     if method == "dense":
-        x = _dense_solve(A, b)
+        x = _dense_solve(system, b, transpose)
     elif method == "banded":
-        x = _banded_solve(A, b, pattern)
+        x = _banded_solve(system, b, transpose)
     elif method == "krylov":
-        x, it = _krylov_solve(A, b, tol, pattern=pattern)
+        x, it = _krylov_solve(system, b, tol, transpose)
     elif method == "neumann":
         x, r, it = _neumann_solve(A, b, tol, norm=norm)
     else:
@@ -466,12 +467,7 @@ def solve_fixed_point(A, b, tol, norm="l1", method="auto", pattern=None):
             # polish with the certified fixed-point iteration
             x, r, polish = _neumann_solve(A, b, tol, norm=norm, x0=x)
             it += polish
-    info = SolveInfo(
-        l1_residual=float(np.abs(r).sum()),
-        sup_residual=float(np.abs(r).max(initial=0.0)),
-        iterations=it,
-        method=method,
-    )
+    info = SolveInfo(_norm(r, "l1"), _norm(r, "linf"), it, method)
     if not info.sup_residual <= tol:
         raise SolverConvergenceError(
             f"residual {info.sup_residual:.3e} above tolerance {tol}")
@@ -492,8 +488,7 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
     """
     b = np.zeros(system.n)
     b[src] = 1.0
-    return solve_fixed_point(system.P.T, b, tol, norm="l1", method=method,
-                             pattern=system.pattern)
+    return solve_fixed_point(system, b, tol, norm="l1", method=method, transpose=True)
 
 
 # B n unknowns per lockstep or operator batch: its dozen (B, n) arrays, or
@@ -595,7 +590,8 @@ def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.
     the l1 norm of b - x + A x must not exceed tol.  Rows g(src, .) have
     A = P.T, b = e_src; column y of the inverses G has A = P, b = e_y.
     A x comes from the weights and the neighbour table, never from the
-    factored matrix, so the certificate also checks the assembly."""
+    factored matrix, so the certificate also checks the assembly.  The
+    first environment above tol raises BatchSolveError."""
     x = green if src is None else green[:, :, None]
     r = -x
     if src is None:
@@ -610,27 +606,23 @@ def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.
         # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
         dst, frm = (inside, nb) if src is None else (nb, inside)
         r[:, dst] += weights[:, inside, e, None] * x[:, frm]
-    worst = float(np.abs(r).sum(axis=1).max(initial=0.0))
-    if not worst <= tol:  # NaN fails too
-        raise SolverConvergenceError(
-            f"batched Green residual {worst:.3e} above tolerance {tol}")
+    worst = np.abs(r).sum(axis=1).max(axis=1)  # per environment, its worst column
+    failed = np.flatnonzero(~(worst <= tol))  # NaN fails too
+    if failed.size:
+        b = int(failed[0])
+        raise BatchSolveError(
+            f"batched Green residual {worst[b]:.3e} above tolerance {tol}", b)
 
 
 def _dense_green_batch(pattern: RegionPattern, weights: np.ndarray,
                        src: int | None) -> np.ndarray:
     """`solve_green_batch` by one stacked dense LU, uncertified."""
-    B, n = weights.shape[:2]
-    # assemble I - P once, in place
-    eye_minus_p = np.zeros((B, n, n))
-    keep = pattern.inside_mask
-    rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
-    eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
-    np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
+    eye_minus_p = _eye_minus_p(pattern, weights)
     if src is None:
         return np.linalg.inv(eye_minus_p)
-    b = np.zeros((B, n, 1))
-    b[:, src, 0] = 1.0
-    return np.linalg.solve(eye_minus_p.transpose(0, 2, 1), b)[:, :, 0]
+    e_src = np.zeros((pattern.n, 1))
+    e_src[src] = 1.0
+    return np.linalg.solve(eye_minus_p.transpose(0, 2, 1), e_src)[:, :, 0]
 
 
 def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | None,
@@ -643,8 +635,8 @@ def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | No
     (`_lockstep_rows`); when that has no preconditioner or stalls, the
     batch takes the path below instead.  Where method="auto" picks dense
     LU, the batch is stacked LUs of at most `batch_size(pattern, None)`
-    systems; elsewhere each environment gets one `solve_fixed_point` row
-    solve, and whole inverses are refused.  Every direct or lockstep result
+    systems; elsewhere each environment gets one `solve_green_row`, and
+    whole inverses are refused.  Every direct or lockstep result
     is held to the single-solve certificate column by column
     (`_certify_green_batch`).
     """
@@ -664,31 +656,16 @@ def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | No
         raise ValueError(
             "whole Green inverses need dense LU and are only supported up to "
             f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
-    e_src = np.zeros(n)
-    e_src[src] = 1.0
-    return _solve_each(pattern, weights, np.broadcast_to(e_src, (B, n)), tol, rows=True)
+    return _solve_each(pattern, weights, lambda system, _: solve_green_row(system, src, tol)[0])
 
 
-def _operator_tol(tol: float, f: np.ndarray) -> float:
-    """The sup-norm tolerance of the operator solve u = f + P u: tol,
-    relative to the field's sup norm where that exceeds 1."""
-    return tol * max(1.0, float(np.abs(f).max(initial=0.0)))
-
-
-def _solve_each(pattern: RegionPattern, weights: np.ndarray, rhs: np.ndarray,
-                tol: float, rows: bool) -> np.ndarray:
-    """x_b = rhs_b + A_b x_b for every environment b of a batch, one
-    `solve_fixed_point` each on `deterministic_map`: Green rows have
-    A_b = P_b^T and an l1 residual within tol, operator solves A_b = P_b and
-    a sup-norm residual within `_operator_tol`.  A failure raises
+def _solve_each(pattern: RegionPattern, weights: np.ndarray, solve) -> np.ndarray:
+    """solve(QuenchedSystem(pattern, weights[b]), b), stacked, for every
+    environment b of a batch, on `deterministic_map`.  A failure raises
     BatchSolveError naming b."""
     def one(b: int) -> np.ndarray:
         try:
-            P = pattern.matrix(weights[b])
-            if rows:
-                return solve_fixed_point(P.T, rhs[b], tol, pattern=pattern)[0]
-            return solve_fixed_point(P, rhs[b], _operator_tol(tol, rhs[b]), norm="linf",
-                                     pattern=pattern)[0]
+            return solve(QuenchedSystem(pattern, weights[b]), b)
         except Exception as exc:  # noqa: BLE001 - annotate with the environment
             raise BatchSolveError(str(exc), b) from exc
 
@@ -702,7 +679,8 @@ def solve_operator_batch(pattern: RegionPattern, weights: np.ndarray, fields: np
     the fields f stacked in fields (B, n): per environment the solve of
     `solve_green_operator`, on `deterministic_map`.  A failed solve raises
     BatchSolveError naming the environment."""
-    return _solve_each(pattern, weights, fields, tol, rows=False)
+    return _solve_each(pattern, weights,
+                       lambda system, b: solve_green_operator(system, fields[b], tol))
 
 
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
@@ -723,23 +701,26 @@ def solve_green_operator(system: QuenchedSystem, f, tol: float = DEFAULT_TOL,
     array aligned with the interior enumeration.
     """
     vals = _as_field(f, system)
-    u, _ = solve_fixed_point(system.P, vals, _operator_tol(tol, vals), norm="linf",
-                             method=method, pattern=system.pattern)
-    return u
+    # the sup-norm residual is held to tol relative to the field's sup norm
+    # where that exceeds 1
+    tol *= max(1.0, float(np.abs(vals).max(initial=0.0)))
+    return solve_fixed_point(system, vals, tol, norm="linf", method=method)[0]
 
 
 def solve_hitting(system: QuenchedSystem, y_idx: int, tol: float = DEFAULT_TOL,
                   method: str = "auto") -> np.ndarray:
     """h(z) = P_z(walk hits interior site y_idx before exiting), every z."""
-    A = system.P.tocsr(copy=True)
-    b = np.asarray(A[:, y_idx].todense()).ravel()
-    # absorb at the target: zero its row and column, feed the column as source
-    A.data[A.indptr[y_idx]:A.indptr[y_idx + 1]] = 0.0
-    A.data[A.indices == y_idx] = 0.0
+    # absorb at the target: zero its row and the steps into it, which
+    # become the source
+    weights = system.weights.copy()
+    z, e = np.nonzero(system.pattern.nbr == y_idx)
+    b = np.zeros(system.n)
+    b[z] = weights[z, e]
     b[y_idx] = 1.0
-    h, _ = solve_fixed_point(A, b, tol, norm="linf", method=method,
-                             pattern=system.pattern)
-    return h
+    weights[z, e] = 0.0
+    weights[y_idx] = 0.0
+    absorbing = QuenchedSystem(system.pattern, weights)
+    return solve_fixed_point(absorbing, b, tol, norm="linf", method=method)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +818,8 @@ def hitting_probability_field(env: EnvironmentRealization, region: Region, y,
 def hitting_probability(env: EnvironmentRealization, region: Region, z, y,
                         tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """P_z(hit y before the first exit)."""
-    system = build_system(env, region)
-    h = solve_hitting(system, system.pattern.source_index(y), tol, method)
-    return float(h[system.pattern.source_index(z)])
+    h = hitting_probability_field(env, region, y, tol, method)
+    return float(h[region_pattern(region).source_index(z)])
 
 
 def no_return_probability(env: EnvironmentRealization, region: Region, y,

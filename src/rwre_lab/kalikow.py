@@ -42,8 +42,15 @@ from .env_model import (
     sample_weights,
     ssrw_law,
 )
-from .exact_solver import batch_size, green_row, region_pattern, solve_green_batch
+from .exact_solver import (
+    BatchSolveError,
+    batch_size,
+    green_row,
+    region_pattern,
+    solve_green_batch,
+)
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
+from .monte_carlo import FunctionalEvaluationError
 
 ENUMERATION_CAP = 10 ** 6
 DEFAULT_Z = 3.0
@@ -246,14 +253,23 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     env_seeds None enumerates every environment restricted to the region
     with its probability; otherwise one environment is sampled per seed and
     probabilities is None.  green holds the certified Green rows g(src, .),
-    or the whole inverses G when src is None (`solve_green_batch`).
+    or the whole inverses G when src is None (`solve_green_batch`).  A
+    failed sampled environment raises FunctionalEvaluationError with its
+    seed; a failed enumerated one, BatchSolveError with its batch index.
     """
     chunk = batch_size(pattern, src)
-    batches = (_enumerated(law, pattern, chunk) if env_seeds is None
-               else ((sample_weights(law, pattern.interior, env_seeds[i:i + chunk]), None)
-                     for i in range(0, len(env_seeds), chunk)))
-    for weights, probs in batches:
-        yield weights, solve_green_batch(pattern, weights, src, tol), probs
+    if env_seeds is None:
+        for weights, probs in _enumerated(law, pattern, chunk):
+            yield weights, solve_green_batch(pattern, weights, src, tol), probs
+        return
+    for i in range(0, len(env_seeds), chunk):
+        seeds = env_seeds[i:i + chunk]
+        weights = sample_weights(law, pattern.interior, seeds)
+        try:
+            green = solve_green_batch(pattern, weights, src, tol)
+        except BatchSolveError as exc:
+            raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
+        yield weights, green, None
 
 
 def _formula_samples(G: np.ndarray, weights: np.ndarray, pattern, src: int):
@@ -579,11 +595,15 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     n_chunks = math.ceil(n_env / min(batch_size(p, s) for p, s in zip(patterns, srcs)))
     chunk = math.ceil(n_env / n_chunks)
     for start in range(0, n_env, chunk):
-        union_weights = sample_weights(law, union_sites, env_seeds[start:start + chunk])
+        seeds = env_seeds[start:start + chunk]
+        union_weights = sample_weights(law, union_sites, seeds)
         for pattern, src, gather, g0_origin, acc in zip(patterns, srcs, gathers,
                                                         g0_origins, accs):
             weights = union_weights[:, gather]
-            g = solve_green_batch(pattern, weights, src, tol)
+            try:
+                g = solve_green_batch(pattern, weights, src, tol)
+            except BatchSolveError as exc:
+                raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
             g00, w0 = g[:, src, None], weights[:, src]
             # mean-zero companion: the same centered-drift variate scaled
             # by the deterministic unperturbed Green value

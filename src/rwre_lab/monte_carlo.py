@@ -176,7 +176,6 @@ def run_quenched_walk(env: EnvironmentRealization, start, stop_rule: StopRule,
         else rng.stream_generator(int(rng_stream))
     d = env.d
     dirs = [tuple(int(c) for c in v) for v in directions(d)]
-    buf = rng.UniformBuffer(gen)
     cum_cache: dict[tuple, tuple] = {}
     pos = tuple(int(c) for c in start)
     visits: dict | None = {} if track_visits else None
@@ -218,7 +217,7 @@ def run_quenched_walk(env: EnvironmentRealization, start, stop_rule: StopRule,
         if cum is None:
             cum = tuple(np.cumsum(env.weights(pos)))
             cum_cache[pos] = cum
-        k = bisect.bisect_right(cum, buf.next())
+        k = bisect.bisect_right(cum, gen.random())
         if k >= len(dirs):
             k = len(dirs) - 1
         step = dirs[k]
@@ -393,7 +392,7 @@ def sample_statistic_over_environments(law: EnvironmentLaw, region: Region,
     env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
 
     def one(env_seed: int) -> float:
-        env = sample_environment(law, region, seed=env_seed)
+        env = sample_environment(law, seed=env_seed)
         try:
             return float(functional(env, region))
         except Exception as exc:  # noqa: BLE001 - annotate with replay seed

@@ -99,22 +99,3 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([_seed_word(seed), _seed_word(stream ^ 0x5DEECE66D)], dtype=_U64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-class UniformBuffer:
-    """Cheap sequential uniforms for tight walk loops."""
-
-    __slots__ = ("_gen", "_buf", "_pos", "_block")
-
-    def __init__(self, gen: np.random.Generator, block: int = 8192):
-        self._gen = gen
-        self._block = block
-        self._buf = gen.random(block)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self._gen.random(self._block)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u

@@ -106,6 +106,17 @@ def test_sample_weights_stacks_one_environment_per_seed():
         assert np.array_equal(block, want)
 
 
+def test_sample_environment_takes_the_seed_second():
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    sites = rl.BoxRegion([-3, -3], [3, 3]).interior_array()
+    env = rl.sample_environment(law, 5)
+    assert env.seed == 5
+    assert np.array_equal(env.weights_block(sites),
+                          rl.sample_environment(law, seed=5).weights_block(sites))
+    assert not np.array_equal(env.weights_block(sites),
+                              rl.sample_environment(law, seed=0).weights_block(sites))
+
+
 def test_sampling_determinism_and_order_independence():
     law = rl.SignedAxisKickLaw(2, 0.05)
     sites = [(0, 0), (3, -2), (100, 7), (-40, 11)]

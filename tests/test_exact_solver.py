@@ -235,21 +235,6 @@ def test_banded_needs_a_box_pattern_and_its_structure():
     system = xs.build_system(env, rl.SiteSetRegion(sites, 2))
     with pytest.raises(ValueError):
         xs.solve_green_row(system, 0, method="banded")
-    kick = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=9)
-    box = xs.build_system(kick, rl.BoxRegion([0, 0], [2, 2]))
-    b = np.zeros(box.n)
-    b[0] = 1.0
-    # entries are placed by A's own (row, column) pairs, so any CSR or CSC
-    # matrix on the pattern's index arrays solves correctly
-    x, _ = xs.solve_fixed_point(box.P.T, b, 1e-13, method="banded", pattern=box.pattern)
-    y, _ = xs.solve_fixed_point(box.P.T.tocsr(), b, 1e-13, method="banded",
-                                pattern=box.pattern)
-    assert np.array_equal(x, y)
-    pruned = box.P.tolil()
-    pruned[0, 1] = 0.0
-    for A in (box.P.tocoo(), pruned.tocsr()):
-        with pytest.raises(ValueError):
-            xs.solve_fixed_point(A, b, 1e-10, method="banded", pattern=box.pattern)
 
 
 def test_auto_picks_banded_on_d2_half_space_and_krylov_on_d3_slab():
@@ -265,8 +250,7 @@ def test_auto_picks_banded_on_d2_half_space_and_krylov_on_d3_slab():
     slab = rl.SlabRegion(4, 32, 3)
     system = xs.build_system(ssrw_env(3), slab)
     assert system.pattern.band_width == 520
-    _, info = xs.solve_fixed_point(system.P, np.ones(system.n), 1e-8,
-                                   norm="linf", pattern=system.pattern)
+    _, info = xs.solve_fixed_point(system, np.ones(system.n), 1e-8, norm="linf")
     assert info.method == "krylov"
 
 
@@ -288,7 +272,6 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     # the same box, half as long, fits
     half = xs.region_pattern(rl.BoxRegion([0, 0], [99, 149]))
     assert xs.auto_method(half.n, half) == "banded"
-    assert xs.auto_method(half.n) == "krylov"
 
 
 @pytest.mark.parametrize("method, solver", [("dense", "_dense_solve"),
@@ -314,7 +297,8 @@ def test_nan_solutions_are_not_certified(monkeypatch):
     env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=6)
     system = xs.build_system(env, rl.BoxRegion([0, 0], [4, 4]))
     # a NaN residual fails the certificate and stops the polish at once
-    monkeypatch.setattr(xs, "_dense_solve", lambda A, b: np.full(b.shape, np.nan))
+    monkeypatch.setattr(xs, "_dense_solve",
+                        lambda system, b, transpose: np.full(b.shape, np.nan))
     with pytest.raises(xs.SolverConvergenceError):
         xs.solve_green_row(system, 0, 1e-11, method="dense")
     matvecs = []
@@ -417,26 +401,26 @@ def test_mean_kernel_inverse_is_exact(hi, transpose):
     assert A.format == ("csc" if transpose else "csr")
     v = np.random.default_rng(0).standard_normal(system.n)
     exact = np.linalg.solve(_mean_kernel(A, system.pattern), v)
-    M = xs._mean_kernel_inverse(A, system.pattern)
+    M = xs._mean_kernel_inverse(system, transpose)
     assert np.max(np.abs(M.matvec(v) - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_mean_kernel_inverse_exists_on_the_d3_slab():
     law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
     slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 32, 3))
-    assert xs._mean_kernel_inverse(slab.P, slab.pattern) is not None
+    assert xs._mean_kernel_inverse(slab, False) is not None
 
 
 def test_krylov_reports_its_iterations():
     # the mean-kernel inverse is exact for the SSRW, and close for a weak kick
     ssrw = xs.build_system(ssrw_env(3), rl.BoxRegion([0, 0, 0], [9, 11, 13]))
-    _, info = xs.solve_fixed_point(ssrw.P, np.ones(ssrw.n), 1e-10, norm="linf",
-                                   method="krylov", pattern=ssrw.pattern)
+    _, info = xs.solve_fixed_point(ssrw, np.ones(ssrw.n), 1e-10, norm="linf",
+                                   method="krylov")
     assert info.iterations <= 2 and info.sup_residual <= 1e-10
     law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
     slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 16, 3))
-    _, info = xs.solve_fixed_point(slab.P, slab.drift_field(), 1e-10, norm="linf",
-                                   method="krylov", pattern=slab.pattern)
+    _, info = xs.solve_fixed_point(slab, slab.drift_field(), 1e-10, norm="linf",
+                                   method="krylov")
     assert 1 <= info.iterations <= 20 and info.sup_residual <= 1e-10
 
 
@@ -444,13 +428,13 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
     # a zero mean weight makes the symmetrizing scaling infinite
     system = xs.build_system(rl.sample_environment(rl.PointMassLaw([0.5, 0.0, 0.2, 0.3]), 0),
                              rl.BoxRegion([0, 0], [14, 11]))
-    assert xs._mean_kernel_inverse(system.P, system.pattern) is None
+    assert xs._mean_kernel_inverse(system, False) is None
     _assert_krylov_matches_dense(system, 100)
     # a strong drift along a long axis spreads it beyond float64 precision
     strong = xs.build_system(
         rl.sample_environment(rl.PointMassLaw([0.97, 0.01, 0.01, 0.01]), 0),
         rl.BoxRegion([0, 0], [99, 399]))
-    assert xs._mean_kernel_inverse(strong.P, strong.pattern) is None
+    assert xs._mean_kernel_inverse(strong, False) is None
     _, info = xs.solve_green_row(strong, strong.pattern.source_index((50, 200)), 1e-10,
                                  method="krylov")
     assert info.l1_residual <= 1e-10
@@ -460,7 +444,7 @@ def test_krylov_without_a_finite_mean_kernel_inverse_still_certifies():
     long = xs.build_system(rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), 0),
                            rl.BoxRegion([0, 0], [1, 1999]))
     assert 2 * (2 ** 2 + 2000 ** 2) > xs.MEMORY_BUDGET
-    assert xs._mean_kernel_inverse(long.P.T, long.pattern) is None
+    assert xs._mean_kernel_inverse(long, True) is None
     _, info = xs.solve_green_row(long, long.pattern.source_index((0, 1000)), 1e-10,
                                  method="krylov")
     assert info.method == "krylov" and info.l1_residual <= 1e-10
@@ -488,7 +472,8 @@ def _row_solves(pattern, weights, src, tol):
     """One independent `solve_fixed_point` row solve per environment."""
     e_src = np.zeros(pattern.n)
     e_src[src] = 1.0
-    return np.stack([xs.solve_fixed_point(pattern.matrix(w).T, e_src, tol, pattern=pattern)[0]
+    return np.stack([xs.solve_fixed_point(xs.QuenchedSystem(pattern, w), e_src, tol,
+                                          transpose=True)[0]
                      for w in weights])
 
 
@@ -525,7 +510,7 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
         law = rl.PointMassLaw([0.97, 0.01, 0.01, 0.01])
         weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
                             for s in range(2)])
-        assert xs._mean_kernel_inverse(pattern.matrix(weights[0]).T, pattern) is None
+        assert xs._mean_kernel_inverse(xs.QuenchedSystem(pattern, weights[0]), True) is None
     else:
         # disorder far from the mean kernel: Richardson diverges at once
         weights = np.random.default_rng(0).dirichlet(np.ones(4), size=(10, pattern.n))

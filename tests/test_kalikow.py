@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rwre_lab as rl
 from rwre_lab import exact_solver as xs
 from rwre_lab import kalikow as kal
+from rwre_lab import monte_carlo as mc
 from rwre_lab import rng
 
 
@@ -141,8 +142,11 @@ def test_dense_green_rows_are_certified():
         with pytest.raises(xs.SolverConvergenceError):
             xs._certify_green_batch(pattern, weights, bumped, src, 1e-9)
         assert np.abs(r).sum() <= 1e-13
-    with pytest.raises(xs.SolverConvergenceError):
+    # a sampled environment whose rows miss the certificate names its seed
+    with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_environment(law, region, (0, 0), n_env=3, method="mc", tol=1e-30)
+    assert isinstance(exc.value.__cause__, xs.SolverConvergenceError)
+    assert exc.value.env_seed == rng.child_seed(0, 0)
 
 
 _cells = st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7)
@@ -372,9 +376,11 @@ def test_formula_route_inverses_are_certified():
     corrupted[2, 7, 11] += 1e-9
     with pytest.raises(xs.SolverConvergenceError):
         xs._certify_green_batch(pattern, weights, corrupted, None, 1e-10)
-    with pytest.raises(xs.SolverConvergenceError):
+    with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
+    assert isinstance(exc.value.__cause__, xs.SolverConvergenceError)
+    assert exc.value.env_seed == rng.child_seed(0, 0)
 
 
 def test_batch_certificates_reject_nan():
@@ -392,6 +398,50 @@ def test_batch_certificates_reject_nan():
     G[2, 7, 11] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
         xs._certify_green_batch(pattern, weights, G, None, 1e-10)
+
+
+def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
+    monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
+    # n = 1032 on an elongated box: one band LU row solve per environment
+    region = rl.SlabRegion(4, 64, 2)
+    solve, calls = xs.solve_fixed_point, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise xs.SolverConvergenceError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(xs, "solve_fixed_point", third_fails)
+    with pytest.raises(mc.FunctionalEvaluationError) as exc:
+        kal.kalikow_environment(rl.SignedAxisKickLaw(2, 0.05), region, (0, 0), n_env=5,
+                                seed=31, method="mc")
+    assert exc.value.env_seed == rng.child_seed(31, 2)
+    assert "injected failure" in str(exc.value)
+    assert isinstance(exc.value.__cause__, xs.BatchSolveError)
+
+
+def test_half_space_certificate_failure_names_the_environment_seed(monkeypatch):
+    # N = 3 and 4 with 6 environments: one stacked dense LU batch per region
+    dense = xs._dense_green_batch
+
+    def corrupt(pattern, weights, src):
+        green = dense(pattern, weights, src)
+        green[[3, 5], 0] += 1e-6
+        return green
+
+    monkeypatch.setattr(xs, "_dense_green_batch", corrupt)
+    with pytest.raises(mc.FunctionalEvaluationError) as exc:
+        kal.theorem3_experiment(rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5), 0.5,
+                                N_list=(3, 4), n_env=6, seed=7)
+    # the first environment above tol is named
+    assert exc.value.env_seed == rng.child_seed(7, 3)
+    assert exc.value.__cause__.index == 3
+    # enumerated environments keep their batch index
+    with pytest.raises(xs.BatchSolveError) as exc:
+        kal.kalikow_environment(rl.SignedAxisKickLaw(2, 0.05), rl.BoxRegion([0, 0], [1, 0]),
+                                (0, 0), method="exact")
+    assert exc.value.index == 3
 
 
 def test_sampled_krylov_green_batches_match_dense_rows():

@@ -19,12 +19,13 @@ from scipy.stats import beta as beta_dist
 from . import rng
 from .env_model import EnvironmentLaw, law_moments, sample_weights
 from .exact_solver import (
+    MEMORY_BUDGET,
     BatchSolveError,
+    batch_size,
     build_system,
-    operator_batch_size,
     region_pattern,
+    solve_batch,
     solve_green_operator,
-    solve_operator_batch,
 )
 from .lattice import BallisticityBox, CorollaryBox, SlabRegion
 from .monte_carlo import (
@@ -34,6 +35,7 @@ from .monte_carlo import (
     MCEstimate,
     annealed_walks,
 )
+from .runtime import worker_count
 
 DEFAULT_Z = 3.0
 
@@ -313,13 +315,16 @@ def _batched_solves(law: EnvironmentLaw, env_seeds, tol: float, *problems):
     shape (B, n), of every (pattern, field) problem, where w is the batch's
     (B, n, 2d) weight block on the pattern (`sample_weights`).  A failed
     solve raises FunctionalEvaluationError with its environment's seed."""
-    size = min(operator_batch_size(pattern) for pattern, _ in problems)
+    # one environment per worker at least, each weight block within
+    # MEMORY_BUDGET; samples are per environment, so chunks never change them
+    size = min(min(max(worker_count(), batch_size(p)),
+                   max(1, MEMORY_BUDGET // (2 * p.d * p.n))) for p, _ in problems)
     for start in range(0, len(env_seeds), size):
         seeds, out = env_seeds[start:start + size], []
         for pattern, field in problems:
             w = sample_weights(law, pattern.interior, seeds)
             try:
-                out.append(solve_operator_batch(pattern, w, field(pattern, w), tol))
+                out.append(solve_batch(pattern, w, field(pattern, w), tol, norm="linf"))
             except BatchSolveError as exc:
                 raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
         yield out

@@ -42,10 +42,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str):
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, convert=lambda value: value, default=_REQUIRED):
+    """convert(cfg[key]), or default where the key is absent.  A missing key
+    without a default, or a value that convert rejects with a TypeError or
+    ValueError, is a ConfigError naming the key."""
     if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has an invalid value {cfg[key]!r}: {exc}") \
+            from None
 
 
 def _load_config(path: str) -> dict:
@@ -77,14 +89,14 @@ def _descriptor(what: str, spec, build):
 
 
 def _law(cfg: dict):
-    law = _descriptor("law", _require(cfg, "law"), law_from_dict)
+    law = _descriptor("law", _get(cfg, "law"), law_from_dict)
     if law.d < 2:
         raise ConfigError("model requires d >= 2")
     return law
 
 
 def _region(cfg: dict, d: int):
-    return _descriptor("region", _require(cfg, "region"),
+    return _descriptor("region", _get(cfg, "region"),
                        lambda spec: build_region(spec["kind"], spec, d))
 
 
@@ -130,17 +142,17 @@ def _run_moments(run: _Run):
     run.report["law"] = law.to_dict()
     run.report["moments"] = mom.to_dict()
     if "rho" in run.cfg:
-        rep = check_k_conditions(law, float(run.cfg["rho"]),
-                                 float(run.cfg.get("eps0", 0.5)))
+        rep = check_k_conditions(law, _get(run.cfg, "rho", float),
+                                 _get(run.cfg, "eps0", float, 0.5))
         run.report["k_conditions"] = rep.to_dict()
 
 
 def _run_green(run: _Run):
     law = _law(run.cfg)
     region = _region(run.cfg, law.d)
-    x = tuple(run.cfg.get("source", [0] * law.d))
-    tol = float(run.cfg.get("tol", 1e-10))
-    env_seed = int(run.cfg.get("env_seed", run.seed))
+    x = _get(run.cfg, "source", tuple, (0,) * law.d)
+    tol = _get(run.cfg, "tol", float, 1e-10)
+    env_seed = _get(run.cfg, "env_seed", int, run.seed)
     from .env_model import sample_environment
     env = sample_environment(law, seed=env_seed)
     table = green_row(env, region, x, tol=tol)
@@ -165,9 +177,9 @@ def _run_green(run: _Run):
 def _run_kalikow_drift(run: _Run):
     law = _law(run.cfg)
     region = _region(run.cfg, law.d)
-    x = tuple(run.cfg.get("x", [0] * law.d))
-    y = tuple(run.cfg.get("y", [0] * law.d))
-    n_env = int(run.cfg.get("n_env", 2000))
+    x = _get(run.cfg, "x", tuple, (0,) * law.d)
+    y = _get(run.cfg, "y", tuple, (0,) * law.d)
+    n_env = _get(run.cfg, "n_env", int, 2000)
     method = run.cfg.get("method", "auto")
     kenv = kal.kalikow_environment(law, region, x, n_env=n_env,
                                    seed=run.seed, method=method)
@@ -190,12 +202,12 @@ def _run_kalikow_drift(run: _Run):
 def _eps_k_family(cfg: dict) -> kal.EpsKFamilySpec:
     fam = _object("family", cfg.get("family", {}))
     return kal.EpsKFamilySpec(
-        box_k_max=int(fam.get("box_k_max", 3)),
-        slab_L_max=int(fam.get("slab_L_max", 4)),
-        halfspace_N_max=int(fam.get("halfspace_N_max", 8)),
-        n_clusters=int(fam.get("n_clusters", 15)),
-        cluster_size_cap=int(fam.get("cluster_size_cap", 20)),
-        cluster_seed=int(fam.get("cluster_seed", 12345)),
+        box_k_max=_get(fam, "box_k_max", int, 3),
+        slab_L_max=_get(fam, "slab_L_max", int, 4),
+        halfspace_N_max=_get(fam, "halfspace_N_max", int, 8),
+        n_clusters=_get(fam, "n_clusters", int, 15),
+        cluster_size_cap=_get(fam, "cluster_size_cap", int, 20),
+        cluster_seed=_get(fam, "cluster_seed", int, 12345),
     )
 
 
@@ -210,7 +222,7 @@ def _eps_k_csv(run: _Run, report: kal.EpsKReport):
 
 def _run_eps_k(run: _Run):
     law = _law(run.cfg)
-    n_env = int(run.cfg.get("n_env", 800))
+    n_env = _get(run.cfg, "n_env", int, 800)
     report = kal.estimate_eps_k(law, _eps_k_family(run.cfg),
                                 n_env=n_env, seed=run.seed)
     _eps_k_csv(run, report)
@@ -221,7 +233,7 @@ def _run_theorem2(run: _Run):
     law = _law(run.cfg)
     mom = law_moments(law)
     threshold = 4 * law.d * mom.sigma2 * (1 + 9 * mom.eps)
-    n_env = int(run.cfg.get("n_env", 800))
+    n_env = _get(run.cfg, "n_env", int, 800)
     probe = kal.estimate_eps_k(law, _eps_k_family(run.cfg),
                                n_env=n_env, seed=run.seed)
     _eps_k_csv(run, probe)
@@ -238,12 +250,12 @@ def _run_theorem2(run: _Run):
 def _run_theorem3(run: _Run):
     law = _law(run.cfg)
     report = kal.theorem3_experiment(
-        law, float(_require(run.cfg, "rho")),
-        N_list=tuple(run.cfg.get("N_list", (10, 20, 30))),
-        n_env=int(run.cfg.get("n_env", 4000)),
+        law, _get(run.cfg, "rho", float),
+        N_list=_get(run.cfg, "N_list", tuple, (10, 20, 30)),
+        n_env=_get(run.cfg, "n_env", int, 4000),
         seed=run.seed,
-        eps0=float(run.cfg.get("eps0", 0.5)),
-        force=bool(run.cfg.get("force", False)),
+        eps0=_get(run.cfg, "eps0", float, 0.5),
+        force=_get(run.cfg, "force", bool, False),
     )
     run.csv("halfspace_drift.csv",
             ["sign", "N", "n_sites", "drift_e1", "se_e1"]
@@ -257,12 +269,13 @@ def _run_theorem3(run: _Run):
 
 def _run_condition_p(run: _Run):
     law = _law(run.cfg)
-    Ms = run.cfg.get("M_list") or [_require(run.cfg, "M")]
-    n_per_site = int(run.cfg.get("n_per_site", 10000))
-    site_cap = int(run.cfg.get("site_cap", 64))
+    Ms = _get(run.cfg, "M_list", lambda v: [int(M) for M in v or ()], None) \
+        or [_get(run.cfg, "M", int)]
+    n_per_site = _get(run.cfg, "n_per_site", int, 10000)
+    site_cap = _get(run.cfg, "site_cap", int, 64)
     reports = []
     for j, M in enumerate(Ms):
-        rep = bal.condition_p_probe(law, int(M), n_per_site=n_per_site,
+        rep = bal.condition_p_probe(law, M, n_per_site=n_per_site,
                                     site_cap=site_cap,
                                     seed=run.seed if len(Ms) == 1 else run.seed + j)
         reports.append(rep)
@@ -282,24 +295,24 @@ def _run_condition_p(run: _Run):
 def _run_prop31(run: _Run):
     law = _law(run.cfg)
     stats = bal.mean_drift_green_check(
-        law, int(_require(run.cfg, "L")), int(_require(run.cfg, "W")),
-        int(run.cfg.get("n_env", 500)), seed=run.seed)
+        law, _get(run.cfg, "L", int), _get(run.cfg, "W", int),
+        _get(run.cfg, "n_env", int, 500), seed=run.seed)
     if stats.distribution is not None:
         stats.distribution.to_csv(run.path("drift_green_samples.csv"), meta=run.meta)
     run.report.update({"law": law.to_dict(), "drift_green": stats.to_dict()})
 
 
 def _run_fluctuations(run: _Run):
-    base = _object("law descriptor", _require(run.cfg, "law"))
+    base = _object("law descriptor", _get(run.cfg, "law"))
     if base.get("family") != "signed_axis_kick":
         raise ConfigError("fluctuation scans sweep the signed_axis_kick amplitude")
-    d = int(_require(base, "d"))
-    shift = float(base.get("lambda_shift", 0.0))
-    amplitudes = [float(a) for a in _require(run.cfg, "amplitudes")]
+    d = _get(base, "d", int)
+    shift = _get(base, "lambda_shift", float, 0.0)
+    amplitudes = _get(run.cfg, "amplitudes", lambda v: [float(a) for a in v])
     scan = bal.fluctuation_scan(
         lambda a: SignedAxisKickLaw(d, a, shift), amplitudes,
-        int(_require(run.cfg, "L")), int(_require(run.cfg, "W")),
-        int(run.cfg.get("n_env", 2000)), float(run.cfg.get("alpha", 2.0 / 3.0)),
+        _get(run.cfg, "L", int), _get(run.cfg, "W", int),
+        _get(run.cfg, "n_env", int, 2000), _get(run.cfg, "alpha", float, 2.0 / 3.0),
         seed=run.seed)
     run.csv("fluctuation_scan.csv",
             ["amplitude", "sigma2", "mean", "variance", "n_env"],
@@ -311,14 +324,13 @@ def _run_fluctuations(run: _Run):
 
 def _run_rho(run: _Run):
     law = _law(run.cfg)
+    # absent or null: derived from the law
+    scales = {key: _get(run.cfg, key, lambda v: v if v is None else int(v), None)
+              for key in ("L", "lateral_cap", "subgrid_halfwidth", "slab_W")}
     stats = bal.rho_statistics(
-        law, float(_require(run.cfg, "theta")), float(_require(run.cfg, "eta")),
-        int(run.cfg.get("n_env", 100)), seed=run.seed,
-        L=run.cfg.get("L"),
-        lateral_cap=run.cfg.get("lateral_cap"),
-        subgrid_halfwidth=run.cfg.get("subgrid_halfwidth"),
-        slab_W=run.cfg.get("slab_W"),
-        allow_subsample=bool(run.cfg.get("allow_subsample", True)))
+        law, _get(run.cfg, "theta", float), _get(run.cfg, "eta", float),
+        _get(run.cfg, "n_env", int, 100), seed=run.seed, **scales,
+        allow_subsample=_get(run.cfg, "allow_subsample", bool, True))
     run.csv("rho_samples.csv",
             ["index", "q_B", "rho_B", "rho_hat", "g_drift_origin"],
             [[i, float(q), float(r), float(rh), float(g)]
@@ -330,8 +342,8 @@ def _run_rho(run: _Run):
 
 def _run_velocity(run: _Run):
     law = _law(run.cfg)
-    est = mc.estimate_velocity(law, int(_require(run.cfg, "n_steps")),
-                               int(_require(run.cfg, "n_walks")), seed=run.seed)
+    est = mc.estimate_velocity(law, _get(run.cfg, "n_steps", int),
+                               _get(run.cfg, "n_walks", int), seed=run.seed)
     mom = law_moments(law)
     b2_radius = (4 * law.d + 1) * mom.sigma2
     run.report.update({
@@ -344,11 +356,11 @@ def _run_velocity(run: _Run):
 
 
 def _run_freedman(run: _Run):
-    points = run.cfg.get("points", [])
+    points = _get(run.cfg, "points", list, [])
     rows = []
     for p in points:
         p = _object("freedman point", p)
-        u, b, sum_v2 = (float(_require(p, k)) for k in ("u", "b", "sum_v2"))
+        u, b, sum_v2 = (_get(p, k, float) for k in ("u", "b", "sum_v2"))
         rows.append([u, b, sum_v2, bal.freedman_bound(u=u, b=b, sum_v2=sum_v2)])
     if rows:
         run.csv("freedman_bounds.csv", ["u", "b", "sum_v2", "bound"], rows)
@@ -358,9 +370,9 @@ def _run_freedman(run: _Run):
     if tail:
         tail = _object("tail_test", tail)
         rep = bal.martingale_tail_test(
-            tail.get("increment", "plusminus"), int(_require(tail, "n")),
-            [float(u) for u in _require(tail, "u_grid")], int(_require(tail, "n_paths")),
-            seed=run.seed, b=float(tail.get("b", 1.0)))
+            tail.get("increment", "plusminus"), _get(tail, "n", int),
+            _get(tail, "u_grid", lambda v: [float(u) for u in v]), _get(tail, "n_paths", int),
+            seed=run.seed, b=_get(tail, "b", float, 1.0))
         run.csv("martingale_tails.csv",
                 ["u", "bound", "upper_freq", "lower_freq",
                  "se_upper", "se_lower", "within_bound"],
@@ -393,7 +405,7 @@ def run(kind: str, config_path: str, seed: int | None = None,
     if declared is not None and declared != kind:
         raise ConfigError(
             f"config declares experiment {declared!r} but {kind!r} was requested")
-    use_seed = int(seed if seed is not None else cfg.get("seed", 0))
+    use_seed = int(seed) if seed is not None else _get(cfg, "seed", int, 0)
     use_out = out_dir or cfg.get("out") or os.path.join("out", kind)
     runner = _RUNNERS[kind]
     r = _Run(kind, cfg, use_seed, use_out)

@@ -36,28 +36,33 @@ moderate size); everything else, every d=3 region included, gets Krylov.
 
 Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`.  Statistics
-over environments (Kalikow, half-space, slab drift, fluctuation and rho)
-make one batch call per (B, n, 2d) weight block (`env_model.sample_weights`)
-on one region, which solves QuenchedSystem(pattern, weights[b]) for each b
-on `deterministic_map`: `solve_operator_batch` by `solve_green_operator`,
-`solve_green_batch` by `solve_green_row` unless one of its two shortcuts,
-held to the single-solve certificate column by column, applies:
+over environments (Kalikow rows and inverses, half-space rows, slab drift,
+fluctuation and rho operators) make one `solve_batch` call per (B, n, 2d)
+weight block (`env_model.sample_weights`) on one region: `solve_fixed_point`
+for B systems, x_k = b_k + A_k x_k with a (B, n) or shared (n,) right-hand
+side, or b None for the whole inverses.  Its residuals are held to tol
+scaled by max(1, ||b_k||_inf) (`_scaled_tol`), and it takes the first of
+three paths that applies:
 
-* lockstep  - Green rows on a d=2 box neither small nor elongated, in a
-              batch of at least 2000 unknowns (`_lockstep_pays`): all B
-              environments iterate together as preconditioned Richardson
-              x <- x + M r, r = b + P^T x - x, with one mean-kernel inverse
-              M for the batch's averaged weights applied to the (B, *shape)
-              block, and P^T x as 2d offset slices of the weights.  A batch
-              without M, or whose worst l1 residual stalls, falls back
-              whole to the other paths;
-* stacked dense LU where "auto" picks dense, for rows and whole inverses.
+* lockstep  - transposed systems (Green rows) on a d=2 box neither small
+              nor elongated, in a batch of at least 2000 unknowns
+              (`_lockstep_pays`): all B environments iterate together as
+              preconditioned Richardson x <- x + M r, r = b - x + P^T x,
+              with one mean-kernel inverse M for the batch's averaged
+              weights applied to the (B, *shape) block, and P^T x as 2d
+              offset slices of the weights.  A batch without M, or whose
+              worst l1 residual stalls, falls back whole to the next paths;
+* stacked dense LU where "auto" picks dense, for rows, operators and whole
+              inverses alike (`_dense_batch`, also the single solve's path),
+              factoring _DENSE_SLICE entries of I - A_k at a time;
+* per environment, one `solve_fixed_point` on QuenchedSystem(pattern,
+              weights[k]) for each k on `deterministic_map`; whole inverses
+              are refused there.
 
-`batch_size` sizes Green batches by B n unknowns where rows go lockstep, by
-B n^2 dense entries otherwise; `operator_batch_size` by B n unknowns, at
-least one environment per worker.  A failed per-environment solve or
-certificate raises BatchSolveError naming the environment.  Region patterns
-are kept across calls, keyed by region descriptor.
+The first two are certified column by column from the neighbour table
+(`_certify_batch`).  `batch_size` sizes a batch by the path it takes.  A
+failed solve or certificate raises BatchSolveError naming the environment.
+Region patterns are kept across calls, keyed by region descriptor.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
 from .lattice import BoxRegion, ExitClass, Region, RegionError
-from .runtime import deterministic_map, worker_count
+from .runtime import deterministic_map
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -393,21 +398,22 @@ def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
     return x, its
 
 
-def _eye_minus_p(pattern: RegionPattern, weights: np.ndarray) -> np.ndarray:
-    """I - P, shape (B, n, n), for every environment of a (B, n, 2d) weight
-    block, assembled in place."""
+def _dense_batch(pattern: RegionPattern, weights: np.ndarray, b, transpose: bool) -> np.ndarray:
+    """x_k = (I - A_k)^-1 b_k for every environment k of a (B, n, 2d) weight
+    block by one stacked dense LU, uncertified; A_k is P_k, or P_k^T with
+    transpose.  b is (B, n), or None for the whole inverses (B, n, n)."""
     B, n = weights.shape[:2]
-    eye_minus_p = np.zeros((B, n, n))
+    # I - P assembled in place, one (B, n, n) array
+    eye_minus_a = np.zeros((B, n, n))
     keep = pattern.inside_mask
     rows = np.repeat(np.arange(n), 2 * pattern.d)[keep]
-    eye_minus_p[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
-    return np.subtract(np.eye(n), eye_minus_p, out=eye_minus_p)
-
-
-def _dense_solve(system: QuenchedSystem, b, transpose: bool):
-    """Dense LU on I - P, or I - P^T with transpose."""
-    eye_minus_p = _eye_minus_p(system.pattern, system.weights[None])[0]
-    return np.linalg.solve(eye_minus_p.T if transpose else eye_minus_p, b)
+    eye_minus_a[:, rows, pattern.nbr.ravel()[keep]] = weights.reshape(B, -1)[:, keep]
+    np.subtract(np.eye(n), eye_minus_a, out=eye_minus_a)
+    if transpose:
+        eye_minus_a = eye_minus_a.transpose(0, 2, 1)
+    if b is None:
+        return np.linalg.inv(eye_minus_a)
+    return np.linalg.solve(eye_minus_a, b[:, :, None])[:, :, 0]
 
 
 def _banded_solve(system: QuenchedSystem, b, transpose: bool):
@@ -452,7 +458,7 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
         method = auto_method(system.n, system.pattern)
     it = 0
     if method == "dense":
-        x = _dense_solve(system, b, transpose)
+        x = _dense_batch(system.pattern, system.weights[None], b[None], transpose)[0]
     elif method == "banded":
         x = _banded_solve(system, b, transpose)
     elif method == "krylov":
@@ -486,67 +492,72 @@ def solve_green_row(system: QuenchedSystem, src: int, tol: float = DEFAULT_TOL,
     The l1 norm of the residual is driven below tol, which also bounds the
     sup-norm defect.
     """
-    b = np.zeros(system.n)
-    b[src] = 1.0
-    return solve_fixed_point(system, b, tol, norm="l1", method=method, transpose=True)
+    return solve_fixed_point(system, np.eye(1, system.n, src)[0], tol, norm="l1",
+                             method=method, transpose=True)
 
 
-# B n unknowns per lockstep or operator batch: its dozen (B, n) arrays, or
-# its (B, n, 2d) weight block, then take a few MB, which keeps each
-# elementwise sweep near a core's cache (on a d=2 half-space N=30, lockstep
-# batches of 10-34 took half the time per environment of batches of 200)
+# B n unknowns per lockstep or per-environment batch: its dozen (B, n)
+# arrays, or its (B, n, 2d) weight block, then take a few MB, which keeps
+# each elementwise sweep near a core's cache (on a d=2 half-space N=30,
+# lockstep batches of 10-34 took half the time per environment of batches
+# of 200)
 _LOCKSTEP_UNKNOWNS = 1 << 16
+# float64 entries (8 MB) of I - A_k blocks per stacked dense LU call; a
+# whole batch's (B, n, n) block would set the peak memory of a (B, n) solve
+_DENSE_SLICE = 1 << 20
 # lockstep iterations before a batch falls back; about where one band LU per
 # environment of a d=2 half-space N=20-30 becomes cheaper
 _LOCKSTEP_MAX_ITER = 60
 
 
-def _lockstep_pays(pattern: RegionPattern, B: int, src: int | None) -> bool:
-    """Whether `solve_green_batch` of B environments goes lockstep
-    (`_lockstep_rows`).
+def _scaled_tol(tol, b):
+    """tol * max(1, ||b_k||_inf) for each right-hand side b_k along b's last
+    axis; tol itself for b None (the identity)."""
+    if b is None:
+        return tol
+    return tol * np.fmax(1.0, np.abs(b).max(axis=-1, initial=0.0))
 
-    Only for Green rows (src given, never whole inverses), and only on d=2
-    boxes whose shortest side w has at least 8 sites and w^2 >= the sum of
-    the sides.  Smaller boxes keep their stacked dense LU, against which
-    lockstep gains little or loses (a 7 x 7 box with 20 environments ran
-    1.6x slower); elongated boxes keep band LU, whose work per environment
-    is n w^2 against n sum_i m_i per lockstep sweep.  The batch's B n
-    unknowns must reach 2000, which pays each iteration's fixed cost.  d=3
-    boxes keep preconditioned Krylov, which measured faster.
+
+def _lockstep_pays(pattern: RegionPattern, B: int, transpose: bool) -> bool:
+    """Whether a `solve_batch` of B environments with one right-hand side
+    each goes lockstep (`_lockstep`).
+
+    Only for transposed systems (Green rows), and only on d=2 boxes whose
+    shortest side w has at least 8 sites and w^2 >= the sum of the sides.
+    Smaller boxes keep their stacked dense LU, against which lockstep gains
+    little or loses (a 7 x 7 box with 20 environments ran 1.6x slower);
+    elongated boxes keep band LU, whose work per environment is n w^2
+    against n sum_i m_i per lockstep sweep.  The batch's B n unknowns must
+    reach 2000, which pays each iteration's fixed cost.  d=3 boxes keep
+    preconditioned Krylov, which measured faster.
     """
-    if src is None or pattern.shape is None or pattern.d != 2:
+    if not transpose or pattern.shape is None or pattern.d != 2:
         return False
     w = min(pattern.shape)
     return w >= 8 and w * w >= sum(pattern.shape) and B * pattern.n >= 2000
 
 
-def batch_size(pattern: RegionPattern, src: int | None) -> int:
-    """Environments per `solve_green_batch` call: _LOCKSTEP_UNKNOWNS
-    unknowns where such a batch goes lockstep, otherwise a batch of dense
-    n x n systems within MEMORY_BUDGET."""
+def batch_size(pattern: RegionPattern, transpose: bool = False) -> int:
+    """Environments per `solve_batch` call, by the path it takes: lockstep
+    and per-environment batches hold _LOCKSTEP_UNKNOWNS unknowns, stacked
+    dense ones B n^2 <= MEMORY_BUDGET entries (the size of B whole
+    inverses).  It never depends on the worker count, since callers that
+    merge per batch would then follow it."""
     n = pattern.n
     size = int(np.clip(_LOCKSTEP_UNKNOWNS // n, 1, 4096))
-    if _lockstep_pays(pattern, size, src):
-        return size
-    return int(np.clip(MEMORY_BUDGET // max(1, n * n), 1, 4096))
+    if auto_method(n, pattern) == "dense" and not _lockstep_pays(pattern, size, transpose):
+        return int(np.clip(MEMORY_BUDGET // (n * n), 1, 4096))
+    return size
 
 
-def operator_batch_size(pattern: RegionPattern) -> int:
-    """Environments per `solve_operator_batch` call: _LOCKSTEP_UNKNOWNS
-    unknowns, but at least one environment per worker, as long as the
-    (B, n, 2d) weight block stays within MEMORY_BUDGET entries."""
-    cap = max(1, MEMORY_BUDGET // (2 * pattern.d * pattern.n))
-    return min(cap, max(worker_count(), _LOCKSTEP_UNKNOWNS // pattern.n))
-
-
-def _lockstep_rows(pattern: RegionPattern, weights: np.ndarray, src: int,
-                   tol: float) -> np.ndarray | None:
-    """Green rows of a batch on a box by preconditioned Richardson, all
-    environments in lockstep: x <- x + M r, r = b + P^T x - x, with
-    M = (I - P_bar^T)^-1 for the batch's mean kernel P_bar, until the
-    worst l1 residual is at most tol.  None when M does not exist, when an
-    iteration fails to shrink that residual, or after _LOCKSTEP_MAX_ITER
-    iterations."""
+def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
+              tols: np.ndarray) -> np.ndarray | None:
+    """x_k = b_k + P_k^T x_k for every environment of a batch on a box by
+    preconditioned Richardson, all environments in lockstep: x <- x + M r,
+    r = b - x + P^T x, with M = (I - P_bar^T)^-1 for the batch's mean kernel
+    P_bar, until every environment's l1 residual is at most its tol.  None
+    when M does not exist, when an iteration fails to shrink the worst
+    residual, or after _LOCKSTEP_MAX_ITER iterations."""
     B, n = weights.shape[:2]
     shape, nd, size = pattern.shape, 2 * pattern.d, B * n
     # P^T x moves x[y] w[y, e] from y to y + e, a fixed offset in the flat C
@@ -567,120 +578,100 @@ def _lockstep_rows(pattern: RegionPattern, weights: np.ndarray, src: int,
     if factors is None:
         return None
     x, r, buf = np.zeros((3, size))
-    r[src::n] = 1.0  # b = e_src
+    r.reshape(B, n)[:] = b
+    # b - x as -x plus b's nonzero entries: a unary sweep costs a third of a
+    # binary one, and a Green row's b has one nonzero per environment
+    nz = np.flatnonzero(r)
+    b_nz = r[nz]
     worst = np.inf
     for _ in range(_LOCKSTEP_MAX_ITER):
         x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
         np.negative(x, out=r)
-        r[src::n] += 1.0
+        r[nz] += b_nz
         for frm, to, w in moves:
             r[to] += np.multiply(w, x[frm], out=buf[frm])
-        last, worst = worst, float(np.abs(r, out=buf).reshape(B, n).sum(axis=1).max())
-        if worst <= tol:
+        res = np.abs(r, out=buf).reshape(B, n).sum(axis=1)
+        if (res <= tols).all():
             return x.reshape(B, n)
+        last, worst = worst, float(res.max())
         if not worst < last:  # stagnation; NaN fails too
             return None
     return None
 
 
-def _certify_green_batch(pattern: RegionPattern, weights: np.ndarray, green: np.ndarray,
-                         src: int | None, tol: float) -> None:
-    """Hold every column x of a `solve_green_batch` result, which solves
-    (I - A) x = b, to the certificate of one `solve_fixed_point` call:
-    the l1 norm of b - x + A x must not exceed tol.  Rows g(src, .) have
-    A = P.T, b = e_src; column y of the inverses G has A = P, b = e_y.
-    A x comes from the weights and the neighbour table, never from the
-    factored matrix, so the certificate also checks the assembly.  The
-    first environment above tol raises BatchSolveError."""
-    x = green if src is None else green[:, :, None]
-    r = -x
-    if src is None:
-        diag = np.arange(pattern.n)
-        r[:, diag, diag] += 1.0
-    else:
-        r[:, src] += 1.0
+def _certify_batch(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
+                   tols, norm: str, transpose: bool) -> None:
+    """Hold every column of a `solve_batch` result x to the certificate of
+    one `solve_fixed_point` call: the norm (l1 or sup) of b + A x - x must
+    not exceed the environment's tolerance in tols (`_scaled_tol`).  A x
+    comes from the weights and the neighbour table, never from a factored
+    matrix, so the certificate also checks the assembly.  A NaN residual
+    fails, and the first environment that fails raises BatchSolveError."""
+    cols = x if b is None else x[:, :, None]
+    r = (np.eye(pattern.n) if b is None else b[:, :, None]) - cols
     for e in range(2 * pattern.d):
         inside = np.nonzero(pattern.nbr[:, e] >= 0)[0]
         nb = pattern.nbr[inside, e]
-        # P steps y -> nbr[y, e]: P gathers from nb, P.T scatters to it;
+        # P steps y -> nbr[y, e]: P gathers from nb, P^T scatters to it;
         # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
-        dst, frm = (inside, nb) if src is None else (nb, inside)
-        r[:, dst] += weights[:, inside, e, None] * x[:, frm]
-    worst = np.abs(r).sum(axis=1).max(axis=1)  # per environment, its worst column
-    failed = np.flatnonzero(~(worst <= tol))  # NaN fails too
+        dst, frm = (nb, inside) if transpose else (inside, nb)
+        r[:, dst] += weights[:, inside, e, None] * cols[:, frm]
+    r = np.abs(r, out=r)
+    # per environment, its worst column
+    worst = (r.sum(axis=1) if norm == "l1" else r.max(axis=1)).max(axis=1)
+    tols = np.broadcast_to(tols, worst.shape)
+    failed = np.flatnonzero(~(worst <= tols))
     if failed.size:
-        b = int(failed[0])
-        raise BatchSolveError(
-            f"batched Green residual {worst[b]:.3e} above tolerance {tol}", b)
+        k = int(failed[0])
+        raise BatchSolveError(f"batch residual {worst[k]:.3e} above tolerance {tols[k]}", k)
 
 
-def _dense_green_batch(pattern: RegionPattern, weights: np.ndarray,
-                       src: int | None) -> np.ndarray:
-    """`solve_green_batch` by one stacked dense LU, uncertified."""
-    eye_minus_p = _eye_minus_p(pattern, weights)
-    if src is None:
-        return np.linalg.inv(eye_minus_p)
-    e_src = np.zeros((pattern.n, 1))
-    e_src[src] = 1.0
-    return np.linalg.solve(eye_minus_p.transpose(0, 2, 1), e_src)[:, :, 0]
+def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
+                tol: float = DEFAULT_TOL, norm: str = "l1",
+                transpose: bool = False) -> np.ndarray:
+    """`solve_fixed_point` for B systems: x_k = b_k + A_k x_k for every
+    environment k whose weights on the pattern's interior are stacked in
+    weights (B, n, 2d), with A_k = P_k, or P_k^T with transpose.
 
-
-def solve_green_batch(pattern: RegionPattern, weights: np.ndarray, src: int | None,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Green rows g(src, .), shape (B, n), or with src None the whole
-    inverses G = (I - P)^-1, shape (B, n, n), for the environments whose
-    weights on the pattern's interior are stacked in weights (B, n, 2d).
-
-    Rows of a batch that `_lockstep_pays` for are solved in lockstep
-    (`_lockstep_rows`); when that has no preconditioner or stalls, the
-    batch takes the path below instead.  Where method="auto" picks dense
-    LU, the batch is stacked LUs of at most `batch_size(pattern, None)`
-    systems; elsewhere each environment gets one `solve_green_row`, and
-    whole inverses are refused.  Every direct or lockstep result
-    is held to the single-solve certificate column by column
-    (`_certify_green_batch`).
+    b is (B, n), or (n,) shared by every environment, and x is (B, n); b
+    None stands for the identity and gives the whole inverses (B, n, n).
+    Each residual is held to `_scaled_tol` in the given norm.  The paths
+    (lockstep, stacked dense LU, per environment) and their certificate
+    are described in the module docstring; whole inverses above
+    DENSE_CUTOFF are refused.  A failed solve or certificate raises
+    BatchSolveError naming the environment.
     """
     B, n = weights.shape[:2]
-    green = None
-    if _lockstep_pays(pattern, B, src):
-        green = _lockstep_rows(pattern, weights, src, tol)
-    if green is None and auto_method(n, pattern) == "dense":
-        step = batch_size(pattern, None)
-        parts = [_dense_green_batch(pattern, weights[i:i + step], src)
+    tols = tol
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        tols = np.broadcast_to(_scaled_tol(tol, b), (B,))
+        b = np.broadcast_to(b, (B, n))
+    x = None
+    if b is not None and _lockstep_pays(pattern, B, transpose):
+        x = _lockstep(pattern, weights, b, tols)
+    if x is None and auto_method(n, pattern) == "dense":
+        step = max(1, _DENSE_SLICE // (n * n))
+        parts = [_dense_batch(pattern, weights[i:i + step],
+                              None if b is None else b[i:i + step], transpose)
                  for i in range(0, B, step)]
-        green = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if green is not None:
-        _certify_green_batch(pattern, weights, green, src, tol)
-        return green
-    if src is None:
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if x is not None:
+        _certify_batch(pattern, weights, b, x, tols, norm, transpose)
+        return x
+    if b is None:
         raise ValueError(
             "whole Green inverses need dense LU and are only supported up to "
             f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
-    return _solve_each(pattern, weights, lambda system, _: solve_green_row(system, src, tol)[0])
 
-
-def _solve_each(pattern: RegionPattern, weights: np.ndarray, solve) -> np.ndarray:
-    """solve(QuenchedSystem(pattern, weights[b]), b), stacked, for every
-    environment b of a batch, on `deterministic_map`.  A failure raises
-    BatchSolveError naming b."""
-    def one(b: int) -> np.ndarray:
+    def one(k: int) -> np.ndarray:
+        system = QuenchedSystem(pattern, weights[k])
         try:
-            return solve(QuenchedSystem(pattern, weights[b]), b)
+            return solve_fixed_point(system, b[k], tols[k], norm, transpose=transpose)[0]
         except Exception as exc:  # noqa: BLE001 - annotate with the environment
-            raise BatchSolveError(str(exc), b) from exc
+            raise BatchSolveError(str(exc), k) from exc
 
-    return np.stack(deterministic_map(one, range(len(weights))))
-
-
-def solve_operator_batch(pattern: RegionPattern, weights: np.ndarray, fields: np.ndarray,
-                         tol: float = DEFAULT_TOL) -> np.ndarray:
-    """u_b = (I - P_b)^-1 f_b, shape (B, n), for the environments whose
-    weights on the pattern's interior are stacked in weights (B, n, 2d) and
-    the fields f stacked in fields (B, n): per environment the solve of
-    `solve_green_operator`, on `deterministic_map`.  A failed solve raises
-    BatchSolveError naming the environment."""
-    return _solve_each(pattern, weights,
-                       lambda system, b: solve_green_operator(system, fields[b], tol))
+    return np.stack(deterministic_map(one, range(B)))
 
 
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
@@ -701,10 +692,8 @@ def solve_green_operator(system: QuenchedSystem, f, tol: float = DEFAULT_TOL,
     array aligned with the interior enumeration.
     """
     vals = _as_field(f, system)
-    # the sup-norm residual is held to tol relative to the field's sup norm
-    # where that exceeds 1
-    tol *= max(1.0, float(np.abs(vals).max(initial=0.0)))
-    return solve_fixed_point(system, vals, tol, norm="linf", method=method)[0]
+    return solve_fixed_point(system, vals, _scaled_tol(tol, vals), norm="linf",
+                             method=method)[0]
 
 
 def solve_hitting(system: QuenchedSystem, y_idx: int, tol: float = DEFAULT_TOL,

@@ -23,7 +23,7 @@ per-environment solves; ratio estimators share environments between
 numerator and denominator and report delta-method standard errors.  One
 batched path turns environments (enumerated or sampled) into per-environment
 Green data for both routes and for the half-space experiment; every solve
-and its certificate is `exact_solver.solve_green_batch`.
+and its certificate is `exact_solver.solve_batch`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .exact_solver import (
     batch_size,
     green_row,
     region_pattern,
-    solve_green_batch,
+    solve_batch,
 )
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
 from .monte_carlo import FunctionalEvaluationError
@@ -219,6 +219,8 @@ class KalikowDriftReport:
 
 
 def _site_atom_tables(law: EnvironmentLaw, sites: np.ndarray):
+    if law.homogeneous:
+        return [law.support()] * len(sites)
     return [tuple(np.asarray(a) for a in law.site_support(tuple(int(c) for c in s)))
             for s in sites]
 
@@ -253,20 +255,22 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     env_seeds None enumerates every environment restricted to the region
     with its probability; otherwise one environment is sampled per seed and
     probabilities is None.  green holds the certified Green rows g(src, .),
-    or the whole inverses G when src is None (`solve_green_batch`).  A
-    failed sampled environment raises FunctionalEvaluationError with its
-    seed; a failed enumerated one, BatchSolveError with its batch index.
+    or the whole inverses G when src is None (`solve_batch`).  A failed
+    sampled environment raises FunctionalEvaluationError with its seed; a
+    failed enumerated one, BatchSolveError with its batch index.
     """
-    chunk = batch_size(pattern, src)
+    rows = src is not None
+    b = np.eye(1, pattern.n, src)[0] if rows else None
+    chunk = batch_size(pattern, transpose=rows)
     if env_seeds is None:
         for weights, probs in _enumerated(law, pattern, chunk):
-            yield weights, solve_green_batch(pattern, weights, src, tol), probs
+            yield weights, solve_batch(pattern, weights, b, tol, transpose=rows), probs
         return
     for i in range(0, len(env_seeds), chunk):
         seeds = env_seeds[i:i + chunk]
         weights = sample_weights(law, pattern.interior, seeds)
         try:
-            green = solve_green_batch(pattern, weights, src, tol)
+            green = solve_batch(pattern, weights, b, tol, transpose=rows)
         except BatchSolveError as exc:
             raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
         yield weights, green, None
@@ -592,7 +596,7 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     gathers = [union.index_block(pattern.interior) for pattern in patterns]
     accs = [_RatioAccumulator(1, d) for _ in regions]
     # equal chunks, none above the batch size of any region
-    n_chunks = math.ceil(n_env / min(batch_size(p, s) for p, s in zip(patterns, srcs)))
+    n_chunks = math.ceil(n_env / min(batch_size(p, transpose=True) for p in patterns))
     chunk = math.ceil(n_env / n_chunks)
     for start in range(0, n_env, chunk):
         seeds = env_seeds[start:start + chunk]
@@ -601,7 +605,8 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
                                                         g0_origins, accs):
             weights = union_weights[:, gather]
             try:
-                g = solve_green_batch(pattern, weights, src, tol)
+                g = solve_batch(pattern, weights, np.eye(1, pattern.n, src)[0], tol,
+                                transpose=True)
             except BatchSolveError as exc:
                 raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
             g00, w0 = g[:, src, None], weights[:, src]

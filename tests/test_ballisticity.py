@@ -225,7 +225,8 @@ class TestRhoStatistics:
         box = rl.CorollaryBox(4, 2)
         pattern = xs.region_pattern(box)
         w = env.weights_block(pattern.interior)[None]
-        h = xs.solve_operator_batch(pattern, w, bal._nonfrontal_exit_field(pattern, w), 1e-11)
+        h = xs.solve_batch(pattern, w, bal._nonfrontal_exit_field(pattern, w), 1e-11,
+                           norm="linf")
         q = h[0, pattern.source_index((0, 0))]
         dist = rl.exit_distribution(env, box, (0, 0), tol=1e-11)
         assert q == pytest.approx(1 - dist.frontal_mass(), abs=1e-8)
@@ -290,21 +291,35 @@ class TestRhoStatistics:
 
 
 KICK = rl.SignedAxisKickLaw(2, 0.02, 0.05)
+# regions above DENSE_CUTOFF, whose batches solve each environment on its own
+# (a 1032-site slab, a 651-site box)
 STATISTICS = {
+    "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 4, 64, n_env, seed),
+    "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
+        lambda a: rl.SignedAxisKickLaw(2, a, 0.05), [0.01, 0.02], 4, 64, n_env, 0.5, seed),
+    "rho": lambda n_env, seed: bal.rho_statistics(
+        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=10),
+}
+
+
+# regions of at most DENSE_CUTOFF sites, whose batches take one stacked dense
+# LU (a 68-site slab, a box capped at lateral half-width 8)
+SMALL_STATISTICS = {
     "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 2, 8, n_env, seed),
     "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
         lambda a: rl.SignedAxisKickLaw(2, a, 0.05), [0.01, 0.02], 2, 8, n_env, 0.5, seed),
     "rho": lambda n_env, seed: bal.rho_statistics(
         KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=8),
 }
-
-
-@pytest.mark.parametrize("name, failing_seed", [
+THIRD_ENVIRONMENT_SEEDS = pytest.mark.parametrize("name, failing_seed", [
     ("drift", lambda seed: rl.rng.child_seed(seed, 2)),
     ("fluctuations", lambda seed: rl.rng.child_seed(rl.rng.child_seed(seed, 0), 2)),
     # box solves come first in each batch
     ("rho", lambda seed: rl.rng.child_seed(seed, 2, 11)),
 ])
+
+
+@THIRD_ENVIRONMENT_SEEDS
 def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
     solve, calls = xs.solve_fixed_point, []
@@ -320,3 +335,45 @@ def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypat
         STATISTICS[name](5, 31)
     assert exc.value.env_seed == failing_seed(31)
     assert "injected failure" in str(exc.value)
+
+
+@THIRD_ENVIRONMENT_SEEDS
+def test_stacked_solve_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
+    dense = xs._dense_batch
+
+    def third_nan(pattern, weights, b, transpose):
+        x = dense(pattern, weights, b, transpose)
+        if len(x) > 2:
+            x[2] = np.nan
+        return x
+
+    monkeypatch.setattr(xs, "_dense_batch", third_nan)
+    with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
+        SMALL_STATISTICS[name](5, 31)
+    assert exc.value.env_seed == failing_seed(31)
+    assert "batch residual nan" in str(exc.value)
+
+
+def test_operator_batches_hold_one_environment_per_worker(monkeypatch):
+    slab3 = xs.region_pattern(rl.SlabRegion(4, 32, 3))
+    assert xs.batch_size(slab3) == 1
+    law, seeds, sizes = rl.SignedAxisKickLaw(3, 0.02, 0.05), [1, 2, 3], []
+
+    def record(pattern, weights, b, tol, norm):
+        sizes.append(len(weights))
+        return np.zeros(weights.shape[:2])
+
+    monkeypatch.setattr(bal, "solve_batch", record)
+
+    def batches(threads):
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        sizes.clear()
+        for _ in bal._batched_solves(law, seeds, 1e-10, (slab3, bal._drift_field)):
+            pass
+        return sizes[:]
+
+    assert batches("1") == [1, 1, 1]
+    assert batches("3") == [3]
+    # the (B, n, 2d) block stays within MEMORY_BUDGET entries
+    monkeypatch.setattr(bal, "MEMORY_BUDGET", 2 * 6 * slab3.n)
+    assert batches("3") == [2, 1]

@@ -111,6 +111,17 @@ KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
                       "n_env": 0}, "n_env"),
     ("rho", {"law": KICK_D2, "theta": 0.2, "eta": 0.5, "L": 2, "lateral_cap": 8,
              "n_env": 0}, "n_env"),
+    # values of the wrong JSON type name their key
+    ("theorem3", {"law": KICK_D2, "rho": 0.5, "N_list": 5}, "'N_list'"),
+    ("green", {"law": KICK_D2, "region": {"kind": "box", "lo": [-2, -2], "hi": [2, 2]},
+               "source": 5}, "'source'"),
+    ("fluctuations", {"law": KICK_D2, "amplitudes": 0.1, "L": 2, "W": 8}, "'amplitudes'"),
+    ("kalikow-drift", {"law": KICK_D2, "region": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+                       "n_env": [3]}, "'n_env'"),
+    ("condition-p", {"law": KICK_D2, "M_list": 3}, "'M_list'"),
+    ("velocity", {"law": KICK_D2, "n_steps": None, "n_walks": 4}, "'n_steps'"),
+    ("rho", {"law": KICK_D2, "theta": 0.2, "eta": 0.5, "L": 2, "lateral_cap": [8]},
+     "'lateral_cap'"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -274,14 +274,16 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     assert xs.auto_method(half.n, half) == "banded"
 
 
-@pytest.mark.parametrize("method, solver", [("dense", "_dense_solve"),
+@pytest.mark.parametrize("method, solver", [("dense", "_dense_batch"),
                                              ("banded", "_banded_solve")])
 def test_direct_solves_enforce_tol(monkeypatch, method, solver):
     env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=6)
     system = xs.build_system(env, rl.BoxRegion([0, 0], [4, 4]))
     exact, _ = xs.solve_green_row(system, 0, 1e-13, method=method)
     # a direct solution off by 1e-6 is polished down to the tolerance ...
-    monkeypatch.setattr(xs, solver, lambda A, b, *rest: exact + 1e-6)
+    # (the dense path is a batch of one, shape (1, n))
+    off = exact[None] + 1e-6 if method == "dense" else exact + 1e-6
+    monkeypatch.setattr(xs, solver, lambda *args: off)
     g, info = xs.solve_green_row(system, 0, 1e-11, method=method)
     assert info.method == method and info.iterations > 0
     assert info.l1_residual <= 1e-11
@@ -297,8 +299,8 @@ def test_nan_solutions_are_not_certified(monkeypatch):
     env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=6)
     system = xs.build_system(env, rl.BoxRegion([0, 0], [4, 4]))
     # a NaN residual fails the certificate and stops the polish at once
-    monkeypatch.setattr(xs, "_dense_solve",
-                        lambda system, b, transpose: np.full(b.shape, np.nan))
+    monkeypatch.setattr(xs, "_dense_batch",
+                        lambda pattern, weights, b, transpose: np.full(b.shape, np.nan))
     with pytest.raises(xs.SolverConvergenceError):
         xs.solve_green_row(system, 0, 1e-11, method="dense")
     matvecs = []
@@ -459,13 +461,13 @@ def test_green_batch_per_environment_path_matches_row_solves():
     src = pattern.source_index((0, 0))
     envs = [rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s) for s in range(3)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
-    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
+    g = xs.solve_batch(pattern, weights, np.eye(1, pattern.n, src)[0], 1e-10, transpose=True)
     for b, env in enumerate(envs):
         row, info = xs.solve_green_row(xs.build_system(env, region), src, 1e-10)
         assert info.method == "banded"
         assert np.array_equal(g[b], row)
     with pytest.raises(ValueError, match="DENSE_CUTOFF"):
-        xs.solve_green_batch(pattern, weights, None, 1e-10)
+        xs.solve_batch(pattern, weights, None, 1e-10)
 
 
 def _row_solves(pattern, weights, src, tol):
@@ -482,15 +484,17 @@ def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
     region = rl.HalfSpaceTrunc(-1, N, 2)
     pattern = xs.region_pattern(region)
     src = pattern.source_index((0, 0))
-    assert xs._lockstep_pays(pattern, B, src)
+    assert xs._lockstep_pays(pattern, B, True)
     law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
     envs = [rl.sample_environment(law, seed=rng.child_seed(N, s)) for s in range(B)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
     tol = 1e-10
-    lockstep = xs._lockstep_rows(pattern, weights, src, tol)
+    e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
+    lockstep = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
     assert lockstep is not None
-    xs._certify_green_batch(pattern, weights, lockstep, src, tol)
-    assert np.array_equal(xs.solve_green_batch(pattern, weights, src, tol), lockstep)
+    xs._certify_batch(pattern, weights, e_src, lockstep, tol, "l1", True)
+    assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True),
+                          lockstep)
     for g, env in zip(lockstep, envs):
         system = xs.build_system(env, region)
         row, info = xs.solve_green_row(system, src, tol)
@@ -514,9 +518,11 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
     else:
         # disorder far from the mean kernel: Richardson diverges at once
         weights = np.random.default_rng(0).dirichlet(np.ones(4), size=(10, pattern.n))
-    assert xs._lockstep_pays(pattern, weights.shape[0], src)
-    assert xs._lockstep_rows(pattern, weights, src, 1e-10) is None
-    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
+    B = weights.shape[0]
+    e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
+    assert xs._lockstep_pays(pattern, B, True)
+    assert xs._lockstep(pattern, weights, e_src, np.full(B, 1e-10)) is None
+    g = xs.solve_batch(pattern, weights, e_src[0], 1e-10, transpose=True)
     assert np.array_equal(g, _row_solves(pattern, weights, src, 1e-10))
 
 
@@ -532,16 +538,20 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
     (rl.HalfSpaceTrunc(1, 10, 2), 4, False),   # too few unknowns per iteration
     (rl.SiteSetRegion([(0, 0), (1, 0), (1, 1)], 2), 400, False),
 ])
-def test_lockstep_dispatch(region, B, lockstep):
+def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
+    monkeypatch.setenv("RWRE_THREADS", "1")
     pattern = xs.region_pattern(region)
-    src = pattern.source_index((0,) * region.d)
-    assert xs._lockstep_pays(pattern, B, src) is lockstep
-    assert not xs._lockstep_pays(pattern, B, None)  # whole inverses
+    assert xs._lockstep_pays(pattern, B, True) is lockstep
+    assert not xs._lockstep_pays(pattern, B, False)  # operators and whole inverses
     if not lockstep:
         return
-    # lockstep batches are sized by B n, whole inverses by n^2
-    assert xs.batch_size(pattern, src) == xs._LOCKSTEP_UNKNOWNS // pattern.n
-    assert xs.batch_size(pattern, None) == min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096)
+    # lockstep batches are sized by B n; non-transposed ones by n^2 where
+    # they take the stacked dense LU, by the per-environment rule elsewhere
+    assert xs.batch_size(pattern, transpose=True) == xs._LOCKSTEP_UNKNOWNS // pattern.n
+    if pattern.n <= xs.DENSE_CUTOFF:
+        assert xs.batch_size(pattern) == min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096)
+    else:
+        assert xs.batch_size(pattern) == xs._LOCKSTEP_UNKNOWNS // pattern.n
 
 
 def test_whole_inverses_never_go_lockstep(monkeypatch):
@@ -549,13 +559,13 @@ def test_whole_inverses_never_go_lockstep(monkeypatch):
     pattern = xs.region_pattern(region)
     weights = np.stack([rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s)
                         .weights_block(pattern.interior) for s in range(20)])
-    assert xs._lockstep_pays(pattern, 20, pattern.source_index((0, 0)))
+    assert xs._lockstep_pays(pattern, 20, True)
 
     def refuse(*args):
         raise AssertionError("whole inverses took the lockstep path")
 
-    monkeypatch.setattr(xs, "_lockstep_rows", refuse)
-    G = xs.solve_green_batch(pattern, weights, None, 1e-10)
+    monkeypatch.setattr(xs, "_lockstep", refuse)
+    G = xs.solve_batch(pattern, weights, None, 1e-10, transpose=True)
     assert G.shape == (20, pattern.n, pattern.n)
 
 
@@ -607,32 +617,91 @@ def test_operator_batch_is_the_single_environment_solve(region):
     envs = [rl.sample_environment(law, seed=s) for s in range(3)]
     weights = rl.env_model.sample_weights(law, pattern.interior, range(3))
     fields = 3.0 * (weights[:, :, 0] - weights[:, :, 1])  # sup norm above 1
-    u = xs.solve_operator_batch(pattern, weights, fields, 1e-10)
+    u = xs.solve_batch(pattern, weights, fields, 1e-10, norm="linf")
     for env, f, u_b in zip(envs, fields, u):
         want = xs.solve_green_operator(xs.build_system(env, region), f, 1e-10)
         assert np.array_equal(u_b, want)
 
 
-def test_operator_batch_failure_names_the_environment(monkeypatch):
-    pattern = xs.region_pattern(rl.SlabRegion(2, 8, 2))
-    weights = rl.env_model.sample_weights(rl.ssrw_law(2), pattern.interior, range(4))
-    fields = np.ones(weights.shape[:2])
-    fields[2, 5] = np.nan
-    with pytest.raises(xs.BatchSolveError) as exc:
-        xs.solve_operator_batch(pattern, weights, fields)
-    assert exc.value.index == 2
-    assert isinstance(exc.value.__cause__, xs.SolverConvergenceError)
+def test_operator_batch_failure_names_the_environment():
+    # per environment (band LU) the failed solve is the cause; on the
+    # stacked dense LU the NaN fails the batch certificate
+    for region, per_environment in [(rl.SlabRegion(4, 64, 2), True),
+                                    (rl.SlabRegion(2, 8, 2), False)]:
+        pattern = xs.region_pattern(region)
+        weights = rl.env_model.sample_weights(rl.ssrw_law(2), pattern.interior, range(4))
+        fields = np.ones(weights.shape[:2])
+        fields[2, 5] = np.nan
+        with pytest.raises(xs.BatchSolveError) as exc:
+            xs.solve_batch(pattern, weights, fields, norm="linf")
+        assert exc.value.index == 2
+        if per_environment:
+            assert isinstance(exc.value.__cause__, xs.SolverConvergenceError)
+        else:
+            assert exc.value.__cause__ is None
 
 
 def test_operator_batch_size(monkeypatch):
-    monkeypatch.setenv("RWRE_THREADS", "1")
-    small, slab3 = xs.region_pattern(rl.SlabRegion(2, 8, 2)), xs.region_pattern(
-        rl.SlabRegion(4, 32, 3))
-    assert xs.operator_batch_size(small) == xs._LOCKSTEP_UNKNOWNS // small.n
-    assert xs.operator_batch_size(slab3) == 1
-    monkeypatch.setenv("RWRE_THREADS", "3")
-    assert xs.operator_batch_size(slab3) == 3
-    assert xs.operator_batch_size(small) == xs._LOCKSTEP_UNKNOWNS // small.n
-    # the (B, n, 2d) block stays within MEMORY_BUDGET entries
-    monkeypatch.setattr(xs, "MEMORY_BUDGET", 2 * 6 * slab3.n)
-    assert xs.operator_batch_size(slab3) == 2
+    small, band, slab3 = (xs.region_pattern(region) for region in (
+        rl.SlabRegion(2, 8, 2), rl.SlabRegion(4, 64, 2), rl.SlabRegion(4, 32, 3)))
+    for threads in ("1", "3"):  # the worker count never sizes a batch
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        # stacked dense LU: B n^2 entries within MEMORY_BUDGET
+        assert xs.batch_size(small) == xs.MEMORY_BUDGET // small.n ** 2
+        # per environment: 2^16 unknowns
+        assert xs.batch_size(band) == xs._LOCKSTEP_UNKNOWNS // band.n
+        assert xs.batch_size(slab3) == 1
+
+
+def test_stacked_operator_solves_are_certified(monkeypatch):
+    region = rl.SlabRegion(2, 8, 2)
+    pattern = xs.region_pattern(region)
+    assert xs.auto_method(pattern.n, pattern) == "dense"
+    law = rl.SignedAxisKickLaw(2, 0.02, 0.05)
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(3))
+    fields = np.random.default_rng(1).uniform(-3.0, 3.0, weights.shape[:2])
+    fields[:, 0] = 3.0  # sup norm 3: residuals are held to 3 tol
+    tol = 1e-10
+    u = xs.solve_batch(pattern, weights, fields, tol, norm="linf")
+    for k in range(3):
+        want = xs.solve_green_operator(xs.QuenchedSystem(pattern, weights[k]), fields[k], tol)
+        assert np.array_equal(u[k], want)
+    # moving environment 1 by delta (I - P)^-1 e_5 moves its residual by
+    # delta at site 5
+    e5 = np.broadcast_to(np.eye(1, pattern.n, 5)[0], fields.shape)
+    bump = xs._dense_batch(pattern, weights, e5, False)[1]
+    dense = xs._dense_batch
+
+    def off_by(delta):
+        def solve(pattern_, weights_, b, transpose):
+            x = dense(pattern_, weights_, b, transpose)
+            x[1] += delta * bump
+            return x
+        return solve
+
+    monkeypatch.setattr(xs, "_dense_batch", off_by(2 * tol))
+    xs.solve_batch(pattern, weights, fields, tol, norm="linf")
+    monkeypatch.setattr(xs, "_dense_batch", off_by(4 * tol))
+    with pytest.raises(xs.BatchSolveError) as exc:
+        xs.solve_batch(pattern, weights, fields, tol, norm="linf")
+    assert exc.value.index == 1
+
+
+def test_stacked_solves_factor_in_slices(monkeypatch):
+    pattern = xs.region_pattern(rl.SlabRegion(2, 8, 2))
+    law = rl.SignedAxisKickLaw(2, 0.02, 0.05)
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(5))
+    fields = np.random.default_rng(2).uniform(-1.0, 1.0, weights.shape[:2])
+    whole = [xs.solve_batch(pattern, weights, b, norm="linf") for b in (fields, None)]
+    dense, slices = xs._dense_batch, []
+
+    def record(pattern_, weights_, b, transpose):
+        slices.append(len(weights_))
+        return dense(pattern_, weights_, b, transpose)
+
+    monkeypatch.setattr(xs, "_dense_batch", record)
+    monkeypatch.setattr(xs, "_DENSE_SLICE", 2 * pattern.n ** 2 + 1)
+    for b, want in zip((fields, None), whole):
+        slices.clear()
+        assert np.array_equal(xs.solve_batch(pattern, weights, b, norm="linf"), want)
+        assert slices == [2, 2, 1]

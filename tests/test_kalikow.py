@@ -98,7 +98,7 @@ def test_formula_samples_match_per_site_hitting_solves(size, seeds, src_pick, a)
     law = rl.SignedAxisKickLaw(2, a, 0.01)
     envs = [rl.sample_environment(law, seed=s) for s in seeds]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
-    G = xs.solve_green_batch(pattern, weights, None)
+    G = xs.solve_batch(pattern, weights, None)
     num, den = kal._formula_samples(G, weights, pattern, src)
     for b, env in enumerate(envs):
         for y_idx, y in enumerate(pattern.interior):
@@ -131,7 +131,8 @@ def test_dense_green_rows_are_certified():
     law = rl.SignedAxisKickLaw(2, 0.05)
     envs = [rl.sample_environment(law, seed=s) for s in range(4)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
-    g = xs.solve_green_batch(pattern, weights, src, 1e-13)
+    e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (len(envs), pattern.n))
+    g = xs.solve_batch(pattern, weights, e_src[0], 1e-13, transpose=True)
     # the batch certificate is the row solve's l1 residual
     for b, env in enumerate(envs):
         system = xs.build_system(env, region)
@@ -140,7 +141,7 @@ def test_dense_green_rows_are_certified():
         bumped = g.copy()
         bumped[b, 3] += 1e-9
         with pytest.raises(xs.SolverConvergenceError):
-            xs._certify_green_batch(pattern, weights, bumped, src, 1e-9)
+            xs._certify_batch(pattern, weights, e_src, bumped, 1e-9, "l1", True)
         assert np.abs(r).sum() <= 1e-13
     # a sampled environment whose rows miss the certificate names its seed
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
@@ -334,26 +335,40 @@ class TestHalfSpaceExperiment:
         assert run("4") == one
         assert run("1") == one
 
+    def test_per_environment_chunks_do_not_follow_the_worker_count(self, monkeypatch):
+        # d=3 N=5 half-spaces (726 sites) solve one environment at a time; with
+        # this budget each chunk holds one environment, fewer than the workers
+        monkeypatch.setattr(xs, "_LOCKSTEP_UNKNOWNS", 726)
+        law = rl.SignedAxisKickLaw(3, 0.05, 1e-5)
+
+        def run(threads):
+            monkeypatch.setenv("RWRE_THREADS", threads)
+            rep = rl.theorem3_experiment(law, rho=0.5, N_list=(5,), n_env=6, seed=3,
+                                         force=True)
+            return json.dumps(rep.to_dict(), sort_keys=True)
+
+        assert run("3") == run("1")
+
     def test_each_environment_is_sampled_once_and_gathered(self, monkeypatch):
         law, seed, n_env = self.law(), 9, 5
         seeds = [rng.child_seed(seed, i) for i in range(n_env)]
         drawn, batches = [], []
         sample = kal.sample_environment
-        solve = kal.solve_green_batch
+        solve = kal.solve_batch
 
         def spy_sample(law_, seed=0):
             drawn.append(seed)
             return sample(law_, seed=seed)
 
-        def spy_solve(pattern, weights, src, tol):
+        def spy_solve(pattern, weights, *args, **kwargs):
             batches.append((pattern, weights.copy()))
-            return solve(pattern, weights, src, tol)
+            return solve(pattern, weights, *args, **kwargs)
 
         # environments are drawn through env_model.sample_weights, the SSRW
         # reference through kalikow's own import
         monkeypatch.setattr(kal, "sample_environment", spy_sample)
         monkeypatch.setattr(rl.env_model, "sample_environment", spy_sample)
-        monkeypatch.setattr(kal, "solve_green_batch", spy_solve)
+        monkeypatch.setattr(kal, "solve_batch", spy_solve)
         rl.theorem3_experiment(law, rho=0.5, N_list=(3, 5), n_env=n_env, seed=seed)
         # one draw per environment seed, and one for the SSRW reference
         assert sorted(drawn) == sorted(seeds + [0])
@@ -371,11 +386,11 @@ def test_formula_route_inverses_are_certified():
     law = rl.SignedAxisKickLaw(2, 0.05)
     weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
                         for s in range(4)])
-    G = xs.solve_green_batch(pattern, weights, None, 1e-13)
+    G = xs.solve_batch(pattern, weights, None, 1e-13)
     corrupted = G.copy()
     corrupted[2, 7, 11] += 1e-9
     with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_green_batch(pattern, weights, corrupted, None, 1e-10)
+        xs._certify_batch(pattern, weights, None, corrupted, 1e-10, "l1", False)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
@@ -390,14 +405,15 @@ def test_batch_certificates_reject_nan():
     law = rl.SignedAxisKickLaw(2, 0.05)
     weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
                         for s in range(3)])
-    g = xs.solve_green_batch(pattern, weights, src, 1e-10)
+    e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (3, pattern.n))
+    g = xs.solve_batch(pattern, weights, e_src, 1e-10, transpose=True)
     g[1, 5] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_green_batch(pattern, weights, g, src, 1e-10)
-    G = xs.solve_green_batch(pattern, weights, None, 1e-10)
+        xs._certify_batch(pattern, weights, e_src, g, 1e-10, "l1", True)
+    G = xs.solve_batch(pattern, weights, None, 1e-10)
     G[2, 7, 11] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_green_batch(pattern, weights, G, None, 1e-10)
+        xs._certify_batch(pattern, weights, None, G, 1e-10, "l1", False)
 
 
 def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
@@ -423,14 +439,15 @@ def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
 
 def test_half_space_certificate_failure_names_the_environment_seed(monkeypatch):
     # N = 3 and 4 with 6 environments: one stacked dense LU batch per region
-    dense = xs._dense_green_batch
+    dense = xs._dense_batch
 
-    def corrupt(pattern, weights, src):
-        green = dense(pattern, weights, src)
-        green[[3, 5], 0] += 1e-6
+    def corrupt(pattern, weights, b, transpose):
+        green = dense(pattern, weights, b, transpose)
+        if len(weights) > 1:  # single solves, such as the SSRW references, pass
+            green[[3, 5], 0] += 1e-6
         return green
 
-    monkeypatch.setattr(xs, "_dense_green_batch", corrupt)
+    monkeypatch.setattr(xs, "_dense_batch", corrupt)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.theorem3_experiment(rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5), 0.5,
                                 N_list=(3, 4), n_env=6, seed=7)

@@ -155,6 +155,8 @@ def martingale_tail_test(increment: str, n: int, u_grid, n_paths: int, seed: int
     """
     if increment not in _INCREMENTS:
         raise ValueError(f"increment must be one of {_INCREMENTS}")
+    if n_paths < 1:
+        raise ValueError(f"the tail test needs n_paths >= 1, got {n_paths}")
     if increment == "plusminus":
         step_v2 = b * b
     elif increment == "uniform":
@@ -257,6 +259,8 @@ def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
     """
     if M < 2:
         raise ValueError("probe needs M >= 2")
+    if n_per_site < 1:
+        raise ValueError(f"the probe needs n_per_site >= 1, got {n_per_site}")
     if not law.homogeneous:
         raise ValueError("the probe needs a homogeneous law")
     d = law.d
@@ -341,7 +345,7 @@ def _drift_origin_samples(law: EnvironmentLaw, region, n_env: int, seed: int,
     rng.child_seed(seed, i), i < n_env, solved in batches."""
     pattern = region_pattern(region)
     origin = pattern.source_index((0,) * pattern.d)
-    env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+    env_seeds = rng.child_seed(seed, np.arange(n_env)).tolist()
     # copies: a view would keep each batch's whole solution alive
     samples = [u[:, origin].copy()
                for u, in _batched_solves(law, env_seeds, tol, (pattern, _drift_field))]
@@ -439,6 +443,8 @@ def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
     if n_env < 1:
         raise ValueError(f"the fluctuation scan needs n_env >= 1, got {n_env}")
     amplitudes = [float(a) for a in amplitudes]
+    if len(amplitudes) < 2:
+        raise ValueError(f"the fluctuation scan needs two amplitudes or more, got {amplitudes}")
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
     first_law = law_family(amplitudes[0])
@@ -573,7 +579,7 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
     g_threshold = lambda0 * L + 4.0 / (L * L)
 
     q_parts, rho_hat_parts, g_parts = [], [], []
-    env_seeds = [rng.child_seed(seed, i, 11) for i in range(n_env)]
+    env_seeds = rng.child_seed(seed, np.arange(n_env), 11).tolist()
     for h, u in _batched_solves(law, env_seeds, tol, (box_pat, _nonfrontal_exit_field),
                                 (slab_pat, _drift_field)):
         # copies: a view would keep the batch's whole solution alive

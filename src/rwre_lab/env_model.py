@@ -351,16 +351,13 @@ class EnvironmentRealization:
 
     The weight vector at a site is a pure function of (seed, coordinates),
     so query order never matters and disjoint sites can be realized in
-    parallel.
+    parallel.  A realization is a batch of one in `sample_weights`.
     """
 
     def __init__(self, law: EnvironmentLaw, seed: int):
         self.law = law
         self.d = law.d
         self.seed = int(seed)
-        if law.homogeneous:
-            probs, self._vecs = law.support()
-            self._cum = np.cumsum(probs)
 
     def weights(self, site) -> np.ndarray:
         """The weight vector at one site: one row of weights_block."""
@@ -368,21 +365,12 @@ class EnvironmentRealization:
 
     def weights_block(self, coords) -> np.ndarray:
         """Vectorized weights for an (N, d) coordinate array."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if not self.law.homogeneous:
-            rows = []
-            for site, u in zip(coords, rng.site_uniforms(self.seed, coords)):
-                probs, vecs = self.law.site_support(site)
-                rows.append(_draw(np.cumsum(probs), vecs, u))
-            return np.array(rows)
-        if len(self._vecs) == 1:
-            return np.broadcast_to(self._vecs[0], (coords.shape[0], 2 * self.d)).copy()
-        return _draw(self._cum, self._vecs, rng.site_uniforms(self.seed, coords))
+        return sample_weights(self.law, coords, [self.seed])[0]
 
 
-def _draw(cum: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
-    """The support vectors that uniforms u pick against cumulative probabilities cum."""
-    return vecs[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
+def _draw(probs: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
+    """The rows of vecs (one per atom) that uniforms u pick against probabilities probs."""
+    return vecs[np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)]
 
 
 def sample_environment(law: EnvironmentLaw, seed: int = 0) -> EnvironmentRealization:
@@ -391,13 +379,20 @@ def sample_environment(law: EnvironmentLaw, seed: int = 0) -> EnvironmentRealiza
 
 
 def sample_weights(law: EnvironmentLaw, sites, env_seeds) -> np.ndarray:
-    """One sampled environment per seed on the (N, d) sites, as a (B, N, 2d)
-    block whose row b is the environment of seed env_seeds[b]."""
+    """One sampled environment per seed on the (N, d) sites, as a (B, N, 2d) block whose
+    row b is the environment of seed env_seeds[b], from one hash of all (seed, site) pairs."""
     sites = np.asarray(sites, dtype=np.int64)
-    block = np.empty((len(env_seeds), sites.shape[0], 2 * law.d))
-    for b, s in enumerate(env_seeds):
-        block[b] = sample_environment(law, seed=s).weights_block(sites)
-    return block
+    seeds = rng._u64(env_seeds)[:, None]
+    if not law.homogeneous:
+        u = rng.site_uniforms(seeds, sites)
+        block = np.empty(u.shape + (2 * law.d,))
+        for j, site in enumerate(sites):
+            block[:, j] = _draw(*law.site_support(site), u[:, j])
+        return block
+    probs, vecs = law.support()
+    if len(probs) == 1:
+        return np.broadcast_to(vecs[0], (len(seeds), len(sites), 2 * law.d)).copy()
+    return _draw(probs, vecs, rng.site_uniforms(seeds, sites))
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def kalikow_environment(law: EnvironmentLaw, region: Region, x,
         raise ValueError(f"Monte Carlo needs n_env >= 1, got {n_env}")
 
     exact = method == "exact"
-    env_seeds = None if exact else [rng.child_seed(seed, i) for i in range(n_env)]
+    env_seeds = None if exact else rng.child_seed(seed, np.arange(n_env)).tolist()
     acc = _RatioAccumulator(pattern.n, pattern.d)
     green_src = src if route == "definition" else None
     for weights, green, probs in _green_batches(law, pattern, green_src, tol, env_seeds):
@@ -569,6 +569,8 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     """
     if n_env < 1:
         raise ValueError(f"the half-space experiment needs n_env >= 1, got {n_env}")
+    if len(N_list) < 1:
+        raise ValueError("the half-space experiment needs at least one truncation in N_list")
     k_report = check_k_conditions(law, rho, eps0)
     warning = None
     if not k_report.all_pass:
@@ -582,7 +584,7 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     origin = (0,) * d
     mean_w = law_moments(law).mean
     ssrw_env = sample_environment(ssrw_law(d), seed=0)
-    env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+    env_seeds = rng.child_seed(seed, np.arange(n_env)).tolist()
     regions = [HalfSpaceTrunc(sign, int(N), d) for sign in (1, -1) for N in N_list]
     patterns = [region_pattern(region) for region in regions]
     srcs = [pattern.source_index(origin) for pattern in patterns]

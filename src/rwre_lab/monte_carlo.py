@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import rng
+from . import env_model, rng
 from .env_model import EnvironmentLaw, EnvironmentRealization, directions, sample_environment
 from .lattice import ExitClass, Region
 from .runtime import deterministic_map
@@ -248,7 +248,6 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
     """
     probs, vecs = law.support()  # UnsupportedFamilyError without a homogeneous table
     one_atom = probs.shape[0] == 1
-    atom_cum = np.cumsum(probs)
     step_cum = np.cumsum(vecs, axis=1)
     dirs = directions(law.d)
     last = 2 * law.d - 1
@@ -266,19 +265,16 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
 
     for c, lo in enumerate(range(0, finals.shape[0], WALK_CHUNK)):
         pos = finals[lo:lo + WALK_CHUNK]  # a view: steps land in finals
-        m = pos.shape[0]
         gen = rng.stream_generator(seed, c)
         if region is None and one_atom:
             # the step law is the same at every site, so the final site only
             # depends on how many of the steps went each way
-            pos += gen.multinomial(budget, vecs[0], size=m) @ dirs
+            pos += gen.multinomial(budget, vecs[0], size=len(pos)) @ dirs
             continue
-        live = np.arange(m)
+        live = np.arange(len(pos))
         if not one_atom:
-            # the mixed seed word of child_seed(seed, c, w) for every walk w
-            # of the chunk, so each step only folds in the site
-            words = rng._seed_word(
-                rng.site_hash(seed, np.column_stack([np.full(m, c), live])))
+            # seed words mixed once per chunk, so each step only folds in the site
+            words = rng._seed_word(rng.child_seed(seed, c, live))
         steps = 0
         while live.size:
             if steps == budget:
@@ -287,12 +283,11 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
                 raise StepBudgetError(
                     f"walk exceeded step budget {budget} before stopping")
             here = pos[live]
-            atom = 0
+            cum = step_cum[0]
             if not one_atom:
-                u = rng._unit(rng._fold(words[live], here))
-                atom = np.minimum(np.searchsorted(atom_cum, u, side="right"), len(probs) - 1)
+                cum = env_model._draw(probs, step_cum, rng._unit(rng._fold(words[live], here)))
             u = gen.random(live.shape[0])
-            k = np.minimum((step_cum[atom] <= u[:, None]).sum(axis=1), last)
+            k = np.minimum((cum <= u[:, None]).sum(axis=1), last)
             here += dirs[k]
             pos[live] = here
             steps += 1
@@ -317,6 +312,8 @@ def annealed_event_probability(law: EnvironmentLaw, region: Region, start, event
         raise ValueError(f"unknown exit event {event!r}")
     if not region.has_frontal:
         raise ValueError("named exit events need a region with a frontal side")
+    if n < 1:
+        raise ValueError(f"the exit probability needs n >= 1 walks, got {n}")
     starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (n, law.d))
     finals = annealed_walks(law, starts, ExitRegion(region), seed, step_budget)
     frontal = finals[:, 0] >= region.frontal_min
@@ -329,6 +326,8 @@ def estimate_velocity(law: EnvironmentLaw, n_steps: int, n_walks: int,
     """Annealed estimate of the n-step average displacement along e1."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_walks < 1:
+        raise ValueError(f"n_walks must be >= 1, got {n_walks}")
     finals = annealed_walks(law, np.zeros((n_walks, law.d), dtype=np.int64),
                             FixedSteps(n_steps), seed)
     return MCEstimate.from_samples(finals[:, 0] / n_steps, seed)
@@ -389,7 +388,7 @@ def sample_statistic_over_environments(law: EnvironmentLaw, region: Region,
     functional(env, region) must be deterministic given the environment;
     solver failures are re-raised with the environment seed for replay.
     """
-    env_seeds = [rng.child_seed(seed, i) for i in range(n_env)]
+    env_seeds = rng.child_seed(seed, np.arange(n_env)).tolist()
 
     def one(env_seed: int) -> float:
         env = sample_environment(law, seed=env_seed)

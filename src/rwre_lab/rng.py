@@ -48,16 +48,23 @@ def _mix(z):
     return z
 
 
+def _u64(ints) -> np.ndarray:
+    """An integer, or an array or list of integers, as uint64 mod 2^64."""
+    a = np.asarray(ints)
+    if a.dtype.kind not in "iu":  # Python ints numpy would round to float64
+        reduce = np.frompyfunc(lambda i: int(i) & 0xFFFFFFFFFFFFFFFF, 1, 1)
+        a = np.asarray(reduce(np.asarray(ints, dtype=object)))
+    return a.astype(_U64)
+
+
 def _seed_word(seed) -> np.ndarray:
     """Mixed seed word of an integer seed, or of each entry of a seed array (mod 2^64)."""
-    if np.ndim(seed):
-        return _splitmix64(np.asarray(seed).astype(_U64))
-    return _splitmix64(np.asarray(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=_U64))
+    return _splitmix64(_u64(seed))
 
 
 def _fold(words, coords) -> np.ndarray:
-    """Fold coordinate rows (..., d) into mixed seed words of shape (...)."""
-    h = np.broadcast_to(words, coords.shape[:-1]).copy()
+    """Fold coordinate rows (..., d) into mixed seed words broadcast against them."""
+    h = words
     for k in range(coords.shape[-1]):
         h = _splitmix64(h ^ coords[..., k].astype(_U64))
     return h
@@ -75,7 +82,7 @@ def site_hash(seed, coords) -> np.ndarray:
     sequential over the d axes, so coordinate permutations hash differently.
     seed is one integer, or an integer array of shape (...) holding one seed
     per coordinate row; row i then hashes exactly as site_hash(seed[i],
-    coords[i]) would.
+    coords[i]) would; seeds of shape (B, 1) on (N, d) coords hash all B*N pairs.
     """
     coords = np.asarray(coords, dtype=np.int64)
     return _fold(_seed_word(seed), coords)
@@ -86,12 +93,13 @@ def site_uniforms(seed, coords) -> np.ndarray:
     return _unit(site_hash(seed, coords))
 
 
-def child_seed(seed: int, *indices: int) -> int:
-    """Derive an independent sub-seed from a master seed and integer indices."""
+def child_seed(seed: int, *indices):
+    """Derive an independent sub-seed from a master seed and integer indices;
+    index arrays broadcast and give a uint64 array of the scalar calls' seeds."""
     h = _seed_word(seed)
     for ix in indices:
-        h = _splitmix64(h ^ np.asarray(int(ix) & 0xFFFFFFFFFFFFFFFF, dtype=_U64))
-    return int(h)
+        h = _splitmix64(h ^ _u64(ix))
+    return int(h) if h.ndim == 0 else h
 
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:

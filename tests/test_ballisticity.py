@@ -74,6 +74,10 @@ class TestFreedman:
         with pytest.raises(ValueError):
             bal.martingale_tail_test("cauchy", 10, [1], 10, seed=1)
 
+    def test_tail_test_without_paths_raises(self):
+        with pytest.raises(ValueError, match="n_paths"):
+            bal.martingale_tail_test("plusminus", 10, [1], 0, seed=1)
+
 
 class TestConditionP:
     def test_ssrw_m2_fails_threshold(self):
@@ -101,6 +105,10 @@ class TestConditionP:
         assert rep.sup_estimate == 0.0
         assert rep.verdict == "pass-informal"
         assert all(s.hits == 0 for s in rep.starts)
+
+    def test_probe_without_walks_raises(self):
+        with pytest.raises(ValueError, match="n_per_site"):
+            bal.condition_p_probe(rl.SignedAxisKickLaw(2, 0.05), 3, n_per_site=0, seed=1)
 
     def test_shifted_law_sup_below_ssrw(self):
         base = bal.condition_p_probe(rl.ssrw_law(2), 2, n_per_site=4000, seed=4)
@@ -186,6 +194,12 @@ class TestFluctuationScan:
         with pytest.raises(ValueError):
             bal.fluctuation_scan(lambda a: rl.SignedAxisKickLaw(2, a),
                                  [0.02, 0.01], 4, 64, 10, alpha=0.5, seed=1)
+
+    @pytest.mark.parametrize("amplitudes", [[0.02], []])
+    def test_slope_needs_two_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitudes"):
+            bal.fluctuation_scan(lambda a: rl.SignedAxisKickLaw(2, a),
+                                 amplitudes, 2, 8, 4, alpha=0.5, seed=1)
 
 
 class TestRhoStatistics:

@@ -122,6 +122,13 @@ KICK_D2 = {"family": "signed_axis_kick", "d": 2, "a": 0.05}
     ("velocity", {"law": KICK_D2, "n_steps": None, "n_walks": 4}, "'n_steps'"),
     ("rho", {"law": KICK_D2, "theta": 0.2, "eta": 0.5, "L": 2, "lateral_cap": [8]},
      "'lateral_cap'"),
+    # degenerate sizes: no walks, no paths, one amplitude, no truncation
+    ("condition-p", {"law": KICK_D2, "M": 3, "n_per_site": 0}, "n_per_site"),
+    ("velocity", {"law": KICK_D2, "n_steps": 10, "n_walks": 0}, "n_walks"),
+    ("freedman", {"tail_test": {"n": 50, "u_grid": [2], "n_paths": 0}}, "n_paths"),
+    ("fluctuations", {"law": KICK_D2, "amplitudes": [0.01], "L": 2, "W": 8, "n_env": 4},
+     "amplitudes"),
+    ("theorem3", {"law": KICK_D2, "rho": 0.5, "N_list": []}, "N_list"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, kind, payload, named):
     cfg = write_config(tmp_path, "bad.json", payload)

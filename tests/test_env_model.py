@@ -1,3 +1,4 @@
+import bisect
 import json
 
 import numpy as np
@@ -104,6 +105,68 @@ def test_sample_weights_stacks_one_environment_per_seed():
                          for s in (7, 3, 7)])
         assert block.shape == (3, sites.shape[0], 4)
         assert np.array_equal(block, want)
+
+
+def _reference_block(law, sites, seeds):
+    """Site by site: each (seed, site) uniform against the cumulative support table."""
+    out = np.empty((len(seeds), len(sites), 2 * law.d))
+    for b, seed in enumerate(seeds):
+        for j, site in enumerate(sites):
+            probs, vecs = law.site_support(site)
+            cum = np.cumsum(probs).tolist()
+            u = float(rl.rng.site_uniforms(seed, site))
+            out[b, j] = vecs[min(bisect.bisect_right(cum, u), len(cum) - 1)]
+    return out
+
+
+def _sixteen_atom_law():
+    atoms = []
+    for a in (0.01, 0.02, 0.03, 0.04):
+        for k in range(4):
+            w = np.full(4, 0.25)
+            w[k] += a
+            w[k ^ 1] -= a
+            atoms.append((1 / 16, w))
+    return rl.EmpiricalLaw(atoms, 2)
+
+
+EMPIRICAL16 = _sixteen_atom_law()
+SAMPLER_LAWS = {
+    "kick": rl.SignedAxisKickLaw(2, 0.05, 0.01),
+    "empirical16": EMPIRICAL16,
+    "point_mass": rl.PointMassLaw([0.30, 0.20, 0.25, 0.25]),
+    "inhomogeneous": rl.InhomogeneousTestLaw(
+        {(0, 0): rl.SignedAxisKickLaw(2, 0.1), (1, -1): EMPIRICAL16}, 2,
+        default=rl.SignedAxisKickLaw(2, 0.03)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_LAWS))
+def test_sample_weights_matches_a_site_by_site_reference(name):
+    law = SAMPLER_LAWS[name]
+    sites = np.vstack([rl.BoxRegion([-2, -2], [2, 2]).interior_array(),
+                       [[1000, -7], [-(2 ** 40), 3]]])
+    seeds = [0, -1, 2 ** 63 + 5, 2 ** 64 + 7]
+    block = rl.env_model.sample_weights(law, sites, seeds)
+    assert block.shape == (4, sites.shape[0], 4)
+    assert np.array_equal(block, _reference_block(law, sites, seeds))
+    empty_sites = np.empty((0, 2), dtype=np.int64)
+    assert rl.env_model.sample_weights(law, empty_sites, seeds).shape == (4, 0, 4)
+    assert rl.env_model.sample_weights(law, sites, []).shape == (0, sites.shape[0], 4)
+
+
+def test_sample_weights_hashes_a_batch_once(monkeypatch):
+    calls = []
+    site_hash = rl.rng.site_hash
+
+    def spy(seed, coords):
+        calls.append(np.shape(seed))
+        return site_hash(seed, coords)
+
+    monkeypatch.setattr(rl.rng, "site_hash", spy)
+    sites = rl.BoxRegion([-2, -2], [2, 2]).interior_array()
+    rl.env_model.sample_weights(rl.SignedAxisKickLaw(2, 0.05), sites, list(range(400)))
+    assert calls == [(400, 1)]
 
 
 def test_sample_environment_takes_the_seed_second():

@@ -124,6 +124,11 @@ def test_bad_arguments_raise_value_error(kwargs, named):
             rl.theorem3_experiment(law, rho=0.5, N_list=(3,), n_env=0, force=True)
 
 
+def test_theorem3_needs_a_truncation():
+    with pytest.raises(ValueError, match="N_list"):
+        rl.theorem3_experiment(rl.SignedAxisKickLaw(2, 0.05), rho=0.5, N_list=(), n_env=4)
+
+
 def test_dense_green_rows_are_certified():
     region = rl.BoxRegion([-2, -2], [2, 2])
     pattern = xs.region_pattern(region)
@@ -352,26 +357,31 @@ class TestHalfSpaceExperiment:
     def test_each_environment_is_sampled_once_and_gathered(self, monkeypatch):
         law, seed, n_env = self.law(), 9, 5
         seeds = [rng.child_seed(seed, i) for i in range(n_env)]
-        drawn, batches = [], []
+        drawn, reference, batches = [], [], []
         sample = kal.sample_environment
+        sample_batch = kal.sample_weights
         solve = kal.solve_batch
 
         def spy_sample(law_, seed=0):
-            drawn.append(seed)
+            reference.append(seed)
             return sample(law_, seed=seed)
+
+        def spy_sample_batch(law_, sites, env_seeds):
+            drawn.extend(env_seeds)
+            return sample_batch(law_, sites, env_seeds)
 
         def spy_solve(pattern, weights, *args, **kwargs):
             batches.append((pattern, weights.copy()))
             return solve(pattern, weights, *args, **kwargs)
 
-        # environments are drawn through env_model.sample_weights, the SSRW
-        # reference through kalikow's own import
+        # environments are drawn in batches, the SSRW reference on its own
         monkeypatch.setattr(kal, "sample_environment", spy_sample)
-        monkeypatch.setattr(rl.env_model, "sample_environment", spy_sample)
+        monkeypatch.setattr(kal, "sample_weights", spy_sample_batch)
         monkeypatch.setattr(kal, "solve_batch", spy_solve)
         rl.theorem3_experiment(law, rho=0.5, N_list=(3, 5), n_env=n_env, seed=seed)
-        # one draw per environment seed, and one for the SSRW reference
-        assert sorted(drawn) == sorted(seeds + [0])
+        # one draw per environment seed across calls, and one for the SSRW reference
+        assert sorted(drawn) == sorted(seeds)
+        assert reference == [0]
         assert len(batches) == 4
         for pattern, weights in batches:
             # bit-identical to sampling each region on its own

@@ -153,6 +153,19 @@ def test_site_hash_accepts_one_seed_per_row():
                           [rng.site_uniforms(int(s), c) for s, c in zip(seeds, coords)])
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 63 + 5, 2 ** 64 + 7])
+def test_child_seed_over_index_arrays_matches_scalar_calls(seed):
+    idx = np.array([0, 1, 5, -3, 2 ** 40])
+    got = rng.child_seed(seed, idx)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [rng.child_seed(seed, int(i)) for i in idx]
+    assert rng.child_seed(seed, idx, 11).tolist() \
+        == [rng.child_seed(seed, int(i), 11) for i in idx]
+    assert rng.child_seed(seed, 2, idx).tolist() \
+        == [rng.child_seed(seed, 2, int(i)) for i in idx]
+    assert type(rng.child_seed(seed, 5, 11)) is int
+
+
 def test_site_hash_and_uniforms_raise_no_overflow_warning():
     # the mix wraps modulo 2^64 on purpose, for 0-d and array seeds alike
     coords = np.array([[-7, 2 ** 40], [3, -1]])
@@ -225,6 +238,16 @@ def test_velocity_point_mass_and_ssrw():
     assert abs(ssrw.mean) <= 4 * ssrw.se
     with pytest.raises(ValueError):
         mc.estimate_velocity(pm, 0, 10, seed=1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_estimates_without_walks_raise(n):
+    law = rl.SignedAxisKickLaw(2, 0.05)
+    with pytest.raises(ValueError, match="n_walks"):
+        mc.estimate_velocity(law, 10, n, seed=1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        mc.annealed_event_probability(law, rl.BallisticityBox(2, 2), (0, 0),
+                                      mc.EVENT_EXIT_FRONTAL, n, seed=1)
 
 
 def test_sample_statistic_point_mass_variance_zero():

@@ -23,6 +23,9 @@ in the region's own ordering, and its l1/sup norms are reported.
               sine transforms (DST-I matrices with the symmetrizing
               scaling folded in) through BLAS matmuls in O(n sum_i m_i);
               boxes whose axis matrices exceed MEMORY_BUDGET go without.
+              M is applied in float32 where its scaling fits float32's
+              mantissa, and a float32 run that ends above its tolerance is
+              re-run with the float64 M; x and the residuals stay float64.
               SolveInfo.iterations counts its iterations plus polish steps.
 
 Every path is held to the tolerance: a direct or Krylov solution whose
@@ -50,8 +53,11 @@ three paths that applies:
               preconditioned Richardson x <- x + M r, r = b - x + P^T x,
               with one mean-kernel inverse M for the batch's averaged
               weights applied to the (B, *shape) block, and P^T x as 2d
-              offset slices of the weights.  A batch without M, or whose
-              worst l1 residual stalls, falls back whole to the next paths;
+              offset slices of the weights.  M is applied in float32 where
+              it can be, x, r and the stopping test are float64, and a
+              float32 run that stalls is re-run whole with the float64 M.
+              A batch without M, or whose worst l1 residual stalls, falls
+              back whole to the next paths;
 * stacked dense LU where "auto" picks dense, for rows, operators and whole
               inverses alike (`_dense_batch`, also the single solve's path),
               factoring _DENSE_SLICE entries of I - A_k at a time;
@@ -59,9 +65,11 @@ three paths that applies:
               weights[k]) for each k on `deterministic_map`; whole inverses
               are refused there.
 
-The first two are certified column by column from the neighbour table
-(`_certify_batch`).  `batch_size` sizes a batch by the path it takes.  A
-failed solve or certificate raises BatchSolveError naming the environment.
+The first two are certified column by column in float64 from the weights
+and the neighbour table (`_certify_batch`): per direction, one gather
+through the padded table `RegionPattern.nbr_pad`.  `batch_size` sizes a
+batch by the path it takes.  A failed solve or certificate raises
+BatchSolveError naming the environment.
 Region patterns are kept across calls, keyed by region descriptor.
 """
 
@@ -186,6 +194,13 @@ class RegionPattern:
         return np.tile(np.arange(2 * self.d), self.n)[self.inside_mask][self._order]
 
     @cached_property
+    def nbr_pad(self) -> np.ndarray:
+        """The neighbour table as (2d, n) gather indices, one contiguous row
+        per direction, with every step out of the region (-1) sent to n:
+        the index of one zero pad entry after the n interior values."""
+        return np.ascontiguousarray(np.where(self.nbr >= 0, self.nbr, self.n).T)
+
+    @cached_property
     def dir_counts(self) -> np.ndarray:
         """Number of stored entries of P in each direction (index into dirs)."""
         return self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
@@ -193,6 +208,7 @@ class RegionPattern:
 
 # patterns kept across calls, keyed by region descriptor, least recently used
 # first; their neighbour tables together hold at most MEMORY_BUDGET entries
+# (twice that with their padded copies, `nbr_pad`)
 _PATTERNS: dict[str, RegionPattern] = {}
 _PATTERNS_LOCK = threading.Lock()
 
@@ -282,12 +298,29 @@ def _neumann_solve(A, b, tol, norm="l1", x0=None):
     return x, r, it
 
 
-def _dst1_matrix(m: int) -> np.ndarray:
+# DST-I matrices by length, least recently used first; their m^2 entries
+# (float64 plus float32 copies) together stay within MEMORY_BUDGET // 2
+_DST: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_DST_LOCK = threading.Lock()
+
+
+def _dst1_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m x m orthonormal DST-I matrix sqrt(2/(m+1)) sin(pi k j/(m+1)),
-    which is symmetric and its own inverse.  k j is reduced mod 2(m+1) in
-    integers, so every sine argument lies in [0, 2 pi)."""
-    kj = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
-    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * kj)
+    which is symmetric and its own inverse, in float64 and float32; kept
+    across calls.  k j is reduced mod 2(m+1) in integers, so every sine
+    argument lies in [0, 2 pi)."""
+    with _DST_LOCK:
+        mats = _DST.pop(m, None)
+        if mats is None:
+            kj = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
+            S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * kj)
+            mats = S, S.astype(np.float32)
+            for M in mats:  # shared by every caller
+                M.flags.writeable = False
+        _DST[m] = mats
+        while sum(k * k for k in _DST) > MEMORY_BUDGET // 2:
+            del _DST[next(iter(_DST))]
+    return mats
 
 
 def _mode_products(y, mats, shape):
@@ -303,8 +336,9 @@ def _mode_products(y, mats, shape):
 
 
 def _mean_kernel_factors(p, shape):
-    """(forward, back, inv_spectrum) of (I - P_bar)^-1 on a box of the given
-    shape, where P_bar steps in direction e with probability p[e], or None.
+    """(double, single) factors (forward, back, inv_spectrum) of (I - P_bar)^-1
+    on a box of the given shape, where P_bar steps in direction e with
+    probability p[e], in float64 and float32; or None.
 
     On a box with killing, I - P_bar is a Kronecker sum of tridiagonal
     Toeplitz operators.  Scaling axis i by r_i^x_i, r_i = sqrt(p(-e_i) /
@@ -318,7 +352,14 @@ def _mean_kernel_factors(p, shape):
     None where the 2 sum_i m_i^2 entries of the axis matrices exceed
     MEMORY_BUDGET, where the spectrum is not positive, or where the scaling
     overflows float64: a zero mean entry makes it infinite, and a drift too
-    strong for the box spreads it over more than 2^53.
+    strong for the box spreads it over more than 2^53.  single is None
+    where the scaling spreads over more than float32's 2^24.  The float32
+    axis matrices add half the float64 ones' bytes to the budget's.
+
+    M only has to contract: the callers keep x, the residual and every
+    certificate in float64 and apply M in float32 where they can, which
+    halves the bytes its matmuls move (iterative refinement with a
+    low-precision inner solve).
     """
     if 2 * sum(m * m for m in shape) > MEMORY_BUDGET:
         return None
@@ -334,34 +375,53 @@ def _mean_kernel_factors(p, shape):
         # the scaling's log range: sum_i max_x |log r_i^x| on centred x
         span = float(np.dot((np.asarray(shape) - 1) / 2, np.abs(log_r)))
     # each transform adds values across the scaling's whole range, so a
-    # range beyond float64's 53-bit precision loses the small side
+    # range beyond float64's 53-bit (float32's 24-bit) precision loses the
+    # small side
     if not (2.0 * span <= 53 * np.log(2.0) and np.all(spectrum > 0)):
         return None
-    forward, back = [], []
+    inv_spectrum = 1.0 / spectrum
+    double = [], [], inv_spectrum
+    single = [], [], inv_spectrum.astype(np.float32)
     for m, lr in zip(shape, log_r):
-        S = _dst1_matrix(m)
+        S, S32 = _dst1_matrices(m)
         scale = np.exp((np.arange(1.0, m + 1) - (m + 1) / 2) * lr)
-        forward.append(S / scale)
-        back.append(scale[:, None] * S)
-    return forward, back, 1.0 / spectrum
+        scale32 = scale.astype(np.float32)
+        double[0].append(S / scale)
+        double[1].append(scale[:, None] * S)
+        single[0].append(S32 / scale32)
+        single[1].append(scale32[:, None] * S32)
+    return double, (single if 2.0 * span <= 24 * np.log(2.0) else None)
+
+
+# largest residual entry that a float32 M takes: it leaves 2^64 of float32's
+# range for the scaling (at most 2^12), the sine transforms' sums and the
+# inverse spectrum
+_SINGLE_RANGE = 2.0 ** 64
 
 
 def _apply_mean_kernel(factors, v):
-    """(I - P_bar)^-1 from `_mean_kernel_factors` applied along the trailing
-    axes of v, C-ordered with shape (..., *shape): one BLAS matmul per axis
-    for all leading indices."""
+    """(I - P_bar)^-1 from one precision of `_mean_kernel_factors` applied
+    along the trailing axes of v, C-ordered with shape (..., *shape): one
+    BLAS matmul per axis for all leading indices.  v is cast to the factors'
+    precision, and so is the result, a correction for a float64 caller to
+    add; a float32 cast needs max |v| <= _SINGLE_RANGE."""
     forward, back, inv_spectrum = factors
     shape = inv_spectrum.shape
-    y = _mode_products(v, forward, shape).reshape(v.shape)
+    y = _mode_products(v.astype(inv_spectrum.dtype, copy=False), forward, shape)
+    y = y.reshape(v.shape)
     y *= inv_spectrum
     return _mode_products(y, back, shape).reshape(v.shape)
 
 
-def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
+def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool = True):
     """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
     with the mean of P's entries in that direction, or (I - P_bar^T)^-1
     with transpose (`_mean_kernel_factors`); None off boxes and wherever
     `_mean_kernel_factors` gives None.
+
+    It is applied in float32 where the float32 factors exist and single is
+    set, else in float64, and its dtype says which; a vector with an entry
+    beyond _SINGLE_RANGE gets the float64 factors.  It returns float64.
     """
     pattern, shape = system.pattern, system.pattern.shape
     if shape is None:
@@ -373,15 +433,23 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
     factors = _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, shape)
     if factors is None:
         return None
+    double, low = factors
+    use = low if single and low is not None else double
 
     def apply(v):
-        return _apply_mean_kernel(factors, v.reshape(shape)).ravel()
+        v = v.reshape(shape)
+        f = double if use is double or not np.abs(v).max() <= _SINGLE_RANGE else use
+        return _apply_mean_kernel(f, v).astype(np.float64, copy=False).ravel()
 
-    return spla.LinearOperator((system.n, system.n), matvec=apply, dtype=np.float64)
+    return spla.LinearOperator((system.n, system.n), matvec=apply, dtype=use[2].dtype)
 
 
 def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
-    """BiCGSTAB on I - P, or I - P^T with transpose; returns (x, iterations)."""
+    """BiCGSTAB on I - P, or I - P^T with transpose; returns (x, iterations).
+
+    x and BiCGSTAB's residuals stay float64.  A run with the float32
+    mean-kernel inverse that ends short of its tolerance is re-run with the
+    float64 one; iterations count both runs."""
     A = system.P.T if transpose else system.P
     n = b.shape[0]
     S = spla.LinearOperator((n, n), matvec=lambda v: v - A @ v, dtype=np.float64)
@@ -392,9 +460,13 @@ def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
         nonlocal its
         its += 1
 
-    x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=atol,
-                         maxiter=max(200, int(4 * np.sqrt(n)) + 50),
-                         M=_mean_kernel_inverse(system, transpose), callback=count)
+    for single in (True, False):
+        M = _mean_kernel_inverse(system, transpose, single)
+        x, info = spla.bicgstab(S, b, rtol=1e-14, atol=atol,
+                                maxiter=max(200, int(4 * np.sqrt(n)) + 50),
+                                M=M, callback=count)
+        if info == 0 or M is None or M.dtype != np.float32:
+            break
     return x, its
 
 
@@ -555,9 +627,15 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
     """x_k = b_k + P_k^T x_k for every environment of a batch on a box by
     preconditioned Richardson, all environments in lockstep: x <- x + M r,
     r = b - x + P^T x, with M = (I - P_bar^T)^-1 for the batch's mean kernel
-    P_bar, until every environment's l1 residual is at most its tol.  None
-    when M does not exist, when an iteration fails to shrink the worst
-    residual, or after _LOCKSTEP_MAX_ITER iterations."""
+    P_bar, until every environment's l1 residual is at most its tol.
+
+    x, r and the stopping test are float64; M is applied in float32 where
+    `_mean_kernel_factors` gives float32 factors and no entry of r exceeds
+    _SINGLE_RANGE (the worst l1 residual bounds them), else in float64.  A
+    run fails when an iteration does not shrink the worst residual, or
+    after _LOCKSTEP_MAX_ITER iterations; a failed float32 run is re-run
+    whole with the float64 M.  None when M does not exist or the float64
+    run fails."""
     B, n = weights.shape[:2]
     shape, nd, size = pattern.shape, 2 * pattern.d, B * n
     # P^T x moves x[y] w[y, e] from y to y + e, a fixed offset in the flat C
@@ -577,45 +655,76 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
     factors = _mean_kernel_factors(p[np.arange(nd) ^ 1], shape)
     if factors is None:
         return None
-    x, r, buf = np.zeros((3, size))
-    r.reshape(B, n)[:] = b
+    b_flat = np.empty(size)
+    b_flat.reshape(B, n)[:] = b
     # b - x as -x plus b's nonzero entries: a unary sweep costs a third of a
     # binary one, and a Green row's b has one nonzero per environment
-    nz = np.flatnonzero(r)
-    b_nz = r[nz]
-    worst = np.inf
-    for _ in range(_LOCKSTEP_MAX_ITER):
-        x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
-        np.negative(x, out=r)
-        r[nz] += b_nz
-        for frm, to, w in moves:
-            r[to] += np.multiply(w, x[frm], out=buf[frm])
-        res = np.abs(r, out=buf).reshape(B, n).sum(axis=1)
-        if (res <= tols).all():
-            return x.reshape(B, n)
-        last, worst = worst, float(res.max())
-        if not worst < last:  # stagnation; NaN fails too
-            return None
-    return None
+    nz = np.flatnonzero(b_flat)
+    b_nz = b_flat[nz]
+
+    def richardson(factors, limit):
+        x, buf = np.zeros((2, size))
+        r = b_flat.copy()
+        worst = np.inf
+        for _ in range(_LOCKSTEP_MAX_ITER):
+            x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
+            np.negative(x, out=r)
+            r[nz] += b_nz
+            for frm, to, w in moves:
+                r[to] += np.multiply(w, x[frm], out=buf[frm])
+            res = np.abs(r, out=buf).reshape(B, n).sum(axis=1)
+            if (res <= tols).all():
+                return x.reshape(B, n)
+            last, worst = worst, float(res.max())
+            # stagnation (NaN fails too), or a residual beyond M's range
+            if not worst < min(last, limit):
+                return None
+        return None
+
+    double, single = factors
+    x = None
+    if single is not None and np.abs(b_nz).max(initial=0.0) <= _SINGLE_RANGE:
+        x = richardson(single, _SINGLE_RANGE)
+    return richardson(double, np.inf) if x is None else x
+
+
+def _batch_residual(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
+                    transpose: bool) -> np.ndarray:
+    """b + A x - x for a `solve_batch` result x, as (B, n, c): c = 1 for
+    x (B, n), and c = n for whole inverses x (B, n, n) with b None (the
+    identity).  A x comes from the weights and the neighbour table, never
+    from a factored matrix: per direction, one gather through
+    `RegionPattern.nbr_pad` of a copy with one zero pad row."""
+    B, n = weights.shape[:2]
+    cols = x.reshape(B, n, -1)
+    r = (np.eye(n) if b is None else b[:, :, None]) - cols
+    pad = np.zeros((B, n + 1, cols.shape[2]))
+    step = np.empty_like(r)
+    if not transpose:
+        pad[:, :n] = cols
+    for e in range(2 * pattern.d):
+        w = weights[:, :, e, None]
+        if transpose:
+            # P^T x at z takes w[y, e] x[y] from the one y with nbr[y, e] = z,
+            # which is z's neighbour the other way, nbr[z, e ^ 1]
+            np.multiply(w, cols, out=pad[:, :n])
+            r += np.take(pad, pattern.nbr_pad[e ^ 1], axis=1, out=step, mode="clip")
+        else:
+            # P x at y takes w[y, e] x[nbr[y, e]]
+            np.take(pad, pattern.nbr_pad[e], axis=1, out=step, mode="clip")
+            r += np.multiply(w, step, out=step)
+    return r
 
 
 def _certify_batch(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
                    tols, norm: str, transpose: bool) -> None:
     """Hold every column of a `solve_batch` result x to the certificate of
-    one `solve_fixed_point` call: the norm (l1 or sup) of b + A x - x must
-    not exceed the environment's tolerance in tols (`_scaled_tol`).  A x
-    comes from the weights and the neighbour table, never from a factored
-    matrix, so the certificate also checks the assembly.  A NaN residual
-    fails, and the first environment that fails raises BatchSolveError."""
-    cols = x if b is None else x[:, :, None]
-    r = (np.eye(pattern.n) if b is None else b[:, :, None]) - cols
-    for e in range(2 * pattern.d):
-        inside = np.nonzero(pattern.nbr[:, e] >= 0)[0]
-        nb = pattern.nbr[inside, e]
-        # P steps y -> nbr[y, e]: P gathers from nb, P^T scatters to it;
-        # y -> nbr[y, e] is one-to-one, so the scattered targets are distinct
-        dst, frm = (nb, inside) if transpose else (inside, nb)
-        r[:, dst] += weights[:, inside, e, None] * cols[:, frm]
+    one `solve_fixed_point` call: the norm (l1 or sup) of b + A x - x
+    (`_batch_residual`, so the certificate also checks the assembly) must
+    not exceed the environment's tolerance in tols (`_scaled_tol`).  A NaN
+    residual fails, and the first environment that fails raises
+    BatchSolveError."""
+    r = _batch_residual(pattern, weights, b, x, transpose)
     r = np.abs(r, out=r)
     # per environment, its worst column
     worst = (r.sum(axis=1) if norm == "l1" else r.max(axis=1)).max(axis=1)

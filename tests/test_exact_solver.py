@@ -403,8 +403,28 @@ def test_mean_kernel_inverse_is_exact(hi, transpose):
     assert A.format == ("csc" if transpose else "csr")
     v = np.random.default_rng(0).standard_normal(system.n)
     exact = np.linalg.solve(_mean_kernel(A, system.pattern), v)
-    M = xs._mean_kernel_inverse(system, transpose)
+    M = xs._mean_kernel_inverse(system, transpose, single=False)
+    assert M.dtype == np.float64
     assert np.max(np.abs(M.matvec(v) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("hi", [[4, 6], [0, 5], [3, 4, 2], [2, 0, 3], [0, 4, 0]])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_single_precision_mean_kernel_matches_double(hi, transpose):
+    d = len(hi)
+    law = rl.SignedAxisKickLaw(d, 0.02, lambda_shift=0.04)
+    system = xs.build_system(rl.sample_environment(law, seed=1), rl.BoxRegion([0] * d, hi))
+    v = np.random.default_rng(0).standard_normal(system.n)
+    single = xs._mean_kernel_inverse(system, transpose)
+    double = xs._mean_kernel_inverse(system, transpose, single=False)
+    assert single.dtype == np.float32
+    got, want = single.matvec(v), double.matvec(v)
+    assert got.dtype == np.float64
+    # float32 rounding, about 2^-24 per operation (measured: 0.9-4.5 units)
+    assert 0 < np.max(np.abs(got - want)) <= 16 * 2.0 ** -24 * np.max(np.abs(want))
+    # an entry beyond the float32 range takes the float64 factors
+    big = v * 2.0 ** 100
+    assert np.array_equal(single.matvec(big), double.matvec(big))
 
 
 def test_mean_kernel_inverse_exists_on_the_d3_slab():
@@ -526,6 +546,143 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
     assert np.array_equal(g, _row_solves(pattern, weights, src, 1e-10))
 
 
+def _record_precisions(monkeypatch):
+    """The dtype name of every mean-kernel application, in order."""
+    apply, seen = xs._apply_mean_kernel, []
+
+    def record(factors, v):
+        seen.append(factors[2].dtype.name)
+        return apply(factors, v)
+
+    monkeypatch.setattr(xs, "_apply_mean_kernel", record)
+    return seen
+
+
+def _stalled_single_factors(monkeypatch):
+    """Float32 mean-kernel factors whose M is zero, so it never moves x."""
+    factors = xs._mean_kernel_factors
+
+    def stalled(p, shape):
+        double, single = factors(p, shape)
+        return double, (*single[:2], np.zeros_like(single[2]))
+
+    monkeypatch.setattr(xs, "_mean_kernel_factors", stalled)
+
+
+def test_stalled_single_precision_lockstep_reruns_in_double(monkeypatch):
+    region = rl.HalfSpaceTrunc(-1, 10, 2)
+    pattern = xs.region_pattern(region)
+    B, tol = 40, 1e-10
+    assert xs._lockstep_pays(pattern, B, True)
+    law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(B))
+    e_src = np.broadcast_to(np.eye(1, pattern.n, pattern.source_index((0, 0)))[0],
+                            (B, pattern.n))
+    _stalled_single_factors(monkeypatch)
+    seen = _record_precisions(monkeypatch)
+    g = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
+    # two float32 applies leave the residual where it was, then the whole
+    # batch runs again from zero with the float64 M
+    assert g is not None and seen[:2] == ["float32"] * 2
+    assert len(seen) > 2 and set(seen[2:]) == {"float64"}
+    xs._certify_batch(pattern, weights, e_src, g, tol, "l1", True)
+    assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True), g)
+    # the l1 error is at most the largest expected exit time times the sum
+    # of both l1 residuals
+    dense = xs._dense_batch(pattern, weights, e_src, True)
+    exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max()
+    assert np.abs(g - dense).sum(axis=1).max() <= exit_time * tol * (1 + 1e-6)
+
+
+def test_single_precision_krylov_that_ends_above_tol_reruns_in_double(monkeypatch):
+    law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
+    slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 16, 3))
+    f = slab.drift_field()
+    want, info = xs.solve_fixed_point(slab, f, 1e-10, norm="linf", method="krylov")
+    _stalled_single_factors(monkeypatch)
+    seen = _record_precisions(monkeypatch)
+    got, stalled_info = xs.solve_fixed_point(slab, f, 1e-10, norm="linf", method="krylov")
+    # a zero M breaks BiCGSTAB down at once; the float64 run then needs no
+    # polish, and takes as many iterations as the float32 one did
+    assert seen[0] == "float32" and set(seen[1:]) == {"float64"}
+    assert stalled_info.iterations == info.iterations
+    assert stalled_info.sup_residual <= 1e-10
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("N", [10, 20, 30])
+def test_single_precision_lockstep_takes_the_double_precision_iterations(N, monkeypatch):
+    # criterion 5's law and batch sizes: the float32 M must not cost
+    # iterations, or it loses its speed-up
+    region = rl.HalfSpaceTrunc(-1, N, 2)
+    pattern = xs.region_pattern(region)
+    B = xs.batch_size(pattern, transpose=True)
+    law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
+    weights = rl.env_model.sample_weights(law, pattern.interior,
+                                          rng.child_seed(N, np.arange(B)))
+    e_src = np.broadcast_to(np.eye(1, pattern.n, pattern.source_index((0, 0)))[0],
+                            (B, pattern.n))
+    tols = np.full(B, 1e-10)
+    seen = _record_precisions(monkeypatch)
+    single = xs._lockstep(pattern, weights, e_src, tols)
+    assert single is not None and set(seen) == {"float32"}
+    applies = len(seen)
+    seen.clear()
+    factors = xs._mean_kernel_factors
+    monkeypatch.setattr(xs, "_mean_kernel_factors", lambda p, shape: (factors(p, shape)[0], None))
+    double = xs._lockstep(pattern, weights, e_src, tols)
+    assert set(seen) == {"float64"} and len(seen) == applies
+    assert np.max(np.abs(single - double)) <= 1e-14
+
+
+def _certificate_cases(region):
+    """(b, x, transpose) for rows, operators and whole inverses on a region
+    small enough for the stacked dense LU, and their weights."""
+    pattern = xs.region_pattern(region)
+    law = rl.SignedAxisKickLaw(region.d, 0.05, 0.02)
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(4))
+    rows = np.broadcast_to(np.eye(1, pattern.n, pattern.n // 2)[0], weights.shape[:2])
+    fields = np.random.default_rng(3).uniform(-1.0, 1.0, weights.shape[:2])
+    cases = {"rows": (rows, True), "operators": (fields, False), "inverses": (None, False)}
+    return pattern, weights, {kind: (b, xs.solve_batch(pattern, weights, b, 1e-12,
+                                                       transpose=t), t)
+                              for kind, (b, t) in cases.items()}
+
+
+_CERTIFIED_REGIONS = [
+    rl.BoxRegion([-3, -2], [3, 4]),
+    rl.SiteSetRegion([(i, j) for i in range(-4, 5) for j in range(-4, 5)
+                      if i * i + j * j <= 12 and (i, j) != (1, 1)], 2),
+]
+
+
+@pytest.mark.parametrize("region", _CERTIFIED_REGIONS)
+def test_gather_residual_equals_the_sparse_residual(region):
+    pattern, weights, cases = _certificate_cases(region)
+    for kind, (b, x, transpose) in cases.items():
+        r = xs._batch_residual(pattern, weights, b, x, transpose)
+        for k in range(len(weights)):
+            P = pattern.matrix(weights[k])
+            A = P.T if transpose else P
+            cols = x[k] if b is None else x[k][:, None]
+            rhs = np.eye(pattern.n) if b is None else b[k][:, None]
+            want = rhs + A @ cols - cols
+            assert r[k].shape == want.shape
+            assert np.max(np.abs(r[k] - want)) <= 1e-15, kind
+
+
+@pytest.mark.parametrize("region", _CERTIFIED_REGIONS)
+def test_a_bumped_entry_fails_the_certificate_of_its_environment(region):
+    pattern, weights, cases = _certificate_cases(region)
+    for kind, (b, x, transpose) in cases.items():
+        xs._certify_batch(pattern, weights, b, x, 1e-10, "l1", transpose)
+        bumped = x.copy()
+        bumped[2, pattern.n // 3] += 1e-8
+        with pytest.raises(xs.BatchSolveError) as exc:
+            xs._certify_batch(pattern, weights, b, bumped, 1e-10, "l1", transpose)
+        assert exc.value.index == 2, kind
+
+
 @pytest.mark.parametrize("region, B, lockstep", [
     (rl.HalfSpaceTrunc(1, 10, 2), 40, True),
     (rl.HalfSpaceTrunc(-1, 20, 2), 40, True),
@@ -607,6 +764,37 @@ def test_region_pattern_cache_under_concurrent_callers(monkeypatch):
     for k, pattern in got:
         assert pattern.region.descriptor() == regions[k].descriptor()
     assert sum(p.nbr.size for p in xs._PATTERNS.values()) <= xs.MEMORY_BUDGET
+
+
+def test_dst_matrices_are_kept_per_length(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(xs, "_DST", {})
+    S, S32 = xs._dst1_matrices(7)
+    assert xs._dst1_matrices(7)[0] is S
+    assert S32.dtype == np.float32 and np.array_equal(S32, S.astype(np.float32))
+    assert np.allclose(S @ S, np.eye(7), atol=1e-15)  # orthonormal and symmetric
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0  # shared by every caller
+    # least recently used go first once the kept entries exceed the budget
+    monkeypatch.setattr(xs, "MEMORY_BUDGET", 2 * (7 * 7 + 9 * 9))
+    xs._dst1_matrices(9)
+    xs._dst1_matrices(7)
+    xs._dst1_matrices(5)
+    assert list(xs._DST) == [7, 5]
+    lengths = [3, 5, 7, 9, 11]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda i: (lengths[i % 5], xs._dst1_matrices(lengths[i % 5])),
+                                range(600), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for m, (S, S32) in got:
+        assert S.shape == S32.shape == (m, m)
+    assert sum(m * m for m in xs._DST) <= xs.MEMORY_BUDGET // 2
 
 
 @pytest.mark.parametrize("region", [rl.SlabRegion(2, 8, 2), rl.SlabRegion(4, 64, 2),

@@ -247,6 +247,16 @@ class ConditionPReport:
                 "starts": [{**vars(s), "site": list(s.site)} for s in self.starts]}
 
 
+def _upper_bounds(hits: np.ndarray, n: int, level: float) -> np.ndarray:
+    """Exact (Clopper-Pearson) upper confidence bounds at 1 - level on the
+    success probabilities of binomial counts hits out of n, one beta
+    quantile call over all counts below n; 1.0 where hits == n."""
+    bounds = np.ones(len(hits))
+    below = hits < n
+    bounds[below] = beta_dist.ppf(1.0 - level, hits[below] + 1, n - hits[below])
+    return bounds
+
+
 def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
                       site_cap: int = 64, seed: int = 0,
                       alpha: float = 0.0013) -> ConditionPReport:
@@ -284,9 +294,8 @@ def condition_p_probe(law: EnvironmentLaw, M: int, n_per_site: int = 10000,
 
     sup_estimate = max(r.p_hat for r in rows)
     # Bonferroni-corrected exact upper confidence bounds per start
-    level = alpha / len(rows)
-    sup_upper = max(float(beta_dist.ppf(1.0 - level, r.hits + 1, r.n - r.hits))
-                    if r.hits < r.n else 1.0 for r in rows)
+    hits = nonfrontal.sum(axis=1)
+    sup_upper = float(_upper_bounds(hits, n_per_site, alpha / len(rows)).max())
 
     exponent = 15 * d + 5
     log_threshold = -exponent * math.log(M)

@@ -7,35 +7,46 @@ stepping outside is killed, which makes the spectral radius of A strictly
 less than one, so the fixed point exists and the Neumann iterates
 x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
-Four solve strategies share one exact certificate: after any solve the
-residual r = b + A x - x is recomputed with a fresh matrix-vector product
-in the region's own ordering, and its l1/sup norms are reported.
+Five solve strategies share one exact certificate: after any solve the
+residual r = b + A x - x is recomputed in float64, and its l1/sup norms
+are reported.
 
-* "dense"   - LU on I - A assembled from the weights; the small-system path.
-* "banded"  - LAPACK band LU (gbsv) on a box region, its unknowns reordered
-              so the shortest axis runs fastest; the band array is filled
-              straight from the weights.
-* "neumann" - the plain fixed-point iteration x += r, r = A r; it stops
-              at once on a non-finite residual.
-* "krylov"  - BiCGSTAB on (I - A), preconditioned on boxes by the
-              mean-kernel inverse: (I - P_bar)^-1 for the constant kernel
-              P_bar averaged from A by direction, applied as per-axis dense
-              sine transforms (DST-I matrices with the symmetrizing
-              scaling folded in) through BLAS matmuls in O(n sum_i m_i);
-              boxes whose axis matrices exceed MEMORY_BUDGET go without.
-              M is applied in float32 where its scaling fits float32's
-              mantissa, and a float32 run that ends above its tolerance is
-              re-run with the float64 M; x and the residuals stay float64.
-              SolveInfo.iterations counts its iterations plus polish steps.
+* "dense"    - LU on I - A assembled from the weights; the small-system path.
+* "lockstep" - preconditioned Richardson x <- x + M r, r = b - x + A x, with
+               M = (I - P_bar)^-1 (or (I - P_bar^T)^-1 for A = P^T) for the
+               constant kernel P_bar averaged from the weights by direction,
+               applied as per-axis dense sine transforms (DST-I matrices with
+               the symmetrizing scaling folded in) through BLAS matmuls in
+               O(n sum_i m_i); A x is 2d offset slices of the weights, so no
+               sparse matrix is built, and the certificate comes from the
+               neighbour table (`_batch_residual`).  It is `_lockstep` with
+               one environment; a run that fails falls back to "banded" or
+               "krylov" (`_direct_or_krylov`).  Boxes only.
+* "banded"   - LAPACK band LU (gbsv) on a box region, its unknowns reordered
+               so the shortest axis runs fastest; the band array is filled
+               straight from the weights.
+* "neumann"  - the plain fixed-point iteration x += r, r = A r; it stops
+               at once on a non-finite residual.
+* "krylov"   - BiCGSTAB on (I - A), preconditioned on boxes by the same
+               mean-kernel inverse; boxes whose axis matrices exceed
+               MEMORY_BUDGET go without.
 
-Every path is held to the tolerance: a direct or Krylov solution whose
-residual is above it is polished by Neumann steps from that solution, and
-a solve still above it raises `SolverConvergenceError`.
+M is applied in float32 where its scaling fits float32's mantissa; a
+float32 lockstep run that stalls, or a float32 BiCGSTAB run that ends
+above its tolerance, is re-run with the float64 M, and x and the
+residuals stay float64.  SolveInfo.iterations counts M applies of both
+precisions (lockstep), BiCGSTAB iterations and polish steps.
+
+Every path is held to the tolerance: a direct, lockstep or Krylov solution
+whose residual is above it is polished by Neumann steps from that solution,
+and a solve still above it raises `SolverConvergenceError`.
 
 The default ("auto") takes dense LU up to DENSE_CUTOFF unknowns.  Above it,
-a box whose band half-width b satisfies b * b <= n and whose (3b + 1) x n
-band array fits MEMORY_BUDGET gets the banded path (every d=2 box of
-moderate size); everything else, every d=3 region included, gets Krylov.
+lockstep on every d=3 box and on d=2 boxes whose shortest side w has at
+least 8 sites and w^2 >= the sum of the sides (`_lockstep_box`); on other
+boxes whose band half-width b satisfies b * b <= n and whose (3b + 1) x n
+band array fits MEMORY_BUDGET, banded (elongated d=2 boxes); Krylov
+everywhere else (site sets, and thin boxes beyond the band budget).
 
 Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`.  Statistics
@@ -47,17 +58,13 @@ side, or b None for the whole inverses.  Its residuals are held to tol
 scaled by max(1, ||b_k||_inf) (`_scaled_tol`), and it takes the first of
 three paths that applies:
 
-* lockstep  - transposed systems (Green rows) on a d=2 box neither small
-              nor elongated, in a batch of at least 2000 unknowns
-              (`_lockstep_pays`): all B environments iterate together as
-              preconditioned Richardson x <- x + M r, r = b - x + P^T x,
-              with one mean-kernel inverse M for the batch's averaged
-              weights applied to the (B, *shape) block, and P^T x as 2d
-              offset slices of the weights.  M is applied in float32 where
-              it can be, x, r and the stopping test are float64, and a
-              float32 run that stalls is re-run whole with the float64 M.
-              A batch without M, or whose worst l1 residual stalls, falls
-              back whole to the next paths;
+* lockstep  - transposed systems (Green rows) on the d=2 boxes of
+              `_lockstep_box`, in a batch of at least 2000 unknowns
+              (`_lockstep_pays`): all B environments iterate together, with
+              one M for the batch's averaged weights applied to the
+              (B, *shape) block.  A batch whose run fails falls back whole
+              to the next paths.  d=3 boxes and operators go per
+              environment, where each solve is a lockstep of one;
 * stacked dense LU where "auto" picks dense, for rows, operators and whole
               inverses alike (`_dense_batch`, also the single solve's path),
               factoring _DENSE_SLICE entries of I - A_k at a time;
@@ -201,6 +208,12 @@ class RegionPattern:
         return np.ascontiguousarray(np.where(self.nbr >= 0, self.nbr, self.n).T)
 
     @cached_property
+    def inside(self) -> np.ndarray:
+        """(2d, n) mask of the steps that stay in the region, one contiguous
+        row per direction."""
+        return np.ascontiguousarray((self.nbr >= 0).T)
+
+    @cached_property
     def dir_counts(self) -> np.ndarray:
         """Number of stored entries of P in each direction (index into dirs)."""
         return self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
@@ -269,6 +282,10 @@ class SolveInfo:
 
 def _residual(A, b, x):
     return b + A @ x - x
+
+
+def _operator(system: QuenchedSystem, transpose: bool):
+    return system.P.T if transpose else system.P
 
 
 def _norm(r, kind):
@@ -506,14 +523,36 @@ def _banded_solve(system: QuenchedSystem, b, transpose: bool):
     return x
 
 
-def auto_method(n: int, pattern: RegionPattern) -> str:
-    """The path method="auto" takes for n unknowns on the given pattern."""
-    if n <= DENSE_CUTOFF:
-        return "dense"
+def _lockstep_box(pattern: RegionPattern) -> bool:
+    """Whether lockstep Richardson (`_lockstep`) is the solve of the
+    pattern: every d=3 box, and d=2 boxes whose shortest side w has at
+    least 8 sites and w^2 >= the sum of the sides.  Elongated d=2 boxes
+    keep band LU, whose work per environment is n w^2 against n sum_i m_i
+    per lockstep sweep (on the L=4 W=64 slab, 0.55 ms against 1.0-1.4 ms
+    for one environment)."""
+    shape = pattern.shape
+    if shape is None:
+        return False
+    w = min(shape)
+    return pattern.d == 3 or (pattern.d == 2 and w >= 8 and w * w >= sum(shape))
+
+
+def _direct_or_krylov(n: int, pattern: RegionPattern) -> str:
+    """Band LU on a box whose band half-width b has b^2 <= n and whose
+    (3b + 1) x n band array fits MEMORY_BUDGET, else Krylov."""
     w = pattern.band_width
     if w is not None and w * w <= n and (3 * w + 1) * n <= MEMORY_BUDGET:
         return "banded"
     return "krylov"
+
+
+def auto_method(n: int, pattern: RegionPattern) -> str:
+    """The path method="auto" takes for n unknowns on the given pattern."""
+    if n <= DENSE_CUTOFF:
+        return "dense"
+    if _lockstep_box(pattern):
+        return "lockstep"
+    return _direct_or_krylov(n, pattern)
 
 
 def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
@@ -523,27 +562,43 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
 
     Returns (x, SolveInfo); the reported residual norms are recomputed
     exactly from the returned solution, and a NaN residual counts as above
-    tol.
+    tol.  A lockstep solve that fails falls back to band LU or Krylov
+    (`_direct_or_krylov`); SolveInfo.method names the path that produced
+    x, and iterations count the lockstep's M applies too.
     """
-    A = system.P.T if transpose else system.P
+    pattern = system.pattern
     if method == "auto":
-        method = auto_method(system.n, system.pattern)
-    it = 0
+        method = auto_method(system.n, pattern)
+    it, r = 0, None
+    if method == "lockstep":
+        if pattern.shape is None:
+            raise ValueError("lockstep solves need the pattern of a box region")
+        weights = system.weights[None]
+        x, it = _lockstep(pattern, weights, b[None], np.array([tol]), norm, transpose)
+        if x is None:
+            method = _direct_or_krylov(system.n, pattern)
+        else:
+            # certified from the weights, with no sparse matrix built
+            r = _batch_residual(pattern, weights, b[None], x, transpose)[0, :, 0]
+            x = x[0]
     if method == "dense":
-        x = _dense_batch(system.pattern, system.weights[None], b[None], transpose)[0]
+        x = _dense_batch(pattern, system.weights[None], b[None], transpose)[0]
     elif method == "banded":
         x = _banded_solve(system, b, transpose)
     elif method == "krylov":
-        x, it = _krylov_solve(system, b, tol, transpose)
+        x, k = _krylov_solve(system, b, tol, transpose)
+        it += k
     elif method == "neumann":
-        x, r, it = _neumann_solve(A, b, tol, norm=norm)
-    else:
+        x, r, it = _neumann_solve(_operator(system, transpose), b, tol, norm=norm)
+    elif method != "lockstep":
         raise ValueError(f"unknown solve method {method!r}")
     if method != "neumann":
-        r = _residual(A, b, x)
+        if r is None:
+            r = _residual(_operator(system, transpose), b, x)
         if not _norm(r, norm) <= tol:
             # polish with the certified fixed-point iteration
-            x, r, polish = _neumann_solve(A, b, tol, norm=norm, x0=x)
+            x, r, polish = _neumann_solve(_operator(system, transpose), b, tol,
+                                          norm=norm, x0=x)
             it += polish
     info = SolveInfo(_norm(r, "l1"), _norm(r, "linf"), it, method)
     if not info.sup_residual <= tol:
@@ -592,21 +647,18 @@ def _scaled_tol(tol, b):
 
 def _lockstep_pays(pattern: RegionPattern, B: int, transpose: bool) -> bool:
     """Whether a `solve_batch` of B environments with one right-hand side
-    each goes lockstep (`_lockstep`).
+    each goes lockstep (`_lockstep`) as one batch.
 
-    Only for transposed systems (Green rows), and only on d=2 boxes whose
-    shortest side w has at least 8 sites and w^2 >= the sum of the sides.
-    Smaller boxes keep their stacked dense LU, against which lockstep gains
-    little or loses (a 7 x 7 box with 20 environments ran 1.6x slower);
-    elongated boxes keep band LU, whose work per environment is n w^2
-    against n sum_i m_i per lockstep sweep.  The batch's B n unknowns must
-    reach 2000, which pays each iteration's fixed cost.  d=3 boxes keep
-    preconditioned Krylov, which measured faster.
+    Only for transposed systems (Green rows) on the d=2 boxes of
+    `_lockstep_box`, and only when the batch's B n unknowns reach 2000,
+    which pays each iteration's fixed cost.  Smaller boxes keep their
+    stacked dense LU, against which lockstep gains little or loses (a 7 x 7
+    box with 20 environments ran 1.6x slower).  d=3 boxes and operator
+    batches go per environment, where each `solve_fixed_point` is a
+    lockstep of one: a d=3 slab batch of 16 measured slower per
+    environment than batches of 1 or 2, whose blocks stay in cache.
     """
-    if not transpose or pattern.shape is None or pattern.d != 2:
-        return False
-    w = min(pattern.shape)
-    return w >= 8 and w * w >= sum(pattern.shape) and B * pattern.n >= 2000
+    return transpose and pattern.d == 2 and _lockstep_box(pattern) and B * pattern.n >= 2000
 
 
 def batch_size(pattern: RegionPattern, transpose: bool = False) -> int:
@@ -622,57 +674,86 @@ def batch_size(pattern: RegionPattern, transpose: bool = False) -> int:
     return size
 
 
+def _b_minus(b_flat: np.ndarray, sparse: bool):
+    """A function (x, out) that writes b - x into out, for the flat
+    right-hand sides b_flat: one binary sweep, or with sparse -x plus b's
+    nonzero entries, since a unary sweep costs a third of a binary one and
+    a Green row's b has one nonzero per environment.  Both give the same
+    values, up to the sign of zero."""
+    if not sparse:
+        return lambda x, out: np.subtract(b_flat, x, out=out)
+    nz = np.flatnonzero(b_flat)
+    b_nz = b_flat[nz]
+
+    def b_minus(x, out):
+        np.negative(x, out=out)
+        out[nz] += b_nz
+
+    return b_minus
+
+
 def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
-              tols: np.ndarray) -> np.ndarray | None:
-    """x_k = b_k + P_k^T x_k for every environment of a batch on a box by
+              tols: np.ndarray, norm: str = "l1", transpose: bool = True):
+    """x_k = b_k + A_k x_k for every environment of a batch on a box, with
+    A_k = P_k^T (Green rows) or P_k without transpose (operators), by
     preconditioned Richardson, all environments in lockstep: x <- x + M r,
-    r = b - x + P^T x, with M = (I - P_bar^T)^-1 for the batch's mean kernel
-    P_bar, until every environment's l1 residual is at most its tol.
+    r = b - x + A x, with M = (I - P_bar^T)^-1, or (I - P_bar)^-1, for the
+    batch's mean kernel P_bar, until every environment's residual in the
+    given norm (l1 or sup) is at most its tol.
 
     x, r and the stopping test are float64; M is applied in float32 where
     `_mean_kernel_factors` gives float32 factors and no entry of r exceeds
-    _SINGLE_RANGE (the worst l1 residual bounds them), else in float64.  A
+    _SINGLE_RANGE (the worst residual bounds them), else in float64.  A
     run fails when an iteration does not shrink the worst residual, or
     after _LOCKSTEP_MAX_ITER iterations; a failed float32 run is re-run
-    whole with the float64 M.  None when M does not exist or the float64
-    run fails."""
+    whole with the float64 M.  Returns (x, applies): x is (B, n), or None
+    when M does not exist or the float64 run fails, and applies counts the
+    M applications of both precisions."""
     B, n = weights.shape[:2]
     shape, nd, size = pattern.shape, 2 * pattern.d, B * n
-    # P^T x moves x[y] w[y, e] from y to y + e, a fixed offset in the flat C
-    # order of the whole batch; a step out of the box gets weight 0, so no
-    # offset slice carries mass into another line or environment
-    moves, p = [], np.empty(nd)
+    # the weights by direction, 0 on the steps out of the box: (2d, B n)
+    w = np.empty((nd, B, n))
     for e in range(nd):
-        w = np.where(pattern.nbr[:, e] >= 0, weights[:, :, e], 0.0).ravel()
-        # P_bar steps along e with the batch's mean weight on the inside entries
-        p[e] = w.sum() / (B * max(int(pattern.dir_counts[e]), 1))
+        np.multiply(weights[:, :, e], pattern.inside[e], out=w[e])
+    # P_bar steps along e with the batch's mean weight on the inside entries
+    p = np.array([w[e].sum() for e in range(nd)]) / (B * np.maximum(pattern.dir_counts, 1))
+    w = w.reshape(nd, size)
+    # a step along e is a fixed offset in the flat C order of the whole
+    # batch; P^T x moves x[y] w[y, e] from y to y + e, and P x gathers
+    # w[y, e] x[y + e] into y.  A step out of the box has weight 0, so no
+    # offset slice carries mass into another line or environment
+    moves = []
+    for e in range(nd):
         offset = math.prod(shape[e // 2 + 1:])
         frm, to = slice(0, size - offset), slice(offset, size)
         if e % 2:
             frm, to = to, frm
-        moves.append((frm, to, w[frm]))
+        # (target, source, weights) of one slice-wise update r[target] += w x[source]
+        moves.append((to, frm, w[e, frm]) if transpose else (frm, to, w[e, frm]))
     # P^T steps back along each direction of P
-    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1], shape)
+    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, shape)
     if factors is None:
-        return None
+        return None, 0
     b_flat = np.empty(size)
     b_flat.reshape(B, n)[:] = b
-    # b - x as -x plus b's nonzero entries: a unary sweep costs a third of a
-    # binary one, and a Green row's b has one nonzero per environment
-    nz = np.flatnonzero(b_flat)
-    b_nz = b_flat[nz]
+    # Green rows (one nonzero per environment) take the sparse form, and
+    # operator fields the binary sweep
+    b_minus = _b_minus(b_flat, 8 * np.count_nonzero(b_flat) <= size)
+    applies = 0
 
     def richardson(factors, limit):
+        nonlocal applies
         x, buf = np.zeros((2, size))
         r = b_flat.copy()
         worst = np.inf
         for _ in range(_LOCKSTEP_MAX_ITER):
             x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
-            np.negative(x, out=r)
-            r[nz] += b_nz
-            for frm, to, w in moves:
-                r[to] += np.multiply(w, x[frm], out=buf[frm])
-            res = np.abs(r, out=buf).reshape(B, n).sum(axis=1)
+            applies += 1
+            b_minus(x, r)
+            for target, source, wv in moves:
+                r[target] += np.multiply(wv, x[source], out=buf[:wv.size])
+            res = np.abs(r, out=buf).reshape(B, n)
+            res = res.sum(axis=1) if norm == "l1" else res.max(axis=1)
             if (res <= tols).all():
                 return x.reshape(B, n)
             last, worst = worst, float(res.max())
@@ -683,9 +764,11 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
 
     double, single = factors
     x = None
-    if single is not None and np.abs(b_nz).max(initial=0.0) <= _SINGLE_RANGE:
+    if single is not None and np.abs(b_flat).max(initial=0.0) <= _SINGLE_RANGE:
         x = richardson(single, _SINGLE_RANGE)
-    return richardson(double, np.inf) if x is None else x
+    if x is None:
+        x = richardson(double, np.inf)
+    return x, applies
 
 
 def _batch_residual(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
@@ -758,7 +841,7 @@ def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
         b = np.broadcast_to(b, (B, n))
     x = None
     if b is not None and _lockstep_pays(pattern, B, transpose):
-        x = _lockstep(pattern, weights, b, tols)
+        x, _ = _lockstep(pattern, weights, b, tols, norm)
     if x is None and auto_method(n, pattern) == "dense":
         step = max(1, _DENSE_SLICE // (n * n))
         parts = [_dense_batch(pattern, weights[i:i + step],

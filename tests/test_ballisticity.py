@@ -119,6 +119,25 @@ class TestConditionP:
             assert rep.sup_estimate <= prev
             prev = rep.sup_estimate + 0.02
 
+    def test_upper_bounds_equal_the_per_start_beta_quantiles(self):
+        from scipy.stats import beta as beta_dist
+
+        def scalar(hits, n, level):
+            return [float(beta_dist.ppf(1.0 - level, h + 1, n - h)) if h < n else 1.0
+                    for h in hits]
+
+        hits, level = np.array([0, 1, 17, 200, 399, 400]), 0.0013 / 6
+        got = bal._upper_bounds(hits, 400, level)
+        assert got.tobytes() == np.array(scalar(hits, 400, level)).tobytes()
+        # through the probe, with some starts at hits == n and some below
+        rep = bal.condition_p_probe(rl.ssrw_law(2), 2, n_per_site=3, seed=0)
+        hits = [s.hits for s in rep.starts]
+        assert 3 in hits and min(hits) < 3
+        bounds = scalar(hits, 3, 0.0013 / len(hits))
+        assert np.array(bal._upper_bounds(np.array(hits), 3, 0.0013 / len(hits))).tobytes() \
+            == np.array(bounds).tobytes()
+        assert rep.sup_upper_ci == max(bounds)
+
     def test_site_cap_subsamples_with_declared_coverage(self):
         rep = bal.condition_p_probe(rl.ssrw_law(2), 2, n_per_site=500,
                                     site_cap=5, seed=1)
@@ -143,8 +162,8 @@ class TestDriftGreen:
         assert stats.mean == pytest.approx(expected, abs=1e-8)
 
     def test_krylov_samples_do_not_depend_on_worker_count(self, monkeypatch):
-        # n = 1734 > DENSE_CUTOFF: every solve is preconditioned Krylov,
-        # whose preconditioner calls BLAS from the pool's threads
+        # n = 1734 > DENSE_CUTOFF on a d=3 box: every solve is a lockstep of
+        # one, whose preconditioner calls BLAS from the pool's threads
         law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
         assert rl.SlabRegion(3, 8, 3).interior_count() == 1734
         runs = []
@@ -155,7 +174,7 @@ class TestDriftGreen:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("L, W, d, method", [
-        (2, 8, 2, "dense"), (4, 64, 2, "banded"), (3, 8, 3, "krylov")])
+        (2, 8, 2, "dense"), (4, 64, 2, "banded"), (3, 8, 3, "lockstep")])
     def test_samples_equal_the_one_environment_reference(self, L, W, d, method):
         slab = rl.SlabRegion(L, W, d)
         pattern = xs.region_pattern(slab)

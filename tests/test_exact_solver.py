@@ -237,12 +237,12 @@ def test_banded_needs_a_box_pattern_and_its_structure():
         xs.solve_green_row(system, 0, method="banded")
 
 
-def test_auto_picks_banded_on_d2_half_space_and_krylov_on_d3_slab():
+def test_auto_picks_lockstep_on_d2_half_space_and_d3_slab():
     law = rl.SignedAxisKickLaw(2, 0.05)
     region = rl.HalfSpaceTrunc(1, 30, 2)
     env = rl.sample_environment(law, seed=4)
     table = rl.green_row(env, region, (0, 0), tol=1e-10)
-    assert table.method == "banded"
+    assert table.method == "lockstep"
     assert xs.region_pattern(region).band_width == 31
     krylov = rl.green_row(env, region, (0, 0), tol=1e-10, method="krylov")
     assert np.max(np.abs(table.values - krylov.values)) < 1e-9
@@ -251,7 +251,7 @@ def test_auto_picks_banded_on_d2_half_space_and_krylov_on_d3_slab():
     system = xs.build_system(ssrw_env(3), slab)
     assert system.pattern.band_width == 520
     _, info = xs.solve_fixed_point(system, np.ones(system.n), 1e-8, norm="linf")
-    assert info.method == "krylov"
+    assert info.method == "lockstep"
 
 
 def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
@@ -263,15 +263,20 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     _, info = xs.solve_green_row(
         xs.build_system(ssrw_env(2), site_set.region), 0, 1e-10)
     assert info.method == "krylov"
-    # a thin box passes the shape test but its band array exceeds the budget
-    thin = xs.region_pattern(rl.BoxRegion([0, 0], [99, 399]))
+    # a thin box fails lockstep's shape test (w^2 < the sum of the sides)
+    # and passes band LU's, but its band array exceeds the budget
+    thin = xs.region_pattern(rl.BoxRegion([0, 0], [19, 4999]))
     w = thin.band_width
-    assert w == 100 and w * w <= thin.n
+    assert w == 20 and w * w <= thin.n and w * w < sum(thin.shape)
     assert (3 * w + 1) * thin.n > xs.MEMORY_BUDGET
     assert xs.auto_method(thin.n, thin) == "krylov"
     # the same box, half as long, fits
-    half = xs.region_pattern(rl.BoxRegion([0, 0], [99, 149]))
+    half = xs.region_pattern(rl.BoxRegion([0, 0], [19, 2499]))
     assert xs.auto_method(half.n, half) == "banded"
+    # a wider box whose band array exceeds the budget goes lockstep
+    wide = xs.region_pattern(rl.BoxRegion([0, 0], [99, 399]))
+    assert (3 * wide.band_width + 1) * wide.n > xs.MEMORY_BUDGET
+    assert xs.auto_method(wide.n, wide) == "lockstep"
 
 
 @pytest.mark.parametrize("method, solver", [("dense", "_dense_batch"),
@@ -510,7 +515,7 @@ def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
     tol = 1e-10
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
-    lockstep = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
+    lockstep, _ = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
     assert lockstep is not None
     xs._certify_batch(pattern, weights, e_src, lockstep, tol, "l1", True)
     assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True),
@@ -541,7 +546,7 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
     B = weights.shape[0]
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
     assert xs._lockstep_pays(pattern, B, True)
-    assert xs._lockstep(pattern, weights, e_src, np.full(B, 1e-10)) is None
+    assert xs._lockstep(pattern, weights, e_src, np.full(B, 1e-10))[0] is None
     g = xs.solve_batch(pattern, weights, e_src[0], 1e-10, transpose=True)
     assert np.array_equal(g, _row_solves(pattern, weights, src, 1e-10))
 
@@ -558,13 +563,17 @@ def _record_precisions(monkeypatch):
     return seen
 
 
-def _stalled_single_factors(monkeypatch):
-    """Float32 mean-kernel factors whose M is zero, so it never moves x."""
+def _stalled_factors(monkeypatch, double=False):
+    """Float32 mean-kernel factors whose M is zero, so it never moves x;
+    with double, the float64 ones too."""
     factors = xs._mean_kernel_factors
 
+    def zero(f):
+        return (*f[:2], np.zeros_like(f[2]))
+
     def stalled(p, shape):
-        double, single = factors(p, shape)
-        return double, (*single[:2], np.zeros_like(single[2]))
+        d64, d32 = factors(p, shape)
+        return (zero(d64) if double else d64), zero(d32)
 
     monkeypatch.setattr(xs, "_mean_kernel_factors", stalled)
 
@@ -578,13 +587,14 @@ def test_stalled_single_precision_lockstep_reruns_in_double(monkeypatch):
     weights = rl.env_model.sample_weights(law, pattern.interior, range(B))
     e_src = np.broadcast_to(np.eye(1, pattern.n, pattern.source_index((0, 0)))[0],
                             (B, pattern.n))
-    _stalled_single_factors(monkeypatch)
+    _stalled_factors(monkeypatch)
     seen = _record_precisions(monkeypatch)
-    g = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
+    g, applies = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
     # two float32 applies leave the residual where it was, then the whole
     # batch runs again from zero with the float64 M
     assert g is not None and seen[:2] == ["float32"] * 2
     assert len(seen) > 2 and set(seen[2:]) == {"float64"}
+    assert applies == len(seen)  # both precisions count
     xs._certify_batch(pattern, weights, e_src, g, tol, "l1", True)
     assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True), g)
     # the l1 error is at most the largest expected exit time times the sum
@@ -599,7 +609,7 @@ def test_single_precision_krylov_that_ends_above_tol_reruns_in_double(monkeypatc
     slab = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 16, 3))
     f = slab.drift_field()
     want, info = xs.solve_fixed_point(slab, f, 1e-10, norm="linf", method="krylov")
-    _stalled_single_factors(monkeypatch)
+    _stalled_factors(monkeypatch)
     seen = _record_precisions(monkeypatch)
     got, stalled_info = xs.solve_fixed_point(slab, f, 1e-10, norm="linf", method="krylov")
     # a zero M breaks BiCGSTAB down at once; the float64 run then needs no
@@ -624,13 +634,13 @@ def test_single_precision_lockstep_takes_the_double_precision_iterations(N, monk
                             (B, pattern.n))
     tols = np.full(B, 1e-10)
     seen = _record_precisions(monkeypatch)
-    single = xs._lockstep(pattern, weights, e_src, tols)
+    single, applies = xs._lockstep(pattern, weights, e_src, tols)
     assert single is not None and set(seen) == {"float32"}
-    applies = len(seen)
+    assert applies == len(seen)
     seen.clear()
     factors = xs._mean_kernel_factors
     monkeypatch.setattr(xs, "_mean_kernel_factors", lambda p, shape: (factors(p, shape)[0], None))
-    double = xs._lockstep(pattern, weights, e_src, tols)
+    double, _ = xs._lockstep(pattern, weights, e_src, tols)
     assert set(seen) == {"float64"} and len(seen) == applies
     assert np.max(np.abs(single - double)) <= 1e-14
 
@@ -691,7 +701,7 @@ def test_a_bumped_entry_fails_the_certificate_of_its_environment(region):
     (rl.SlabRegion(4, 64, 2), 40, False),     # elongated: band LU
     (rl.BoxRegion([-2, -2], [2, 2]), 400, False),  # tiny: stacked dense LU
     (rl.BoxRegion([-3, -3], [3, 3]), 20, False),
-    (rl.HalfSpaceTrunc(1, 10, 3), 40, False),  # d = 3: Krylov
+    (rl.HalfSpaceTrunc(1, 10, 3), 40, False),  # d = 3: a lockstep of one each
     (rl.HalfSpaceTrunc(1, 10, 2), 4, False),   # too few unknowns per iteration
     (rl.SiteSetRegion([(0, 0), (1, 0), (1, 1)], 2), 400, False),
 ])
@@ -700,6 +710,11 @@ def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
     pattern = xs.region_pattern(region)
     assert xs._lockstep_pays(pattern, B, True) is lockstep
     assert not xs._lockstep_pays(pattern, B, False)  # operators and whole inverses
+    if pattern.n > xs.DENSE_CUTOFF:
+        # one environment goes lockstep on every d=3 box, and on the d=2
+        # boxes whose batches go lockstep, whatever B
+        single = xs.auto_method(pattern.n, pattern) == "lockstep"
+        assert single is (lockstep or pattern.d == 3)
     if not lockstep:
         return
     # lockstep batches are sized by B n; non-transposed ones by n^2 where
@@ -709,6 +724,152 @@ def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
         assert xs.batch_size(pattern) == min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096)
     else:
         assert xs.batch_size(pattern) == xs._LOCKSTEP_UNKNOWNS // pattern.n
+
+
+def _operator_cases(region, B=4):
+    """(weights, fields) of B kick-law environments on a region small
+    enough for the stacked dense LU, fields with sup norm above 1."""
+    pattern = xs.region_pattern(region)
+    law = rl.SignedAxisKickLaw(region.d, 0.05, 0.02)
+    weights = rl.env_model.sample_weights(law, pattern.interior, range(B))
+    return pattern, weights, 3.0 * (weights[:, :, 0] - weights[:, :, 1])
+
+
+def _absorbing(pattern, weights, y):
+    """The hitting system of `solve_hitting` for every environment: weights
+    with site y absorbing, and the right-hand sides."""
+    weights = weights.copy()
+    z, e = np.nonzero(pattern.nbr == y)
+    b = np.zeros(weights.shape[:2])
+    b[:, z] = weights[:, z, e]
+    b[:, y] = 1.0
+    weights[:, z, e] = 0.0
+    weights[:, y] = 0.0
+    return weights, b
+
+
+@pytest.mark.parametrize("case", ["d3 box", "d2 box", "hitting"])
+def test_operator_lockstep_matches_dense_operators(case):
+    region = rl.BoxRegion([-3, -3, -3], [3, 3, 3]) if case == "d3 box" \
+        else rl.HalfSpaceTrunc(1, 10, 2)
+    pattern, weights, b = _operator_cases(region)
+    if case == "hitting":
+        weights, b = _absorbing(pattern, weights, pattern.source_index((2, 0)))
+    B, tol = len(weights), 1e-10
+    tols = xs._scaled_tol(tol, b)
+    x, applies = xs._lockstep(pattern, weights, b, tols, "linf", transpose=False)
+    if case == "hitting":
+        # the absorbing site is a defect of order one that M spreads: the
+        # first step raises the worst residual (1.0 to 1.9 here), so the
+        # lockstep declines after two applies per precision, and a single
+        # solve falls back to band LU
+        assert x is None and applies == 4
+        solves = [xs.solve_fixed_point(xs.QuenchedSystem(pattern, w), b_k, t, "linf",
+                                       method="lockstep")
+                  for w, b_k, t in zip(weights, b, tols)]
+        assert {info.method for _, info in solves} == {"banded"}
+        x = np.stack([u for u, _ in solves])
+    assert applies > 0
+    xs._certify_batch(pattern, weights, b, x, tols, "linf", False)
+    # both residuals are held in sup norm, and ||(I - P)^-1||_inf is the
+    # largest expected exit time, which bounds the sup error of each
+    dense = xs._dense_batch(pattern, weights, b, False)
+    dense_res = np.abs(xs._batch_residual(pattern, weights, b, dense, False)).max(axis=(1, 2))
+    exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
+    err = np.abs(x - dense).max(axis=1)
+    assert np.all(err <= exit_time * (tols + dense_res) * (1 + 1e-9))
+
+
+def test_single_lockstep_solve_on_the_d3_slab_is_certified(monkeypatch):
+    # criterion 6's law and slab: one environment, A = P, sup norm
+    law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
+    system = xs.build_system(rl.sample_environment(law, seed=3), rl.SlabRegion(4, 32, 3))
+    f = system.drift_field()
+    tol = xs._scaled_tol(1e-10, f)
+    seen = _record_precisions(monkeypatch)
+    u, info = xs.solve_fixed_point(system, f, tol, norm="linf")
+    assert info.method == "lockstep" and info.sup_residual <= tol
+    assert info.iterations == len(seen) and set(seen) == {"float32"}
+    # certified from the weights: no sparse matrix was built
+    assert "P" not in vars(system)
+    r = xs._residual(system.P, f, u)
+    assert np.abs(r).max() <= tol * (1 + 1e-6)
+    # within the certified bound of the preconditioned Krylov solve, with
+    # the largest expected exit time bounding ||(I - P)^-1||_inf
+    krylov, k_info = xs.solve_fixed_point(system, f, tol, norm="linf", method="krylov")
+    exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-8).max()
+    assert np.abs(u - krylov).max() <= (exit_time + 1e-6) * (tol + k_info.sup_residual)
+
+
+@pytest.mark.parametrize("region, fallback", [(rl.HalfSpaceTrunc(1, 20, 2), "banded"),
+                                              (rl.SlabRegion(3, 8, 3), "krylov")])
+def test_a_stalled_single_lockstep_solve_falls_back_and_certifies(region, fallback,
+                                                                   monkeypatch):
+    law = rl.SignedAxisKickLaw(region.d, 0.05, 0.02)
+    system = xs.build_system(rl.sample_environment(law, seed=5), region)
+    src = system.pattern.source_index((0,) * region.d)
+    want, want_info = xs.solve_green_row(system, src, 1e-10)
+    assert want_info.method == "lockstep"
+    _stalled_factors(monkeypatch, double=True)
+    seen = _record_precisions(monkeypatch)
+    got, info = xs.solve_green_row(system, src, 1e-10)
+    # two float32 applies leave the residual where it was, two float64
+    # ones too; the fallback's path is named and its iterations added
+    assert seen[:4] == ["float32", "float32", "float64", "float64"]
+    assert info.method == fallback and info.iterations >= 4
+    assert info.l1_residual <= 1e-10
+    exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-12).max()
+    assert np.abs(got - want).sum() <= exit_time * (1e-10 + want_info.l1_residual) * (1 + 1e-9)
+
+
+def test_green_tables_count_both_precisions_of_lockstep(monkeypatch):
+    # a float32 run that stalls is re-run in float64, and the table shows it
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=4)
+    region = rl.HalfSpaceTrunc(1, 30, 2)
+    _stalled_factors(monkeypatch)
+    seen = _record_precisions(monkeypatch)
+    table = rl.green_row(env, region, (0, 0), tol=1e-10)
+    assert table.method == "lockstep" and table.l1_residual <= 1e-10
+    assert seen[:2] == ["float32"] * 2 and set(seen[2:]) == {"float64"}
+    assert table.iterations == len(seen)
+
+
+def test_site_sets_never_go_lockstep(monkeypatch):
+    sites = rl.BoxRegion([-15, -15], [15, 15]).interior_array()
+    region = rl.SiteSetRegion(sites, 2)
+    pattern = xs.region_pattern(region)
+    assert pattern.n > xs.DENSE_CUTOFF and pattern.shape is None
+    assert xs.auto_method(pattern.n, pattern) == "krylov"
+    assert not xs._lockstep_pays(pattern, 64, True)
+
+    def refuse(*args):
+        raise AssertionError("a site set took the lockstep path")
+
+    monkeypatch.setattr(xs, "_lockstep", refuse)
+    weights = rl.env_model.sample_weights(rl.SignedAxisKickLaw(2, 0.05), pattern.interior,
+                                          range(2))
+    g = xs.solve_batch(pattern, weights, np.eye(1, pattern.n, 0)[0], 1e-10, transpose=True)
+    assert g.shape == (2, pattern.n)
+    with pytest.raises(ValueError, match="box"):
+        xs.solve_fixed_point(xs.QuenchedSystem(pattern, weights[0]), g[0], 1e-10,
+                             method="lockstep")
+
+
+@pytest.mark.parametrize("kind", ["row", "field"])
+def test_dense_and_sparse_right_hand_sides_give_the_same_residual(kind):
+    gen = np.random.default_rng(7)
+    size = 3 * 257
+    b = gen.uniform(-1.0, 1.0, size) if kind == "field" else np.zeros(size)
+    b[[0, 300, 600]] = 1.0
+    b[5] = 0.0
+    x = gen.uniform(-1.0, 1.0, size)
+    x[5] = 0.0  # b - x is a zero there
+    dense, sparse = np.empty((2, size))
+    xs._b_minus(b, False)(x, dense)
+    xs._b_minus(b, True)(x, sparse)
+    # bit for bit, once the sign of zero is folded (-0.0 + 0.0 is 0.0)
+    assert (dense + 0.0).tobytes() == (sparse + 0.0).tobytes()
+    assert np.array_equal(dense, b - x)
 
 
 def test_whole_inverses_never_go_lockstep(monkeypatch):

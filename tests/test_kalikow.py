@@ -472,9 +472,10 @@ def test_half_space_certificate_failure_names_the_environment_seed(monkeypatch):
 
 
 def test_sampled_krylov_green_batches_match_dense_rows():
-    # above DENSE_CUTOFF each sampled environment gets its own row
-    # solve, and on a d=3 half-space that solve is preconditioned Krylov
-    region = rl.HalfSpaceTrunc(-1, 5, 3)
+    # above DENSE_CUTOFF each sampled environment gets its own row solve,
+    # and off boxes (the sites of a d=3 half-space as a site set) that
+    # solve is Krylov
+    region = rl.SiteSetRegion(rl.HalfSpaceTrunc(-1, 5, 3).interior_array(), 3)
     pattern = xs.region_pattern(region)
     assert pattern.n > xs.DENSE_CUTOFF
     assert xs.auto_method(pattern.n, pattern) == "krylov"

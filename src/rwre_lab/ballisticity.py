@@ -19,7 +19,6 @@ from scipy.stats import beta as beta_dist
 from . import rng
 from .env_model import EnvironmentLaw, law_moments, sample_weights
 from .exact_solver import (
-    MEMORY_BUDGET,
     BatchSolveError,
     batch_size,
     build_system,
@@ -35,7 +34,6 @@ from .monte_carlo import (
     MCEstimate,
     annealed_walks,
 )
-from .runtime import worker_count
 
 DEFAULT_Z = 3.0
 
@@ -328,10 +326,10 @@ def _batched_solves(law: EnvironmentLaw, env_seeds, tol: float, *problems):
     shape (B, n), of every (pattern, field) problem, where w is the batch's
     (B, n, 2d) weight block on the pattern (`sample_weights`).  A failed
     solve raises FunctionalEvaluationError with its environment's seed."""
-    # one environment per worker at least, each weight block within
-    # MEMORY_BUDGET; samples are per environment, so chunks never change them
-    size = min(min(max(worker_count(), batch_size(p)),
-                   max(1, MEMORY_BUDGET // (2 * p.d * p.n))) for p, _ in problems)
+    # the smallest batch size of the problems: a lockstep batch's samples
+    # depend on the environments it holds, so the size never follows the
+    # worker count
+    size = min(batch_size(p) for p, _ in problems)
     for start in range(0, len(env_seeds), size):
         seeds, out = env_seeds[start:start + size], []
         for pattern, field in problems:

@@ -20,8 +20,8 @@ are reported.
                O(n sum_i m_i); A x is 2d offset slices of the weights, so no
                sparse matrix is built, and the certificate comes from the
                neighbour table (`_batch_residual`).  It is `_lockstep` with
-               one environment; a run that fails falls back to "banded" or
-               "krylov" (`_direct_or_krylov`).  Boxes only.
+               one environment; a run that fails falls back to the path of
+               `_direct_or_krylov`.  Boxes only.
 * "banded"   - LAPACK band LU (gbsv) on a box region, its unknowns reordered
                so the shortest axis runs fastest; the band array is filled
                straight from the weights.
@@ -41,36 +41,37 @@ Every path is held to the tolerance: a direct, lockstep or Krylov solution
 whose residual is above it is polished by Neumann steps from that solution,
 and a solve still above it raises `SolverConvergenceError`.
 
-The default ("auto") takes dense LU up to DENSE_CUTOFF unknowns.  Above it,
-lockstep on every d=3 box and on d=2 boxes whose shortest side w has at
-least 8 sites and w^2 >= the sum of the sides (`_lockstep_box`); on other
-boxes whose band half-width b satisfies b * b <= n and whose (3b + 1) x n
-band array fits MEMORY_BUDGET, banded (elongated d=2 boxes); Krylov
-everywhere else (site sets, and thin boxes beyond the band budget).
+One rule picks the path of one environment and of a batch of B alike,
+`auto_method(pattern, B)`: lockstep on the boxes of `_lockstep_box` once
+B n^3, the work of B stacked dense LU factorizations, reaches
+_LOCKSTEP_WORK (below it that LU takes about as long as the lockstep's
+fixed cost per call); else `_direct_or_krylov`: dense LU up to
+DENSE_CUTOFF unknowns, banded above it on boxes whose band half-width b
+satisfies b * b <= n and whose (3b + 1) x n band array fits MEMORY_BUDGET
+(elongated d=2 boxes), and Krylov everywhere else (site sets, and thin
+boxes beyond the band budget).  The default ("auto") asks it with B = 1.
 
 Public quantities solve on one `build_system` result through
-`solve_green_row`, `solve_green_operator` or `solve_hitting`.  Statistics
-over environments (Kalikow rows and inverses, half-space rows, slab drift,
-fluctuation and rho operators) make one `solve_batch` call per (B, n, 2d)
-weight block (`env_model.sample_weights`) on one region: `solve_fixed_point`
-for B systems, x_k = b_k + A_k x_k with a (B, n) or shared (n,) right-hand
-side, or b None for the whole inverses.  Its residuals are held to tol
-scaled by max(1, ||b_k||_inf) (`_scaled_tol`), and it takes the first of
-three paths that applies:
+`solve_green_row`, `solve_green_operator` or `solve_hitting`; a hitting
+solve skips lockstep, whose iteration stalls on the absorbing site.
+Statistics over environments (Kalikow rows and inverses, half-space rows,
+slab drift, fluctuation and rho operators) make one `solve_batch` call per
+(B, n, 2d) weight block (`env_model.sample_weights`) on one region:
+`solve_fixed_point` for B systems, x_k = b_k + A_k x_k with a (B, n) or
+shared (n,) right-hand side, or b None for the whole inverses.  Its
+residuals are held to tol scaled by max(1, ||b_k||_inf) (`_scaled_tol`).
+Rows and operators take the path of `auto_method(pattern, B)`, and whole
+inverses the stacked dense LU up to DENSE_CUTOFF:
 
-* lockstep  - transposed systems (Green rows) on the d=2 boxes of
-              `_lockstep_box`, in a batch of at least 2000 unknowns
-              (`_lockstep_pays`): all B environments iterate together, with
-              one M for the batch's averaged weights applied to the
-              (B, *shape) block.  A batch whose run fails falls back whole
-              to the next paths.  d=3 boxes and operators go per
-              environment, where each solve is a lockstep of one;
-* stacked dense LU where "auto" picks dense, for rows, operators and whole
-              inverses alike (`_dense_batch`, also the single solve's path),
+* lockstep  - all B environments iterate together, with one M for the
+              batch's averaged weights applied to the (B, *shape) block.  A
+              batch whose run fails falls back whole to the path of
+              `_direct_or_krylov`, never to lockstep again;
+* stacked dense LU (`_dense_batch`, also the single solve's path),
               factoring _DENSE_SLICE entries of I - A_k at a time;
 * per environment, one `solve_fixed_point` on QuenchedSystem(pattern,
-              weights[k]) for each k on `deterministic_map`; whole inverses
-              are refused there.
+              weights[k]) for each k on `deterministic_map`: banded and
+              Krylov batches, and a batch of one.
 
 The first two are certified column by column in float64 from the weights
 and the neighbour table (`_certify_batch`): per direction, one gather
@@ -140,6 +141,8 @@ class RegionPattern:
         flat_rows = np.repeat(np.arange(self.n, dtype=np.int64), 2 * self.d)
         flat_cols = nbr.ravel()
         self.inside_mask = flat_cols >= 0
+        # steps in each direction (index into dirs) that stay in the region
+        self.dir_counts = self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
         rows = flat_rows[self.inside_mask]
         cols = flat_cols[self.inside_mask]
         order = np.lexsort((cols, rows))
@@ -196,11 +199,6 @@ class RegionPattern:
         return idx
 
     @cached_property
-    def entry_dirs(self) -> np.ndarray:
-        """Direction index (into dirs) of each stored entry of P, in CSR order."""
-        return np.tile(np.arange(2 * self.d), self.n)[self.inside_mask][self._order]
-
-    @cached_property
     def nbr_pad(self) -> np.ndarray:
         """The neighbour table as (2d, n) gather indices, one contiguous row
         per direction, with every step out of the region (-1) sent to n:
@@ -212,11 +210,6 @@ class RegionPattern:
         """(2d, n) mask of the steps that stay in the region, one contiguous
         row per direction."""
         return np.ascontiguousarray((self.nbr >= 0).T)
-
-    @cached_property
-    def dir_counts(self) -> np.ndarray:
-        """Number of stored entries of P in each direction (index into dirs)."""
-        return self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
 
 
 # patterns kept across calls, keyed by region descriptor, least recently used
@@ -430,11 +423,25 @@ def _apply_mean_kernel(factors, v):
     return _mode_products(y, back, shape).reshape(v.shape)
 
 
+def _mean_kernel(pattern: RegionPattern, weights: np.ndarray, transpose: bool):
+    """(w, factors) for a (B, n, 2d) weight block on a box: w holds the
+    weights by direction, 0 on the steps out of the box, as (2d, B, n), and
+    factors are `_mean_kernel_factors` of (I - P_bar)^-1, or (I - P_bar^T)^-1
+    with transpose, where P_bar steps along e with the block's mean weight
+    on the inside steps along e."""
+    B, nd = weights.shape[0], 2 * pattern.d
+    w = np.empty((nd, B, pattern.n))
+    for e in range(nd):
+        np.multiply(weights[:, :, e], pattern.inside[e], out=w[e])
+    p = np.array([w[e].sum() for e in range(nd)]) / (B * np.maximum(pattern.dir_counts, 1))
+    # P^T steps back along each direction of P
+    return w, _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, pattern.shape)
+
+
 def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool = True):
-    """(I - P_bar)^-1 as a LinearOperator, where P_bar steps in each direction
-    with the mean of P's entries in that direction, or (I - P_bar^T)^-1
-    with transpose (`_mean_kernel_factors`); None off boxes and wherever
-    `_mean_kernel_factors` gives None.
+    """(I - P_bar)^-1 as a LinearOperator, or (I - P_bar^T)^-1 with
+    transpose, for the system's mean kernel (`_mean_kernel`); None off boxes
+    and wherever `_mean_kernel_factors` gives None.
 
     It is applied in float32 where the float32 factors exist and single is
     set, else in float64, and its dtype says which; a vector with an entry
@@ -443,11 +450,7 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool =
     pattern, shape = system.pattern, system.pattern.shape
     if shape is None:
         return None
-    nd = 2 * pattern.d
-    p = np.bincount(pattern.entry_dirs, weights=system.P.data, minlength=nd) \
-        / np.maximum(pattern.dir_counts, 1)
-    # P^T steps back along each direction of P
-    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, shape)
+    factors = _mean_kernel(pattern, system.weights[None], transpose)[1]
     if factors is None:
         return None
     double, low = factors
@@ -537,22 +540,34 @@ def _lockstep_box(pattern: RegionPattern) -> bool:
     return pattern.d == 3 or (pattern.d == 2 and w >= 8 and w * w >= sum(shape))
 
 
-def _direct_or_krylov(n: int, pattern: RegionPattern) -> str:
-    """Band LU on a box whose band half-width b has b^2 <= n and whose
-    (3b + 1) x n band array fits MEMORY_BUDGET, else Krylov."""
-    w = pattern.band_width
+def _direct_or_krylov(pattern: RegionPattern) -> str:
+    """The path without lockstep: dense LU up to DENSE_CUTOFF unknowns;
+    above it band LU on a box whose band half-width b has b^2 <= n and
+    whose (3b + 1) x n band array fits MEMORY_BUDGET, else Krylov."""
+    n, w = pattern.n, pattern.band_width
+    if n <= DENSE_CUTOFF:
+        return "dense"
     if w is not None and w * w <= n and (3 * w + 1) * n <= MEMORY_BUDGET:
         return "banded"
     return "krylov"
 
 
-def auto_method(n: int, pattern: RegionPattern) -> str:
-    """The path method="auto" takes for n unknowns on the given pattern."""
-    if n <= DENSE_CUTOFF:
-        return "dense"
-    if _lockstep_box(pattern):
+# B n^3, the work of B stacked dense LU factorizations, from which lockstep
+# pays on the boxes of `_lockstep_box`: about its fixed cost per call, near
+# 0.9 ms.  Per environment, one BLAS thread: d=3 box 3^3 with B = 75
+# (1.5e6), 0.009 ms stacked against 0.013 lockstep; 4^3 with B = 100
+# (2.6e7), 0.041 against 0.016; one d=2 half-space N=10 row (1.2e7), 0.68
+# against 0.52
+_LOCKSTEP_WORK = 10_000_000
+
+
+def auto_method(pattern: RegionPattern, B: int = 1) -> str:
+    """The path of B environments' systems on the pattern, solved together:
+    "lockstep" on the boxes of `_lockstep_box` whose B n^3 reaches
+    _LOCKSTEP_WORK, else `_direct_or_krylov`."""
+    if _lockstep_box(pattern) and B * pattern.n ** 3 >= _LOCKSTEP_WORK:
         return "lockstep"
-    return _direct_or_krylov(n, pattern)
+    return _direct_or_krylov(pattern)
 
 
 def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
@@ -562,13 +577,13 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
 
     Returns (x, SolveInfo); the reported residual norms are recomputed
     exactly from the returned solution, and a NaN residual counts as above
-    tol.  A lockstep solve that fails falls back to band LU or Krylov
-    (`_direct_or_krylov`); SolveInfo.method names the path that produced
-    x, and iterations count the lockstep's M applies too.
+    tol.  A lockstep solve that fails falls back to the path of
+    `_direct_or_krylov`; SolveInfo.method names the path that produced x,
+    and iterations count the lockstep's M applies too.
     """
     pattern = system.pattern
     if method == "auto":
-        method = auto_method(system.n, pattern)
+        method = auto_method(pattern)
     it, r = 0, None
     if method == "lockstep":
         if pattern.shape is None:
@@ -576,7 +591,7 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
         weights = system.weights[None]
         x, it = _lockstep(pattern, weights, b[None], np.array([tol]), norm, transpose)
         if x is None:
-            method = _direct_or_krylov(system.n, pattern)
+            method = _direct_or_krylov(pattern)
         else:
             # certified from the weights, with no sparse matrix built
             r = _batch_residual(pattern, weights, b[None], x, transpose)[0, :, 0]
@@ -645,31 +660,15 @@ def _scaled_tol(tol, b):
     return tol * np.fmax(1.0, np.abs(b).max(axis=-1, initial=0.0))
 
 
-def _lockstep_pays(pattern: RegionPattern, B: int, transpose: bool) -> bool:
-    """Whether a `solve_batch` of B environments with one right-hand side
-    each goes lockstep (`_lockstep`) as one batch.
-
-    Only for transposed systems (Green rows) on the d=2 boxes of
-    `_lockstep_box`, and only when the batch's B n unknowns reach 2000,
-    which pays each iteration's fixed cost.  Smaller boxes keep their
-    stacked dense LU, against which lockstep gains little or loses (a 7 x 7
-    box with 20 environments ran 1.6x slower).  d=3 boxes and operator
-    batches go per environment, where each `solve_fixed_point` is a
-    lockstep of one: a d=3 slab batch of 16 measured slower per
-    environment than batches of 1 or 2, whose blocks stay in cache.
-    """
-    return transpose and pattern.d == 2 and _lockstep_box(pattern) and B * pattern.n >= 2000
-
-
-def batch_size(pattern: RegionPattern, transpose: bool = False) -> int:
+def batch_size(pattern: RegionPattern, inverses: bool = False) -> int:
     """Environments per `solve_batch` call, by the path it takes: lockstep
     and per-environment batches hold _LOCKSTEP_UNKNOWNS unknowns, stacked
-    dense ones B n^2 <= MEMORY_BUDGET entries (the size of B whole
-    inverses).  It never depends on the worker count, since callers that
-    merge per batch would then follow it."""
+    dense ones, and whole inverses, B n^2 <= MEMORY_BUDGET entries (the
+    size of B whole inverses).  It never depends on the worker count, since
+    callers that merge per batch would then follow it."""
     n = pattern.n
     size = int(np.clip(_LOCKSTEP_UNKNOWNS // n, 1, 4096))
-    if auto_method(n, pattern) == "dense" and not _lockstep_pays(pattern, size, transpose):
+    if inverses or auto_method(pattern, size) == "dense":
         return int(np.clip(MEMORY_BUDGET // (n * n), 1, 4096))
     return size
 
@@ -711,12 +710,9 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
     M applications of both precisions."""
     B, n = weights.shape[:2]
     shape, nd, size = pattern.shape, 2 * pattern.d, B * n
-    # the weights by direction, 0 on the steps out of the box: (2d, B n)
-    w = np.empty((nd, B, n))
-    for e in range(nd):
-        np.multiply(weights[:, :, e], pattern.inside[e], out=w[e])
-    # P_bar steps along e with the batch's mean weight on the inside entries
-    p = np.array([w[e].sum() for e in range(nd)]) / (B * np.maximum(pattern.dir_counts, 1))
+    w, factors = _mean_kernel(pattern, weights, transpose)
+    if factors is None:
+        return None, 0
     w = w.reshape(nd, size)
     # a step along e is a fixed offset in the flat C order of the whole
     # batch; P^T x moves x[y] w[y, e] from y to y + e, and P x gathers
@@ -730,10 +726,6 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
             frm, to = to, frm
         # (target, source, weights) of one slice-wise update r[target] += w x[source]
         moves.append((to, frm, w[e, frm]) if transpose else (frm, to, w[e, frm]))
-    # P^T steps back along each direction of P
-    factors = _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, shape)
-    if factors is None:
-        return None, 0
     b_flat = np.empty(size)
     b_flat.reshape(B, n)[:] = b
     # Green rows (one nonzero per environment) take the sparse form, and
@@ -828,21 +820,30 @@ def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
     b is (B, n), or (n,) shared by every environment, and x is (B, n); b
     None stands for the identity and gives the whole inverses (B, n, n).
     Each residual is held to `_scaled_tol` in the given norm.  The paths
-    (lockstep, stacked dense LU, per environment) and their certificate
-    are described in the module docstring; whole inverses above
-    DENSE_CUTOFF are refused.  A failed solve or certificate raises
-    BatchSolveError naming the environment.
+    of `auto_method(pattern, B)` and their certificate are described in
+    the module docstring; whole inverses above DENSE_CUTOFF are refused.  A
+    failed solve or certificate raises BatchSolveError naming the
+    environment.
     """
     B, n = weights.shape[:2]
-    tols = tol
-    if b is not None:
+    if b is None:
+        if n > DENSE_CUTOFF:
+            raise ValueError(
+                "whole Green inverses need dense LU and are only supported up to "
+                f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
+        tols, method = tol, "dense"
+    else:
         b = np.asarray(b, dtype=np.float64)
         tols = np.broadcast_to(_scaled_tol(tol, b), (B,))
         b = np.broadcast_to(b, (B, n))
+        # a batch of one is one single solve
+        method = "auto" if B == 1 else auto_method(pattern, B)
     x = None
-    if b is not None and _lockstep_pays(pattern, B, transpose):
-        x, _ = _lockstep(pattern, weights, b, tols, norm)
-    if x is None and auto_method(n, pattern) == "dense":
+    if method == "lockstep":
+        x, _ = _lockstep(pattern, weights, b, tols, norm, transpose)
+        if x is None:
+            method = _direct_or_krylov(pattern)
+    if method == "dense":
         step = max(1, _DENSE_SLICE // (n * n))
         parts = [_dense_batch(pattern, weights[i:i + step],
                               None if b is None else b[i:i + step], transpose)
@@ -851,15 +852,11 @@ def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
     if x is not None:
         _certify_batch(pattern, weights, b, x, tols, norm, transpose)
         return x
-    if b is None:
-        raise ValueError(
-            "whole Green inverses need dense LU and are only supported up to "
-            f"DENSE_CUTOFF={DENSE_CUTOFF} interior sites")
 
     def one(k: int) -> np.ndarray:
         system = QuenchedSystem(pattern, weights[k])
         try:
-            return solve_fixed_point(system, b[k], tols[k], norm, transpose=transpose)[0]
+            return solve_fixed_point(system, b[k], tols[k], norm, method, transpose)[0]
         except Exception as exc:  # noqa: BLE001 - annotate with the environment
             raise BatchSolveError(str(exc), k) from exc
 
@@ -901,6 +898,10 @@ def solve_hitting(system: QuenchedSystem, y_idx: int, tol: float = DEFAULT_TOL,
     weights[z, e] = 0.0
     weights[y_idx] = 0.0
     absorbing = QuenchedSystem(system.pattern, weights)
+    # the absorbing site is a defect of order one that M spreads, so a
+    # lockstep run stalls there (`_lockstep`) and auto skips it
+    if method == "auto":
+        method = _direct_or_krylov(system.pattern)
     return solve_fixed_point(absorbing, b, tol, norm="linf", method=method)[0]
 
 

@@ -261,7 +261,7 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """
     rows = src is not None
     b = np.eye(1, pattern.n, src)[0] if rows else None
-    chunk = batch_size(pattern, transpose=rows)
+    chunk = batch_size(pattern, inverses=not rows)
     if env_seeds is None:
         for weights, probs in _enumerated(law, pattern, chunk):
             yield weights, solve_batch(pattern, weights, b, tol, transpose=rows), probs
@@ -598,7 +598,7 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     gathers = [union.index_block(pattern.interior) for pattern in patterns]
     accs = [_RatioAccumulator(1, d) for _ in regions]
     # equal chunks, none above the batch size of any region
-    n_chunks = math.ceil(n_env / min(batch_size(p, transpose=True) for p in patterns))
+    n_chunks = math.ceil(n_env / min(batch_size(p) for p in patterns))
     chunk = math.ceil(n_env / n_chunks)
     for start in range(0, n_env, chunk):
         seeds = env_seeds[start:start + chunk]

@@ -162,8 +162,8 @@ class TestDriftGreen:
         assert stats.mean == pytest.approx(expected, abs=1e-8)
 
     def test_krylov_samples_do_not_depend_on_worker_count(self, monkeypatch):
-        # n = 1734 > DENSE_CUTOFF on a d=3 box: every solve is a lockstep of
-        # one, whose preconditioner calls BLAS from the pool's threads
+        # n = 1734 > DENSE_CUTOFF on a d=3 box: the six environments are one
+        # lockstep batch, whatever the worker count
         law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
         assert rl.SlabRegion(3, 8, 3).interior_count() == 1734
         runs = []
@@ -178,12 +178,23 @@ class TestDriftGreen:
     def test_samples_equal_the_one_environment_reference(self, L, W, d, method):
         slab = rl.SlabRegion(L, W, d)
         pattern = xs.region_pattern(slab)
-        assert xs.auto_method(pattern.n, pattern) == method
+        assert xs.auto_method(pattern) == method
         law = rl.SignedAxisKickLaw(d, 0.02, 0.05)
         stats = bal.mean_drift_green_check(law, L, W, 7, seed=12)
         ref = rl.sample_statistic_over_environments(law, slab, bal.drift_green_origin, 7, 12)
-        assert np.array_equal(stats.distribution.samples, ref.samples)
         assert stats.distribution.seeds == ref.seeds
+        if method != "lockstep":
+            assert np.array_equal(stats.distribution.samples, ref.samples)
+            return
+        # the seven environments are one lockstep batch, which shares one M;
+        # each sample is within the certified bound of its single solve:
+        # both sup residuals are at most 1e-10 (the drift is below 1), and
+        # the largest expected exit time bounds ||(I - P)^-1||_inf
+        assert xs.batch_size(pattern) >= 7
+        for got, want, s in zip(stats.distribution.samples, ref.samples, ref.seeds):
+            system = xs.build_system(rl.sample_environment(law, seed=s), slab)
+            exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-12).max()
+            assert abs(got - want) <= exit_time * 2e-10 * (1 + 1e-9)
 
     def test_kick_law_beats_bound_smallscale(self):
         law = rl.SignedAxisKickLaw(3, 0.005, 0.05)
@@ -271,7 +282,7 @@ class TestRhoStatistics:
         stats = bal.rho_statistics(law, theta=0.2, eta=0.5, n_env=6, seed=4,
                                    lateral_cap=12, slab_W=10, subgrid_halfwidth=3)
         box, slab = rl.CorollaryBox(16, 2, lateral_cap=12), rl.SlabRegion(2, 10, 2)
-        q, rho_hat, g = [], [], []
+        q, exit_time, rho_hat, g = [], [], [], []
         for i in range(6):
             env = rl.sample_environment(law, seed=rl.rng.child_seed(4, i, 11))
             system = xs.build_system(env, box)
@@ -282,6 +293,7 @@ class TestRhoStatistics:
                 idx = np.nonzero(outside)[0][(pat.interior[outside] + pat.dirs[e])[:, 0] < 16]
                 b[idx] += system.weights[idx, e]
             q.append(xs.solve_green_operator(system, b, 1e-10)[pat.source_index((0, 0))])
+            exit_time.append(xs.solve_green_operator(system, np.ones(pat.n), 1e-12).max())
             system = xs.build_system(env, slab)
             u = xs.solve_green_operator(system, system.drift_field(), 1e-10)
             grid = np.nonzero((system.pattern.interior[:, 0] == 0)
@@ -290,7 +302,13 @@ class TestRhoStatistics:
             rho_hat.append(np.max((1.0 - vals) / (1.0 + vals)))
             g.append(u[system.pattern.source_index((0, 0))])
         assert stats.L == 2 and stats.M == 16
-        assert np.array_equal(stats.q_samples, np.clip(q, 0.0, 1.0))
+        # the six box solves are one lockstep batch, which shares one M: each
+        # q is within the certified bound of its single solve (both sup
+        # residuals at most 1e-10, the largest expected exit time bounding
+        # ||(I - P)^-1||_inf); the slab's stacked dense LU keeps the bits
+        assert xs.auto_method(xs.region_pattern(box), 6) == "lockstep"
+        assert np.all(np.abs(stats.q_samples - np.clip(q, 0.0, 1.0))
+                      <= np.array(exit_time) * 2e-10 * (1 + 1e-9))
         assert np.array_equal(stats.rho_hat_samples, rho_hat)
         assert np.array_equal(stats.g_origin_samples, g)
 
@@ -325,24 +343,24 @@ class TestRhoStatistics:
 
 KICK = rl.SignedAxisKickLaw(2, 0.02, 0.05)
 # regions above DENSE_CUTOFF, whose batches solve each environment on its own
-# (a 1032-site slab, a 651-site box)
+# (a 1032-site slab, a 1127-site box 7 sites wide, both band LU)
 STATISTICS = {
     "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 4, 64, n_env, seed),
     "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
         lambda a: rl.SignedAxisKickLaw(2, a, 0.05), [0.01, 0.02], 4, 64, n_env, 0.5, seed),
     "rho": lambda n_env, seed: bal.rho_statistics(
-        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=10),
+        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=3, lateral_cap=3),
 }
 
 
 # regions of at most DENSE_CUTOFF sites, whose batches take one stacked dense
-# LU (a 68-site slab, a box capped at lateral half-width 8)
+# LU (a 68-site slab, a box capped at lateral half-width 3)
 SMALL_STATISTICS = {
     "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 2, 8, n_env, seed),
     "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
         lambda a: rl.SignedAxisKickLaw(2, a, 0.05), [0.01, 0.02], 2, 8, n_env, 0.5, seed),
     "rho": lambda n_env, seed: bal.rho_statistics(
-        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=8),
+        KICK, theta=0.2, eta=0.5, n_env=n_env, seed=seed, L=2, lateral_cap=3),
 }
 THIRD_ENVIRONMENT_SEEDS = pytest.mark.parametrize("name, failing_seed", [
     ("drift", lambda seed: rl.rng.child_seed(seed, 2)),
@@ -387,10 +405,19 @@ def test_stacked_solve_failure_names_the_environment_seed(name, failing_seed, mo
     assert "batch residual nan" in str(exc.value)
 
 
-def test_operator_batches_hold_one_environment_per_worker(monkeypatch):
+def test_operator_batches_do_not_follow_the_worker_count(monkeypatch):
+    # a lockstep batch's samples depend on the environments it holds, so a
+    # batch of one environment per worker would make them follow the worker
+    # count: the d=3 slab's batches hold one environment under any count
     slab3 = xs.region_pattern(rl.SlabRegion(4, 32, 3))
     assert xs.batch_size(slab3) == 1
     law, seeds, sizes = rl.SignedAxisKickLaw(3, 0.02, 0.05), [1, 2, 3], []
+    samples = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        stats = bal.mean_drift_green_check(law, 4, 32, 3, seed=5)
+        samples.append(stats.distribution.samples.tobytes())
+    assert samples[0] == samples[1]
 
     def record(pattern, weights, b, tol, norm):
         sizes.append(len(weights))
@@ -405,8 +432,4 @@ def test_operator_batches_hold_one_environment_per_worker(monkeypatch):
             pass
         return sizes[:]
 
-    assert batches("1") == [1, 1, 1]
-    assert batches("3") == [3]
-    # the (B, n, 2d) block stays within MEMORY_BUDGET entries
-    monkeypatch.setattr(bal, "MEMORY_BUDGET", 2 * 6 * slab3.n)
-    assert batches("3") == [2, 1]
+    assert batches("1") == batches("3") == [1, 1, 1]

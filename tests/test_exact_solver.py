@@ -259,7 +259,7 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     site_set = xs.region_pattern(rl.SiteSetRegion(sites, 2))
     assert site_set.n > xs.DENSE_CUTOFF
     assert site_set.band_width is None
-    assert xs.auto_method(site_set.n, site_set) == "krylov"
+    assert xs.auto_method(site_set) == "krylov"
     _, info = xs.solve_green_row(
         xs.build_system(ssrw_env(2), site_set.region), 0, 1e-10)
     assert info.method == "krylov"
@@ -269,14 +269,14 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     w = thin.band_width
     assert w == 20 and w * w <= thin.n and w * w < sum(thin.shape)
     assert (3 * w + 1) * thin.n > xs.MEMORY_BUDGET
-    assert xs.auto_method(thin.n, thin) == "krylov"
+    assert xs.auto_method(thin) == "krylov"
     # the same box, half as long, fits
     half = xs.region_pattern(rl.BoxRegion([0, 0], [19, 2499]))
-    assert xs.auto_method(half.n, half) == "banded"
+    assert xs.auto_method(half) == "banded"
     # a wider box whose band array exceeds the budget goes lockstep
     wide = xs.region_pattern(rl.BoxRegion([0, 0], [99, 399]))
     assert (3 * wide.band_width + 1) * wide.n > xs.MEMORY_BUDGET
-    assert xs.auto_method(wide.n, wide) == "lockstep"
+    assert xs.auto_method(wide) == "lockstep"
 
 
 @pytest.mark.parametrize("method, solver", [("dense", "_dense_batch"),
@@ -482,7 +482,7 @@ def test_green_batch_per_environment_path_matches_row_solves():
     # lockstep path: every environment gets band LU
     region = rl.SlabRegion(4, 64, 2)
     pattern = xs.region_pattern(region)
-    assert pattern.n == 1032 and xs.auto_method(pattern.n, pattern) == "banded"
+    assert pattern.n == 1032 and xs.auto_method(pattern) == "banded"
     src = pattern.source_index((0, 0))
     envs = [rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s) for s in range(3)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
@@ -509,7 +509,7 @@ def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
     region = rl.HalfSpaceTrunc(-1, N, 2)
     pattern = xs.region_pattern(region)
     src = pattern.source_index((0, 0))
-    assert xs._lockstep_pays(pattern, B, True)
+    assert xs.auto_method(pattern, B) == "lockstep"
     law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
     envs = [rl.sample_environment(law, seed=rng.child_seed(N, s)) for s in range(B)]
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
@@ -545,10 +545,24 @@ def test_lockstep_falls_back_to_per_environment_row_solves(case):
         weights = np.random.default_rng(0).dirichlet(np.ones(4), size=(10, pattern.n))
     B = weights.shape[0]
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
-    assert xs._lockstep_pays(pattern, B, True)
+    assert xs.auto_method(pattern, B) == "lockstep"
     assert xs._lockstep(pattern, weights, e_src, np.full(B, 1e-10))[0] is None
     g = xs.solve_batch(pattern, weights, e_src[0], 1e-10, transpose=True)
     assert np.array_equal(g, _row_solves(pattern, weights, src, 1e-10))
+
+
+def _spy(monkeypatch, name):
+    """Every call of xs.<name> that returns, as (args, kwargs, result);
+    each call is passed on."""
+    real, calls = getattr(xs, name), []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(xs, name, spy)
+    return calls
 
 
 def _record_precisions(monkeypatch):
@@ -582,7 +596,7 @@ def test_stalled_single_precision_lockstep_reruns_in_double(monkeypatch):
     region = rl.HalfSpaceTrunc(-1, 10, 2)
     pattern = xs.region_pattern(region)
     B, tol = 40, 1e-10
-    assert xs._lockstep_pays(pattern, B, True)
+    assert xs.auto_method(pattern, B) == "lockstep"
     law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
     weights = rl.env_model.sample_weights(law, pattern.interior, range(B))
     e_src = np.broadcast_to(np.eye(1, pattern.n, pattern.source_index((0, 0)))[0],
@@ -626,7 +640,7 @@ def test_single_precision_lockstep_takes_the_double_precision_iterations(N, monk
     # iterations, or it loses its speed-up
     region = rl.HalfSpaceTrunc(-1, N, 2)
     pattern = xs.region_pattern(region)
-    B = xs.batch_size(pattern, transpose=True)
+    B = xs.batch_size(pattern)
     law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
     weights = rl.env_model.sample_weights(law, pattern.interior,
                                           rng.child_seed(N, np.arange(B)))
@@ -701,29 +715,40 @@ def test_a_bumped_entry_fails_the_certificate_of_its_environment(region):
     (rl.SlabRegion(4, 64, 2), 40, False),     # elongated: band LU
     (rl.BoxRegion([-2, -2], [2, 2]), 400, False),  # tiny: stacked dense LU
     (rl.BoxRegion([-3, -3], [3, 3]), 20, False),
-    (rl.HalfSpaceTrunc(1, 10, 3), 40, False),  # d = 3: a lockstep of one each
-    (rl.HalfSpaceTrunc(1, 10, 2), 4, False),   # too few unknowns per iteration
+    (rl.HalfSpaceTrunc(1, 10, 3), 40, True),  # d = 3 batches too
+    (rl.HalfSpaceTrunc(1, 10, 2), 4, True),   # B n^3 = 4.9e7
     (rl.SiteSetRegion([(0, 0), (1, 0), (1, 1)], 2), 400, False),
+    # B n^3 below and above _LOCKSTEP_WORK on small boxes
+    (rl.BoxRegion([-1, -1, -1], [1, 1, 1]), 75, False),
+    (rl.BoxRegion([-1, -1, -1], [1, 1, 1]), 800, True),
+    (rl.BoxRegion([0, 0], [7, 7]), 20, False),
+    (rl.BoxRegion([0, 0], [7, 7]), 100, True),
 ])
 def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")
     pattern = xs.region_pattern(region)
-    assert xs._lockstep_pays(pattern, B, True) is lockstep
-    assert not xs._lockstep_pays(pattern, B, False)  # operators and whole inverses
+    method = xs.auto_method(pattern, B)
+    assert (method == "lockstep") is lockstep
+    assert lockstep or method == xs._direct_or_krylov(pattern)
+    # rows and operators, d=2 and d=3, take the path the rule names
+    calls = _spy(monkeypatch, "_lockstep")
+    weights = rl.env_model.sample_weights(rl.SignedAxisKickLaw(region.d, 0.05, 0.02),
+                                          pattern.interior, range(B))
+    b = np.eye(1, pattern.n, pattern.n // 2)[0]
+    for transpose in (True, False):
+        x = xs.solve_batch(pattern, weights, b, 1e-10, transpose=transpose)
+        assert x.shape == (B, pattern.n)
+    assert len(calls) == (2 if lockstep else 0)
     if pattern.n > xs.DENSE_CUTOFF:
-        # one environment goes lockstep on every d=3 box, and on the d=2
-        # boxes whose batches go lockstep, whatever B
-        single = xs.auto_method(pattern.n, pattern) == "lockstep"
-        assert single is (lockstep or pattern.d == 3)
+        # above DENSE_CUTOFF one environment goes lockstep on the boxes
+        # whose batches do, whatever B
+        assert (xs.auto_method(pattern) == "lockstep") is lockstep
     if not lockstep:
         return
-    # lockstep batches are sized by B n; non-transposed ones by n^2 where
-    # they take the stacked dense LU, by the per-environment rule elsewhere
-    assert xs.batch_size(pattern, transpose=True) == xs._LOCKSTEP_UNKNOWNS // pattern.n
-    if pattern.n <= xs.DENSE_CUTOFF:
-        assert xs.batch_size(pattern) == min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096)
-    else:
-        assert xs.batch_size(pattern) == xs._LOCKSTEP_UNKNOWNS // pattern.n
+    # lockstep batches are sized by B n, and whole inverses by B n^2
+    assert xs.batch_size(pattern) == min(xs._LOCKSTEP_UNKNOWNS // pattern.n, 4096)
+    assert xs.batch_size(pattern, inverses=True) == max(
+        1, min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096))
 
 
 def _operator_cases(region, B=4):
@@ -762,12 +787,12 @@ def test_operator_lockstep_matches_dense_operators(case):
         # the absorbing site is a defect of order one that M spreads: the
         # first step raises the worst residual (1.0 to 1.9 here), so the
         # lockstep declines after two applies per precision, and a single
-        # solve falls back to band LU
+        # solve falls back to `_direct_or_krylov`: dense LU at n = 231
         assert x is None and applies == 4
         solves = [xs.solve_fixed_point(xs.QuenchedSystem(pattern, w), b_k, t, "linf",
                                        method="lockstep")
                   for w, b_k, t in zip(weights, b, tols)]
-        assert {info.method for _, info in solves} == {"banded"}
+        assert {info.method for _, info in solves} == {"dense"}
         x = np.stack([u for u, _ in solves])
     assert applies > 0
     xs._certify_batch(pattern, weights, b, x, tols, "linf", False)
@@ -778,6 +803,84 @@ def test_operator_lockstep_matches_dense_operators(case):
     exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
     err = np.abs(x - dense).max(axis=1)
     assert np.all(err <= exit_time * (tols + dense_res) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("region, transpose", [
+    (rl.HalfSpaceTrunc(1, 4, 3), True),        # d=3 rows, n = 405
+    (rl.BoxRegion([-2] * 3, [2] * 3), True),    # d=3 rows, n = 125
+    (rl.HalfSpaceTrunc(-1, 4, 3), False),      # d=3 operators
+    (rl.BoxRegion([-2] * 3, [2] * 3), False),
+    (rl.HalfSpaceTrunc(1, 10, 2), False),      # d=2 operators, n = 231
+])
+def test_lockstep_batches_of_rows_and_operators_are_certified(region, transpose,
+                                                               monkeypatch):
+    pattern = xs.region_pattern(region)
+    B, tol = 16, 1e-10
+    assert xs.auto_method(pattern, B) == "lockstep"
+    weights = rl.env_model.sample_weights(rl.SignedAxisKickLaw(region.d, 0.05, 0.02),
+                                          pattern.interior, range(B))
+    if transpose:
+        norm, b = "l1", np.eye(1, pattern.n, pattern.source_index((0,) * region.d))[0]
+    else:
+        norm, b = "linf", 3.0 * (weights[:, :, 0] - weights[:, :, 1])
+    calls = _spy(monkeypatch, "_lockstep")
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        runs.append(xs.solve_batch(pattern, weights, b, tol, norm, transpose))
+    assert runs[0].tobytes() == runs[1].tobytes()
+    assert [len(args[1]) for args, _, _ in calls] == [B, B]  # one batch each
+    x, b = runs[0], np.broadcast_to(b, (B, pattern.n))
+    tols = xs._scaled_tol(tol, b)
+    xs._certify_batch(pattern, weights, b, x, tols, norm, transpose)
+    # the error is at most ||(I - A)^-1|| (the largest expected exit time,
+    # in l1 for rows and sup for operators) times both residuals
+    dense = xs._dense_batch(pattern, weights, b, transpose)
+    dense_res = np.abs(xs._batch_residual(pattern, weights, b, dense, transpose))[:, :, 0]
+    exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
+    if norm == "l1":
+        err, dense_res = np.abs(x - dense).sum(axis=1), dense_res.sum(axis=1)
+    else:
+        err, dense_res = np.abs(x - dense).max(axis=1), dense_res.max(axis=1)
+    assert np.all(err <= exit_time * (tols + dense_res) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("transpose", [True, False])
+def test_a_failed_lockstep_batch_solves_each_environment_without_lockstep(transpose,
+                                                                         monkeypatch):
+    # n = 861 > DENSE_CUTOFF, where `_direct_or_krylov` takes band LU
+    region = rl.HalfSpaceTrunc(1, 20, 2)
+    pattern = xs.region_pattern(region)
+    B = 5
+    assert xs.auto_method(pattern, B) == "lockstep"
+    assert xs._direct_or_krylov(pattern) == "banded"
+    weights = rl.env_model.sample_weights(rl.SignedAxisKickLaw(2, 0.05, 0.02),
+                                          pattern.interior, range(B))
+    b = np.eye(1, pattern.n, pattern.source_index((0, 0)))[0]
+    norm = "l1" if transpose else "linf"
+    _stalled_factors(monkeypatch, double=True)
+    lockstep_calls = _spy(monkeypatch, "_lockstep")
+    solves = _spy(monkeypatch, "solve_fixed_point")
+    x = xs.solve_batch(pattern, weights, b, 1e-10, norm, transpose)
+    # the batch runs lockstep once, and each environment then goes straight
+    # to band LU
+    assert len(lockstep_calls) == 1 and len(lockstep_calls[0][0][1]) == B
+    assert [info.method for _, _, (_, info) in solves] == ["banded"] * B
+    xs._certify_batch(pattern, weights, np.broadcast_to(b, (B, pattern.n)), x, 1e-10,
+                      norm, transpose)
+
+
+def test_hitting_solves_skip_lockstep(monkeypatch):
+    # an absorbing site stalls lockstep, so auto takes `_direct_or_krylov`
+    region = rl.BoxRegion([-4] * 3, [4] * 3)
+    pattern = xs.region_pattern(region)
+    assert xs.auto_method(pattern) == "lockstep"
+    env = rl.sample_environment(rl.SignedAxisKickLaw(3, 0.05, 0.02), seed=2)
+    dense = xs.hitting_probability_field(env, region, (1, 0, 0), method="dense")
+    calls = _spy(monkeypatch, "_lockstep")
+    h = xs.hitting_probability_field(env, region, (1, 0, 0))
+    assert calls == []
+    assert np.max(np.abs(h - dense)) <= 1e-9
 
 
 def test_single_lockstep_solve_on_the_d3_slab_is_certified(monkeypatch):
@@ -839,8 +942,7 @@ def test_site_sets_never_go_lockstep(monkeypatch):
     region = rl.SiteSetRegion(sites, 2)
     pattern = xs.region_pattern(region)
     assert pattern.n > xs.DENSE_CUTOFF and pattern.shape is None
-    assert xs.auto_method(pattern.n, pattern) == "krylov"
-    assert not xs._lockstep_pays(pattern, 64, True)
+    assert xs.auto_method(pattern) == xs.auto_method(pattern, 64) == "krylov"
 
     def refuse(*args):
         raise AssertionError("a site set took the lockstep path")
@@ -877,7 +979,7 @@ def test_whole_inverses_never_go_lockstep(monkeypatch):
     pattern = xs.region_pattern(region)
     weights = np.stack([rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=s)
                         .weights_block(pattern.interior) for s in range(20)])
-    assert xs._lockstep_pays(pattern, 20, True)
+    assert xs.auto_method(pattern, 20) == "lockstep"
 
     def refuse(*args):
         raise AssertionError("whole inverses took the lockstep path")
@@ -961,15 +1063,28 @@ def test_dst_matrices_are_kept_per_length(monkeypatch):
 @pytest.mark.parametrize("region", [rl.SlabRegion(2, 8, 2), rl.SlabRegion(4, 64, 2),
                                     rl.SlabRegion(3, 8, 3)])
 def test_operator_batch_is_the_single_environment_solve(region):
+    # stacked dense and band LU give each environment the bits of its single
+    # solve; a lockstep batch (the d=3 slab) shares one M between its
+    # environments, and is held to the certified bound around that solve
     pattern = xs.region_pattern(region)
+    lockstep = xs.auto_method(pattern, 3) == "lockstep"
+    assert lockstep is (region.d == 3)
     law = rl.SignedAxisKickLaw(region.d, 0.02, 0.05)
     envs = [rl.sample_environment(law, seed=s) for s in range(3)]
     weights = rl.env_model.sample_weights(law, pattern.interior, range(3))
     fields = 3.0 * (weights[:, :, 0] - weights[:, :, 1])  # sup norm above 1
     u = xs.solve_batch(pattern, weights, fields, 1e-10, norm="linf")
     for env, f, u_b in zip(envs, fields, u):
-        want = xs.solve_green_operator(xs.build_system(env, region), f, 1e-10)
-        assert np.array_equal(u_b, want)
+        system = xs.build_system(env, region)
+        want = xs.solve_green_operator(system, f, 1e-10)
+        if not lockstep:
+            assert np.array_equal(u_b, want)
+            continue
+        # both sup residuals are at most the scaled tol, and the largest
+        # expected exit time bounds ||(I - P)^-1||_inf
+        exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-12).max()
+        tol = xs._scaled_tol(1e-10, f)
+        assert np.abs(u_b - want).max() <= exit_time * 2 * tol * (1 + 1e-9)
 
 
 def test_operator_batch_failure_names_the_environment():
@@ -1005,7 +1120,7 @@ def test_operator_batch_size(monkeypatch):
 def test_stacked_operator_solves_are_certified(monkeypatch):
     region = rl.SlabRegion(2, 8, 2)
     pattern = xs.region_pattern(region)
-    assert xs.auto_method(pattern.n, pattern) == "dense"
+    assert xs.auto_method(pattern) == "dense"
     law = rl.SignedAxisKickLaw(2, 0.02, 0.05)
     weights = rl.env_model.sample_weights(law, pattern.interior, range(3))
     fields = np.random.default_rng(1).uniform(-3.0, 3.0, weights.shape[:2])

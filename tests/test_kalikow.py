@@ -341,8 +341,8 @@ class TestHalfSpaceExperiment:
         assert run("1") == one
 
     def test_per_environment_chunks_do_not_follow_the_worker_count(self, monkeypatch):
-        # d=3 N=5 half-spaces (726 sites) solve one environment at a time; with
-        # this budget each chunk holds one environment, fewer than the workers
+        # with this budget each chunk of the d=3 N=5 half-spaces (726 sites)
+        # holds one environment, fewer than the workers
         monkeypatch.setattr(xs, "_LOCKSTEP_UNKNOWNS", 726)
         law = rl.SignedAxisKickLaw(3, 0.05, 1e-5)
 
@@ -478,7 +478,7 @@ def test_sampled_krylov_green_batches_match_dense_rows():
     region = rl.SiteSetRegion(rl.HalfSpaceTrunc(-1, 5, 3).interior_array(), 3)
     pattern = xs.region_pattern(region)
     assert pattern.n > xs.DENSE_CUTOFF
-    assert xs.auto_method(pattern.n, pattern) == "krylov"
+    assert xs.auto_method(pattern) == "krylov"
     src = pattern.source_index((0, 0, 0))
     law = rl.SignedAxisKickLaw(3, 0.01, 1e-7)
     seeds = [rng.child_seed(5, i) for i in range(4)]

@@ -333,7 +333,7 @@ def _batched_solves(law: EnvironmentLaw, env_seeds, tol: float, *problems):
     for start in range(0, len(env_seeds), size):
         seeds, out = env_seeds[start:start + size], []
         for pattern, field in problems:
-            w = sample_weights(law, pattern.interior, seeds)
+            w = sample_weights(law, pattern.region, seeds)
             try:
                 out.append(solve_batch(pattern, w, field(pattern, w), tol, norm="linf"))
             except BatchSolveError as exc:

@@ -28,6 +28,7 @@ and its certificate is `exact_solver.solve_batch`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from . import rng
 from .env_model import (
     EnvironmentLaw,
     check_k_conditions,
+    directions,
     law_moments,
     sample_environment,
     sample_weights,
@@ -268,7 +270,7 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
         return
     for i in range(0, len(env_seeds), chunk):
         seeds = env_seeds[i:i + chunk]
-        weights = sample_weights(law, pattern.interior, seeds)
+        weights = sample_weights(law, pattern.region, seeds)
         try:
             green = solve_batch(pattern, weights, b, tol, transpose=rows)
         except BatchSolveError as exc:
@@ -408,28 +410,31 @@ class EpsKFamilySpec:
             out.append((f"halfspace[+,N={N}]", HalfSpaceTrunc(1, N, d)))
             out.append((f"halfspace[-,N={N}]", HalfSpaceTrunc(-1, N, d)))
         for i in range(self.n_clusters):
-            sites = self._grow_cluster(d, rng.child_seed(self.cluster_seed, i))
+            sites = _grow_cluster(d, rng.child_seed(self.cluster_seed, i), self.cluster_size_cap)
             out.append((f"cluster[{i},size={len(sites)}]", SiteSetRegion(sites, d)))
         return out
 
-    def _grow_cluster(self, d: int, seed: int) -> list[tuple]:
-        gen = rng.stream_generator(seed)
-        target = int(gen.integers(5, self.cluster_size_cap + 1))
-        from .env_model import directions
-        dirs = [tuple(int(c) for c in v) for v in directions(d)]
-        cluster = {(0,) * d}
-        frontier = set()
+
+@functools.lru_cache(maxsize=256)
+def _grow_cluster(d: int, seed: int, size_cap: int) -> tuple[tuple, ...]:
+    """A random connected cluster of 5 to size_cap sites grown from the origin,
+    sorted; a pure function of its arguments, so each cluster grows once."""
+    gen = rng.stream_generator(seed)
+    target = int(gen.integers(5, size_cap + 1))
+    dirs = [tuple(int(c) for c in v) for v in directions(d)]
+    cluster = {(0,) * d}
+    frontier = set()
+    for v in dirs:
+        frontier.add(v)
+    while len(cluster) < target and frontier:
+        pick = sorted(frontier)[int(gen.integers(0, len(frontier)))]
+        cluster.add(pick)
+        frontier.discard(pick)
         for v in dirs:
-            frontier.add(v)
-        while len(cluster) < target and frontier:
-            pick = sorted(frontier)[int(gen.integers(0, len(frontier)))]
-            cluster.add(pick)
-            frontier.discard(pick)
-            for v in dirs:
-                nb = tuple(p + s for p, s in zip(pick, v))
-                if nb not in cluster:
-                    frontier.add(nb)
-        return sorted(cluster)
+            nb = tuple(p + s for p, s in zip(pick, v))
+            if nb not in cluster:
+                frontier.add(nb)
+    return tuple(sorted(cluster))
 
 
 @dataclass
@@ -594,7 +599,6 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     # each environment is sampled once, on the box that holds every region
     n_max = max(int(N) for N in N_list)
     union = BoxRegion([-n_max] * d, [n_max] * d)
-    union_sites = union.interior_array()
     gathers = [union.index_block(pattern.interior) for pattern in patterns]
     accs = [_RatioAccumulator(1, d) for _ in regions]
     # equal chunks, none above the batch size of any region
@@ -602,7 +606,7 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     chunk = math.ceil(n_env / n_chunks)
     for start in range(0, n_env, chunk):
         seeds = env_seeds[start:start + chunk]
-        union_weights = sample_weights(law, union_sites, seeds)
+        union_weights = sample_weights(law, union, seeds)
         for pattern, src, gather, g0_origin, acc in zip(patterns, srcs, gathers,
                                                         g0_origins, accs):
             weights = union_weights[:, gather]

@@ -248,7 +248,7 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
     """
     probs, vecs = law.support()  # UnsupportedFamilyError without a homogeneous table
     one_atom = probs.shape[0] == 1
-    step_cum = np.cumsum(vecs, axis=1)
+    cdf, step_cum = np.cumsum(probs), np.cumsum(vecs, axis=1)
     dirs = directions(law.d)
     last = 2 * law.d - 1
     finals = np.array(starts, dtype=np.int64).reshape(-1, law.d)
@@ -285,7 +285,7 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
             here = pos[live]
             cum = step_cum[0]
             if not one_atom:
-                cum = env_model._draw(probs, step_cum, rng._unit(rng._fold(words[live], here)))
+                cum = env_model._draw(cdf, step_cum, rng._unit(rng._fold(words[live], here.T)))
             u = gen.random(live.shape[0])
             k = np.minimum((cum <= u[:, None]).sum(axis=1), last)
             here += dirs[k]

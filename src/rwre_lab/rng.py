@@ -9,8 +9,11 @@ Two kinds of streams are needed:
   execution order never matters.
 
 Site randomness is a splitmix64-style integer mix folded over the
-coordinates.  Walk streams are numpy Philox generators keyed by
-(master seed, stream index).
+coordinates, one axis at a time.  After axis k a site's hash depends only on
+its coordinates along axes 0..k, so the sites of a box hash over the open
+mesh of its axes: axis k is folded into the words of the axes before it,
+which costs about one mix round per site instead of d.  Walk streams are
+numpy Philox generators keyed by (master seed, stream index).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _INV53 = 1.0 / float(1 << 53)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 
 def _splitmix64(z):
@@ -40,11 +44,11 @@ def _splitmix64(z):
 
 def _mix(z):
     z = z + _GAMMA
-    z ^= z >> _U64(30)
+    z ^= z >> _S30
     z *= _MIX1
-    z ^= z >> _U64(27)
+    z ^= z >> _S27
     z *= _MIX2
-    z ^= z >> _U64(31)
+    z ^= z >> _S31
     return z
 
 
@@ -62,17 +66,22 @@ def _seed_word(seed) -> np.ndarray:
     return _splitmix64(_u64(seed))
 
 
-def _fold(words, coords) -> np.ndarray:
-    """Fold coordinate rows (..., d) into mixed seed words broadcast against them."""
+def _fold(words, axes) -> np.ndarray:
+    """Fold d per-axis int64 coordinate arrays into mixed seed words, axis 0 first.
+
+    The arrays broadcast against each other and against words: the columns
+    of a site list, or the open mesh of a box, whose round k runs on the
+    product of axes 0..k only.
+    """
     h = words
-    for k in range(coords.shape[-1]):
-        h = _splitmix64(h ^ coords[..., k].astype(_U64))
+    for a in axes:
+        h = _splitmix64(h ^ a.astype(_U64))
     return h
 
 
 def _unit(h) -> np.ndarray:
     """Uniform [0,1) variates from the top 53 bits of hashes."""
-    return (h >> _U64(11)).astype(np.float64) * _INV53
+    return (h >> _S11).astype(np.float64) * _INV53
 
 
 def site_hash(seed, coords) -> np.ndarray:
@@ -83,8 +92,18 @@ def site_hash(seed, coords) -> np.ndarray:
     seed is one integer, or an integer array of shape (...) holding one seed
     per coordinate row; row i then hashes exactly as site_hash(seed[i],
     coords[i]) would; seeds of shape (B, 1) on (N, d) coords hash all B*N pairs.
+
+    coords may also be a tuple of the d coordinate arrays, which need only
+    broadcast against each other and the seed: it hashes as the stacked
+    broadcast would.  The open mesh np.ix_(*axes) of a box hashes its sites
+    in C order at about one mix round per site, and seeds of shape
+    (B, 1, ..., 1) hash B environments of the box at once.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    if isinstance(coords, tuple):
+        coords = [np.asarray(a, dtype=np.int64) for a in coords]
+    else:
+        coords = np.asarray(coords, dtype=np.int64)
+        coords = [coords[..., k] for k in range(coords.shape[-1])]
     return _fold(_seed_word(seed), coords)
 
 

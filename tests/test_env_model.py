@@ -1,5 +1,6 @@
 import bisect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -119,40 +120,96 @@ def _reference_block(law, sites, seeds):
     return out
 
 
-def _sixteen_atom_law():
+def _sixteen_atom_law(d=2):
     atoms = []
     for a in (0.01, 0.02, 0.03, 0.04):
         for k in range(4):
-            w = np.full(4, 0.25)
+            w = np.full(2 * d, 1 / (2 * d))
             w[k] += a
             w[k ^ 1] -= a
             atoms.append((1 / 16, w))
-    return rl.EmpiricalLaw(atoms, 2)
+    return rl.EmpiricalLaw(atoms, d)
 
 
-EMPIRICAL16 = _sixteen_atom_law()
-SAMPLER_LAWS = {
-    "kick": rl.SignedAxisKickLaw(2, 0.05, 0.01),
-    "empirical16": EMPIRICAL16,
-    "point_mass": rl.PointMassLaw([0.30, 0.20, 0.25, 0.25]),
-    "inhomogeneous": rl.InhomogeneousTestLaw(
-        {(0, 0): rl.SignedAxisKickLaw(2, 0.1), (1, -1): EMPIRICAL16}, 2,
-        default=rl.SignedAxisKickLaw(2, 0.03)),
+def _sampler_laws(d):
+    origin, off = (0,) * d, (1, -1) + (0,) * (d - 2)
+    return {
+        "kick": rl.SignedAxisKickLaw(d, 0.05, 0.01),
+        "empirical16": _sixteen_atom_law(d),
+        "point_mass": rl.PointMassLaw([0.30, 0.20] + [0.5 / (2 * d - 2)] * (2 * d - 2)),
+        "inhomogeneous": rl.InhomogeneousTestLaw(
+            {origin: rl.SignedAxisKickLaw(d, 0.2 / d), off: _sixteen_atom_law(d)}, d,
+            default=rl.SignedAxisKickLaw(d, 0.03)),
+    }
+
+
+SAMPLER_LAWS = _sampler_laws(2)
+SAMPLER_SITES = {
+    "array": np.vstack([rl.BoxRegion([-2, -2], [2, 2]).interior_array(),
+                        [[1000, -7], [-(2 ** 40), 3]]]),
+    "box": rl.BoxRegion([-3, -5], [1, -1]),
+    "slab_d3": rl.SlabRegion(2, 3, 3),
+    "halfspace_minus": rl.HalfSpaceTrunc(-1, 3, 2),
+    "site_set": rl.SiteSetRegion([(0, 0), (1, -1), (7, 2), (-(2 ** 40), 3)], 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_LAWS))
 def test_sample_weights_matches_a_site_by_site_reference(name):
-    law = SAMPLER_LAWS[name]
-    sites = np.vstack([rl.BoxRegion([-2, -2], [2, 2]).interior_array(),
-                       [[1000, -7], [-(2 ** 40), 3]]])
     seeds = [0, -1, 2 ** 63 + 5, 2 ** 64 + 7]
-    block = rl.env_model.sample_weights(law, sites, seeds)
-    assert block.shape == (4, sites.shape[0], 4)
-    assert np.array_equal(block, _reference_block(law, sites, seeds))
-    empty_sites = np.empty((0, 2), dtype=np.int64)
-    assert rl.env_model.sample_weights(law, empty_sites, seeds).shape == (4, 0, 4)
-    assert rl.env_model.sample_weights(law, sites, []).shape == (0, sites.shape[0], 4)
+    for where, sites in SAMPLER_SITES.items():
+        listed = sites.interior_array() if isinstance(sites, rl.Region) else sites
+        n, d = listed.shape
+        law = _sampler_laws(d)[name]
+        block = rl.env_model.sample_weights(law, sites, seeds)
+        assert block.shape == (4, n, 2 * d), where
+        assert np.array_equal(block, _reference_block(law, listed, seeds)), where
+        empty_sites = np.empty((0, d), dtype=np.int64)
+        assert rl.env_model.sample_weights(law, empty_sites, seeds).shape == (4, 0, 2 * d)
+        assert rl.env_model.sample_weights(law, [], seeds).shape == (4, 0, 2 * d)
+        assert rl.env_model.sample_weights(law, sites, []).shape == (0, n, 2 * d), where
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_LAWS))
+def test_sample_weights_refuses_an_unbounded_slab(name):
+    with pytest.raises(rl.RegionError):
+        rl.env_model.sample_weights(SAMPLER_LAWS[name], rl.SlabRegion(2, None, 2), [1, 2])
+
+
+def test_site_hash_over_box_axes_equals_the_product_grid():
+    # the open mesh of a box hashes as its (n, d) site list, in C order
+    box = rl.BoxRegion([-3, 2 ** 40, -1], [1, 2 ** 40 + 2, 3])
+    axes = [np.arange(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    grid = box.interior_array()
+    seeds = np.array([0, 2 ** 64 - 1, 2 ** 63 + 12345], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (2 ** 64 - 1, 7):
+            got = rl.rng.site_hash(seed, np.ix_(*axes))
+            assert got.shape == tuple(len(a) for a in axes)
+            assert np.array_equal(got.ravel(), rl.rng.site_hash(seed, grid))
+        got = rl.rng.site_hash(seeds.reshape(3, 1, 1, 1), np.ix_(*axes))
+        assert np.array_equal(got.reshape(3, -1), rl.rng.site_hash(seeds[:, None], grid))
+        assert np.array_equal(rl.rng.site_uniforms(seeds.reshape(3, 1, 1, 1), np.ix_(*axes)),
+                              rl.rng.site_uniforms(seeds[:, None], grid).reshape(got.shape))
+
+
+# zero-probability atoms, and a cdf whose last entry falls short of 1 in floating point
+DRAW_CDFS = [np.cumsum([0.25, 0.0, 0.5, 0.25]), np.cumsum([0.0, 0.5, 0.5]),
+             np.cumsum([0.1] * 10), np.array([0.3, 0.3, 0.7, 1.0 - 2 ** -40])]
+
+
+@pytest.mark.parametrize("cdf", DRAW_CDFS)
+def test_draw_matches_bisect_on_both_methods(cdf):
+    K = len(cdf)
+    vecs = np.arange(K * 3, dtype=np.float64).reshape(K, 3)
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2), [0.0, 1 - 2 ** -53]])
+    edges = edges[edges < 1]
+    want = vecs[[min(bisect.bisect_right(cdf.tolist(), u), K - 1) for u in edges]]
+    # a few uniforms take the binary search; past 256 per atom they count thresholds
+    for reps in (1, -(-256 * K // len(edges))):
+        u = np.tile(edges, (reps, 1))
+        assert np.array_equal(rl.env_model._draw(cdf, vecs, u), np.broadcast_to(want, u.shape + (3,)))
 
 
 def test_sample_weights_hashes_a_batch_once(monkeypatch):
@@ -167,6 +224,21 @@ def test_sample_weights_hashes_a_batch_once(monkeypatch):
     sites = rl.BoxRegion([-2, -2], [2, 2]).interior_array()
     rl.env_model.sample_weights(rl.SignedAxisKickLaw(2, 0.05), sites, list(range(400)))
     assert calls == [(400, 1)]
+
+
+def test_sample_weights_hashes_a_box_batch_once(monkeypatch):
+    sizes = []
+    site_hash = rl.rng.site_hash
+
+    def spy(seed, coords):
+        out = site_hash(seed, coords)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(rl.rng, "site_hash", spy)
+    box = rl.SlabRegion(2, 3, 3)
+    rl.env_model.sample_weights(rl.SignedAxisKickLaw(3, 0.05), box, list(range(20)))
+    assert sizes == [20 * box.interior_count()]
 
 
 def test_sample_environment_takes_the_seed_second():

@@ -276,6 +276,14 @@ class TestEpsK:
         for _, region in regions:
             assert region.contains((0, 0))
 
+    def test_cluster_family_grows_once(self):
+        kal._grow_cluster.cache_clear()
+        spec = rl.EpsKFamilySpec()
+        first, second = spec.regions(2), spec.regions(2)
+        assert [(lbl, r.descriptor()) for lbl, r in first] \
+            == [(lbl, r.descriptor()) for lbl, r in second]
+        assert kal._grow_cluster.cache_info().misses == spec.n_clusters == 15
+
     def test_clusters_are_connected(self):
         spec = rl.EpsKFamilySpec(n_clusters=5)
         for label, region in spec.regions(2):

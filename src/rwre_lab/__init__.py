@@ -44,7 +44,6 @@ from .exact_solver import (
     SolverConvergenceError,
     exit_distribution,
     green_operator,
-    green_operator_field,
     green_row,
     hitting_probability,
     hitting_probability_field,

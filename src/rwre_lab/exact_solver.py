@@ -977,12 +977,6 @@ def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
     return out
 
 
-def green_operator_field(env: EnvironmentRealization, region: Region, f,
-                         tol: float = DEFAULT_TOL, method: str = "auto") -> np.ndarray:
-    """G[f] at every interior site: expected path sum of f before exit."""
-    return solve_green_operator(build_system(env, region), f, tol, method)
-
-
 def green_operator(env: EnvironmentRealization, region: Region, f, x,
                    tol: float = DEFAULT_TOL, method: str = "auto") -> float:
     """Green operator value sum_y g(x,y) f(y)."""

@@ -108,8 +108,12 @@ class BoxRegion(Region):
         return all(self.lo[k] <= int(site[k]) <= self.hi[k] for k in range(self.d))
 
     def contains_block(self, coords) -> np.ndarray:
+        # one axis at a time: np.all over a short last axis costs several times more
         coords = np.asarray(coords, dtype=np.int64)
-        return np.all((coords >= self.lo) & (coords <= self.hi), axis=-1)
+        inside = (coords[..., 0] >= self.lo[0]) & (coords[..., 0] <= self.hi[0])
+        for k in range(1, self.d):
+            inside &= (coords[..., k] >= self.lo[k]) & (coords[..., k] <= self.hi[k])
+        return inside
 
     def interior_count(self) -> int:
         return int(np.prod(self._shape))
@@ -289,6 +293,12 @@ class HalfSpaceTrunc(BoxRegion):
         return {"kind": "half_space", "d": self.d, "sign": self.sign, "N": self.N}
 
 
+def _row_keys(coords: np.ndarray) -> np.ndarray:
+    """Each (..., d) int64 coordinate row as one opaque key, for set membership."""
+    rows = np.ascontiguousarray(coords, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
+
+
 class SiteSetRegion(Region):
     """Arbitrary finite region given by an explicit site set."""
 
@@ -303,13 +313,16 @@ class SiteSetRegion(Region):
                 raise RegionError(f"site {t} has wrong dimension (expected {d})")
         self._sites = np.array(tuples, dtype=np.int64)
         self._index = {t: i for i, t in enumerate(tuples)}
+        self._keys = np.sort(_row_keys(self._sites))
 
     def contains(self, site) -> bool:
         return tuple(int(c) for c in site) in self._index
 
     def contains_block(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64)
-        return np.array([tuple(c) in self._index for c in coords], dtype=bool)
+        keys = _row_keys(coords)
+        at = np.searchsorted(self._keys, keys).clip(max=len(self._keys) - 1)
+        return self._keys[at] == keys
 
     def interior_count(self) -> int:
         return self._sites.shape[0]

@@ -94,6 +94,20 @@ def test_enumeration_is_lexicographic():
         assert btuples == sorted(btuples)
 
 
+@pytest.mark.parametrize("region", [
+    rl.BoxRegion([-2, 0, -1], [1, 3, 2]),
+    rl.SlabRegion(2, 3, 3),
+    rl.SlabRegion(2, None, 3),
+    rl.SiteSetRegion([(0, 0, 0), (1, -2, 0), (-3, 1, 2), (2, 2, -2)], 3),
+])
+def test_contains_block_matches_contains(region):
+    coords = np.random.default_rng(4).integers(-4, 5, size=(600, 3))
+    coords[:4] = [(0, 0, 0), (1, -2, 0), (-3, 1, 2), (2, 2, -2)]
+    expected = [region.contains(c) for c in coords]
+    assert region.contains_block(coords).tolist() == expected
+    assert region.contains_block(coords.reshape(30, 20, 3)).ravel().tolist() == expected
+
+
 def test_index_block_round_trip():
     region = rl.SlabRegion(3, 5, 2)
     sites = region.interior_array()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rwre_lab as rl
 from rwre_lab import monte_carlo as mc
-from rwre_lab import rng
+from rwre_lab import env_model, rng
 
 
 def test_fixed_steps_zero_stays_put():
@@ -228,6 +228,119 @@ def test_annealed_walks_beyond_one_chunk_are_reproducible(monkeypatch):
     # a full chunk's walks do not depend on the chunks that follow it
     head = mc.annealed_walks(law, starts[:mc.WALK_CHUNK], stop, seed=17)
     assert head.tobytes() == runs[0][:head.nbytes]
+
+
+def _stepwise_walks(law, starts, stop_rule, seed, step_budget=mc.DEFAULT_STEP_BUDGET):
+    """Reference walker: every live walk hashes its site and draws one uniform
+    per step.  Returns the finals and each walk's step count."""
+    probs, vecs = law.support()
+    cdf, step_cum = np.cumsum(probs), np.cumsum(vecs, axis=1)
+    dirs = env_model.directions(law.d)
+    finals = np.array(starts, dtype=np.int64).reshape(-1, law.d)
+    taken = np.zeros(len(finals), dtype=np.int64)
+    region = getattr(stop_rule, "region", None)
+    budget = stop_rule.n if region is None else step_budget
+    for c, lo in enumerate(range(0, len(finals), mc.WALK_CHUNK)):
+        pos = finals[lo:lo + mc.WALK_CHUNK]
+        gen = rng.stream_generator(seed, c)
+        live = np.arange(len(pos))
+        words = rng._seed_word(rng.child_seed(seed, c, live))
+        steps = 0
+        while live.size:
+            if steps == budget:
+                if region is None:
+                    break
+                raise mc.StepBudgetError(f"step budget {budget}")
+            here = pos[live]
+            u_site = rng._unit(rng._fold(words[live], here.T))
+            cum = env_model._draw(cdf, step_cum, u_site)
+            u = gen.random(live.shape[0])
+            k = np.minimum((cum <= u[:, None]).sum(axis=1), 2 * law.d - 1)
+            here += dirs[k]
+            pos[live] = here
+            taken[lo + live] += 1
+            steps += 1
+            if region is not None:
+                live = live[region.contains_block(here)]
+    return finals, taken
+
+
+_KICK = {d: rl.SignedAxisKickLaw(d, 0.04, lambda_shift=0.03) for d in (2, 3)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("W", [1, 8, 32, 540])
+@pytest.mark.parametrize("stop", ["fixed", "slab", "box"])
+def test_blocked_walker_matches_the_stepwise_walker(d, W, stop):
+    rule = {"fixed": mc.FixedSteps(97),
+            "slab": mc.ExitRegion(rl.SlabRegion(3, None, d)),
+            "box": mc.ExitRegion(rl.BallisticityBox(2, d))}[stop]
+    S = mc._block_steps(W, d)
+    assert S == 1 or 97 % S  # the fixed-step budget ends mid-block
+    starts = np.zeros((W, d), dtype=np.int64)
+    starts[:, -1] = np.arange(W) % 5 - 2
+    for seed in (0, 1):
+        ref, _ = _stepwise_walks(_KICK[d], starts, rule, seed)
+        assert mc.annealed_walks(_KICK[d], starts, rule, seed).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("site_set", [False, True])
+def test_blocked_walker_matches_when_walks_exit_mid_block(d, site_set):
+    law, W = _KICK[d], 8
+    region = rl.BallisticityBox(2, d)
+    if site_set:
+        box = rl.BoxRegion([0] + [-2] * (d - 1), [1] + [2] * (d - 1))
+        region = rl.SiteSetRegion(box.interior_array(), d)
+    rule = mc.ExitRegion(region)
+    starts = np.zeros((W, d), dtype=np.int64)
+    S = mc._block_steps(W, d)
+    ref, taken = _stepwise_walks(law, starts, rule, 3)
+    assert S > 1 and ((taken > 0) & (taken < S)).any()  # some exit inside the first block
+    assert mc.annealed_walks(law, starts, rule, 3).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("region", [rl.BallisticityBox(2, 2), rl.SlabRegion(3, None, 2)])
+def test_blocked_walker_matches_on_a_one_atom_law(region):
+    # a one-atom law hashes no site; under FixedSteps it takes a multinomial
+    law = rl.build_shifted_law(rl.ssrw_law(2), 0.1)
+    assert law.support()[0].shape == (1,)
+    starts = np.zeros((30, 2), dtype=np.int64)
+    for seed in (0, 1):
+        ref, _ = _stepwise_walks(law, starts, mc.ExitRegion(region), seed)
+        got = mc.annealed_walks(law, starts, mc.ExitRegion(region), seed)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_walker_raises_at_the_stepwise_step(d):
+    law, rule = _KICK[d], mc.ExitRegion(rl.SlabRegion(4, None, d))
+    starts = np.zeros((8, d), dtype=np.int64)
+    ref, taken = _stepwise_walks(law, starts, rule, 9)
+    need = int(taken.max())  # the budget with which the last walk just exits
+    assert need > mc._block_steps(8, d)
+    got = mc.annealed_walks(law, starts, rule, 9, step_budget=need)
+    assert got.tobytes() == ref.tobytes()
+    for walker in (mc.annealed_walks, _stepwise_walks):
+        with pytest.raises(mc.StepBudgetError):
+            walker(law, starts, rule, 9, step_budget=need - 1)
+
+
+def test_blocked_walker_matches_across_a_chunk_boundary():
+    law = _KICK[2]
+    rule = mc.ExitRegion(rl.BallisticityBox(2, 2))
+    starts = np.zeros((mc.WALK_CHUNK + 5, 2), dtype=np.int64)
+    ref, _ = _stepwise_walks(law, starts, rule, 4)
+    assert mc.annealed_walks(law, starts, rule, 4).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_rule_covers_tiles_and_single_steps(d):
+    assert mc._block_steps(1, d) > 1
+    assert mc._block_steps(540, d) == 1
+    for w in (1, 8, 32, 540):
+        S = mc._block_steps(w, d)
+        assert S == 1 or w * (2 * S - 1) ** d * d <= mc._TILE_SITES
 
 
 def test_velocity_point_mass_and_ssrw():

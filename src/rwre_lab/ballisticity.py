@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from . import rng
 from .env_model import EnvironmentLaw, law_moments, sample_weights
@@ -248,10 +247,14 @@ class ConditionPReport:
 def _upper_bounds(hits: np.ndarray, n: int, level: float) -> np.ndarray:
     """Exact (Clopper-Pearson) upper confidence bounds at 1 - level on the
     success probabilities of binomial counts hits out of n, one beta
-    quantile call over all counts below n; 1.0 where hits == n."""
+    quantile call over all counts below n; 1.0 where hits == n.  The
+    quantile is the inverse regularized incomplete beta function, which is
+    what scipy.stats.beta.ppf evaluates."""
+    from scipy.special import betaincinv
+
     bounds = np.ones(len(hits))
     below = hits < n
-    bounds[below] = beta_dist.ppf(1.0 - level, hits[below] + 1, n - hits[below])
+    bounds[below] = betaincinv(hits[below] + 1, n - hits[below], 1.0 - level)
     return bounds
 
 

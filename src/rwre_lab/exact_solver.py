@@ -8,8 +8,15 @@ less than one, so the fixed point exists and the Neumann iterates
 x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
 Five solve strategies share one exact certificate: after any solve the
-residual r = b + A x - x is recomputed in float64, and its l1/sup norms
-are reported.
+residual r = b + A x - x is recomputed in float64 from the weights and the
+neighbour table (`_batch_residual`: per direction, one gather through
+`RegionPattern.nbr_pad`), and its l1/sup norms are reported; the Neumann
+iteration reports the residual it carries.  A CSR matrix of P
+(`QuenchedSystem.P`) is built only where a sparse operator is applied:
+BiCGSTAB, the Neumann iteration and its polish, and
+`neumann_green_iterates`.  scipy is imported by the paths that call it
+(scipy.linalg for band LU, scipy.sparse for CSR and BiCGSTAB), so dense and
+lockstep runs load none of it.
 
 * "dense"    - LU on I - A assembled from the weights; the small-system path.
 * "lockstep" - preconditioned Richardson x <- x + M r, r = b - x + A x, with
@@ -18,9 +25,8 @@ are reported.
                applied as per-axis dense sine transforms (DST-I matrices with
                the symmetrizing scaling folded in) through BLAS matmuls in
                O(n sum_i m_i); A x is 2d offset slices of the weights, so no
-               sparse matrix is built, and the certificate comes from the
-               neighbour table (`_batch_residual`).  It is `_lockstep` with
-               one environment; a run that fails falls back to the path of
+               sparse matrix is built.  It is `_lockstep` with one
+               environment; a run that fails falls back to the path of
                `_direct_or_krylov`.  Boxes only.
 * "banded"   - LAPACK band LU (gbsv) on a box region, its unknowns reordered
                so the shortest axis runs fastest; the band array is filled
@@ -73,11 +79,9 @@ inverses the stacked dense LU up to DENSE_CUTOFF:
               weights[k]) for each k on `deterministic_map`: banded and
               Krylov batches, and a batch of one.
 
-The first two are certified column by column in float64 from the weights
-and the neighbour table (`_certify_batch`): per direction, one gather
-through the padded table `RegionPattern.nbr_pad`.  `batch_size` sizes a
-batch by the path it takes.  A failed solve or certificate raises
-BatchSolveError naming the environment.
+The first two are certified column by column by the same residual
+(`_certify_batch`).  `batch_size` sizes a batch by the path it takes.  A
+failed solve or certificate raises BatchSolveError naming the environment.
 Region patterns are kept across calls, keyed by region descriptor.
 """
 
@@ -87,15 +91,16 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .env_model import EnvironmentRealization, directions
 from .lattice import BoxRegion, ExitClass, Region, RegionError
 from .runtime import deterministic_map
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -138,22 +143,28 @@ class RegionPattern:
         for e in range(2 * self.d):
             nbr[:, e] = region.index_block(self.interior + self.dirs[e])
         self.nbr = nbr
-        flat_rows = np.repeat(np.arange(self.n, dtype=np.int64), 2 * self.d)
-        flat_cols = nbr.ravel()
-        self.inside_mask = flat_cols >= 0
+        self.inside_mask = nbr.ravel() >= 0
         # steps in each direction (index into dirs) that stay in the region
         self.dir_counts = self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
-        rows = flat_rows[self.inside_mask]
-        cols = flat_cols[self.inside_mask]
+
+    @cached_property
+    def _csr_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, indices, indptr) of the CSR form of P: order sorts the
+        inside steps, weights.ravel()[inside_mask], by row, then column.
+        Only the sparse operators (BiCGSTAB, Neumann) read it."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), 2 * self.d)[self.inside_mask]
+        cols = self.nbr.ravel()[self.inside_mask]
         order = np.lexsort((cols, rows))
-        self._order = order
-        self._indices = cols[order].astype(np.int32)
         counts = np.bincount(rows, minlength=self.n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return order, cols[order].astype(np.int32), indptr
 
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        data = weights.ravel()[self.inside_mask][self._order]
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
+        import scipy.sparse as sp
+
+        order, indices, indptr = self._csr_index
+        data = weights.ravel()[self.inside_mask][order]
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     @cached_property
     def shape(self) -> tuple[int, ...] | None:
@@ -447,6 +458,8 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool =
     set, else in float64, and its dtype says which; a vector with an entry
     beyond _SINGLE_RANGE gets the float64 factors.  It returns float64.
     """
+    import scipy.sparse.linalg as spla
+
     pattern, shape = system.pattern, system.pattern.shape
     if shape is None:
         return None
@@ -470,7 +483,9 @@ def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
     x and BiCGSTAB's residuals stay float64.  A run with the float32
     mean-kernel inverse that ends short of its tolerance is re-run with the
     float64 one; iterations count both runs."""
-    A = system.P.T if transpose else system.P
+    import scipy.sparse.linalg as spla
+
+    A = _operator(system, transpose)
     n = b.shape[0]
     S = spla.LinearOperator((n, n), matvec=lambda v: v - A @ v, dtype=np.float64)
     atol = tol / max(1.0, np.sqrt(n))
@@ -510,6 +525,8 @@ def _dense_batch(pattern: RegionPattern, weights: np.ndarray, b, transpose: bool
 
 def _banded_solve(system: QuenchedSystem, b, transpose: bool):
     """Band LU on I - P, or I - P^T with transpose."""
+    from scipy.linalg import solve_banded
+
     pattern = system.pattern
     w = pattern.band_width
     if w is None:
@@ -584,7 +601,7 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
     pattern = system.pattern
     if method == "auto":
         method = auto_method(pattern)
-    it, r = 0, None
+    it = 0
     if method == "lockstep":
         if pattern.shape is None:
             raise ValueError("lockstep solves need the pattern of a box region")
@@ -593,8 +610,6 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
         if x is None:
             method = _direct_or_krylov(pattern)
         else:
-            # certified from the weights, with no sparse matrix built
-            r = _batch_residual(pattern, weights, b[None], x, transpose)[0, :, 0]
             x = x[0]
     if method == "dense":
         x = _dense_batch(pattern, system.weights[None], b[None], transpose)[0]
@@ -608,8 +623,9 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
     elif method != "lockstep":
         raise ValueError(f"unknown solve method {method!r}")
     if method != "neumann":
-        if r is None:
-            r = _residual(_operator(system, transpose), b, x)
+        # certified from the weights and the neighbour table, with no sparse
+        # matrix built
+        r = _batch_residual(pattern, system.weights[None], b[None], x[None], transpose)[0, :, 0]
         if not _norm(r, norm) <= tol:
             # polish with the certified fixed-point iteration
             x, r, polish = _neumann_solve(_operator(system, transpose), b, tol,

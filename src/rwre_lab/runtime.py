@@ -1,6 +1,7 @@
 """Deterministic parallel map.
 
-Worker count is capped by the RWRE_THREADS environment variable (default 1).
+Worker count is capped by the RWRE_THREADS environment variable: a positive
+integer, 1 when unset; any other value raises ValueError.
 Tasks carry their own derived seeds and results are reduced in task order,
 so the outcome never depends on the number of workers.
 """
@@ -13,12 +14,15 @@ from typing import Callable, Sequence
 
 
 def worker_count() -> int:
+    """The worker count set by RWRE_THREADS, 1 when it is unset."""
     raw = os.environ.get("RWRE_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(f"RWRE_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def deterministic_map(fn: Callable, items: Sequence) -> list:

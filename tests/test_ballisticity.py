@@ -126,9 +126,15 @@ class TestConditionP:
             return [float(beta_dist.ppf(1.0 - level, h + 1, n - h)) if h < n else 1.0
                     for h in hits]
 
-        hits, level = np.array([0, 1, 17, 200, 399, 400]), 0.0013 / 6
-        got = bal._upper_bounds(hits, 400, level)
-        assert got.tobytes() == np.array(scalar(hits, 400, level)).tobytes()
+        # every count at small n, a spread of counts at large n, and the
+        # probe's Bonferroni levels 0.0013 / starts plus a far tail
+        cases = [(np.arange(n + 1), n) for n in (1, 2, 3, 10)]
+        cases += [(np.array([0, 1, 2, 17, 200, 201, 398, 399, 400]), 400),
+                  (np.array([0, 1, 5, 99, 1000, 50_000, 99_998, 99_999, 100_000]), 100_000)]
+        for hits, n in cases:
+            for level in (0.0013, 0.0013 / 6, 0.0013 / 54, 1e-12):
+                got = bal._upper_bounds(hits, n, level)
+                assert got.tobytes() == np.array(scalar(hits, n, level)).tobytes()
         # through the probe, with some starts at hits == n and some below
         rep = bal.condition_p_probe(rl.ssrw_law(2), 2, n_per_site=3, seed=0)
         hits = [s.hits for s in rep.starts]

@@ -1,0 +1,82 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import rwre_lab
+from rwre_lab import runtime
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rwre_lab.__file__)))
+
+
+def test_worker_count_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("RWRE_THREADS", raising=False)
+    assert runtime.worker_count() == 1
+    for raw, n in (("1", 1), ("3", 3), (" 2 ", 2)):
+        monkeypatch.setenv("RWRE_THREADS", raw)
+        assert runtime.worker_count() == n
+
+
+@pytest.mark.parametrize("raw", ["four", "0", "-2", "2.5", ""])
+def test_worker_count_refuses_other_values(monkeypatch, raw):
+    monkeypatch.setenv("RWRE_THREADS", raw)
+    with pytest.raises(ValueError, match=f"RWRE_THREADS.*{raw!r}"):
+        runtime.worker_count()
+
+
+def _scipy_modules_after(script: str, tmp_path) -> list[str]:
+    """The scipy modules loaded by script, run in a fresh interpreter."""
+    code = textwrap.dedent(script) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_batch_solves_and_the_cli_load_no_scipy(tmp_path):
+    config = tmp_path / "kalikow-drift.json"
+    config.write_text(json.dumps({
+        "experiment": "kalikow-drift",
+        "law": {"family": "signed_axis_kick", "d": 2, "a": 0.05},
+        "region": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+        "method": "mc", "n_env": 8}))
+    loaded = _scipy_modules_after(f"""
+        import numpy as np
+        import rwre_lab as rl
+        from rwre_lab import cli
+        from rwre_lab import exact_solver as xs
+        from rwre_lab.env_model import sample_weights
+
+        law = rl.SignedAxisKickLaw(3, 0.005, lambda_shift=0.05)
+        box = rl.BoxRegion([0, 0, 0], [3, 3, 3])
+        pattern = xs.region_pattern(box)
+        assert xs.auto_method(pattern, 40) == "lockstep"
+        weights = sample_weights(law, box, np.arange(40))
+        xs.solve_batch(pattern, weights, np.ones(pattern.n))
+        small = rl.BoxRegion([0, 0], [2, 2])
+        pattern = xs.region_pattern(small)
+        assert xs.auto_method(pattern, 4) == "dense"
+        weights = sample_weights(rl.SignedAxisKickLaw(2, 0.05), small, np.arange(4))
+        xs.solve_batch(pattern, weights, np.ones(pattern.n))
+        cli.run("kalikow-drift", {str(config)!r}, seed=3, out_dir="out")
+    """, tmp_path)
+    assert loaded == []
+
+
+def test_condition_p_probe_loads_scipy_special_only(tmp_path):
+    loaded = _scipy_modules_after("""
+        import rwre_lab as rl
+        from rwre_lab import ballisticity as bal
+
+        bal.condition_p_probe(rl.ssrw_law(2), 2, n_per_site=3, seed=0)
+    """, tmp_path)
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded

@@ -7,16 +7,14 @@ stepping outside is killed, which makes the spectral radius of A strictly
 less than one, so the fixed point exists and the Neumann iterates
 x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
-Five solve strategies share one exact certificate: after any solve the
-residual r = b + A x - x is recomputed in float64 from the weights and the
-neighbour table (`_batch_residual`: per direction, one gather through
-`RegionPattern.nbr_pad`), and its l1/sup norms are reported; the Neumann
-iteration reports the residual it carries.  A CSR matrix of P
-(`QuenchedSystem.P`) is built only where a sparse operator is applied:
-BiCGSTAB, the Neumann iteration and its polish, and
-`neumann_green_iterates`.  scipy is imported by the paths that call it
-(scipy.linalg for band LU, scipy.sparse for CSR and BiCGSTAB), so dense and
-lockstep runs load none of it.
+Five solve strategies share one exact certificate, and all but lockstep
+(offset slices of a box) one operator: P and P^T are applied from the
+weights and the neighbour table (`_batch_residual`: per direction, one
+gather through `RegionPattern.nbr_pad`), and no sparse matrix is built.
+After any solve the residual r = b + A x - x is recomputed in float64 from
+the returned x, and its l1/sup norms are reported.  scipy is imported by
+the paths that call it (scipy.linalg for band LU, scipy.sparse.linalg for
+BiCGSTAB), so dense, lockstep and Neumann runs load none of it.
 
 * "dense"    - LU on I - A assembled from the weights; the small-system path.
 * "lockstep" - preconditioned Richardson x <- x + M r, r = b - x + A x, with
@@ -31,21 +29,23 @@ lockstep runs load none of it.
 * "banded"   - LAPACK band LU (gbsv) on a box region, its unknowns reordered
                so the shortest axis runs fastest; the band array is filled
                straight from the weights.
-* "neumann"  - the plain fixed-point iteration x += r, r = A r; it stops
-               at once on a non-finite residual.
+* "neumann"  - the plain fixed-point iteration x <- x + r from zero, r
+               recomputed from x at every step; it stops at once on a
+               non-finite residual.
 * "krylov"   - BiCGSTAB on (I - A), preconditioned on boxes by the same
                mean-kernel inverse; boxes whose axis matrices exceed
                MEMORY_BUDGET go without.
 
-M is applied in float32 where its scaling fits float32's mantissa; a
-float32 lockstep run that stalls, or a float32 BiCGSTAB run that ends
-above its tolerance, is re-run with the float64 M, and x and the
-residuals stay float64.  SolveInfo.iterations counts M applies of both
-precisions (lockstep), BiCGSTAB iterations and polish steps.
+Lockstep applies M in float32 where its scaling fits float32's mantissa;
+a float32 run that stalls is re-run with the float64 M, and x and the
+residuals stay float64.  BiCGSTAB always applies the float64 M.
+SolveInfo.iterations counts M applies of both precisions (lockstep),
+BiCGSTAB iterations and Neumann steps, the polish's included.
 
-Every path is held to the tolerance: a direct, lockstep or Krylov solution
-whose residual is above it is polished by Neumann steps from that solution,
-and a solve still above it raises `SolverConvergenceError`.
+Every path is held to the tolerance: its x is handed to the Neumann
+iteration, which returns it with its recomputed residual when that is
+within tol, polishes it otherwise, and raises `SolverConvergenceError` when
+it cannot.
 
 One rule picks the path of one environment and of a batch of B alike,
 `auto_method(pattern, B)`: lockstep on the boxes of `_lockstep_box` once
@@ -91,16 +91,12 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .env_model import EnvironmentRealization, directions
 from .lattice import BoxRegion, ExitClass, Region, RegionError
 from .runtime import deterministic_map
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
@@ -146,25 +142,6 @@ class RegionPattern:
         self.inside_mask = nbr.ravel() >= 0
         # steps in each direction (index into dirs) that stay in the region
         self.dir_counts = self.inside_mask.reshape(self.n, 2 * self.d).sum(axis=0)
-
-    @cached_property
-    def _csr_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, indices, indptr) of the CSR form of P: order sorts the
-        inside steps, weights.ravel()[inside_mask], by row, then column.
-        Only the sparse operators (BiCGSTAB, Neumann) read it."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), 2 * self.d)[self.inside_mask]
-        cols = self.nbr.ravel()[self.inside_mask]
-        order = np.lexsort((cols, rows))
-        counts = np.bincount(rows, minlength=self.n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return order, cols[order].astype(np.int32), indptr
-
-    def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        order, indices, indptr = self._csr_index
-        data = weights.ravel()[self.inside_mask][order]
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     @cached_property
     def shape(self) -> tuple[int, ...] | None:
@@ -254,10 +231,6 @@ class QuenchedSystem:
     def n(self) -> int:
         return self.pattern.n
 
-    @cached_property
-    def P(self) -> sp.csr_matrix:
-        return self.pattern.matrix(self.weights)
-
     def drift_field(self) -> np.ndarray:
         """Local drift along e1 at every interior site."""
         return self.weights[:, 0] - self.weights[:, 1]
@@ -284,37 +257,32 @@ class SolveInfo:
     method: str
 
 
-def _residual(A, b, x):
-    return b + A @ x - x
-
-
-def _operator(system: QuenchedSystem, transpose: bool):
-    return system.P.T if transpose else system.P
-
-
 def _norm(r, kind):
     if kind == "l1":
         return float(np.abs(r).sum())
     return float(np.abs(r).max(initial=0.0))
 
 
-def _neumann_solve(A, b, tol, norm="l1", x0=None):
-    """Plain fixed-point iteration x += r, r = A r from x0 (default 0);
-    returns (x, r, iterations)."""
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = _residual(A, b, x)
+def _system_residual(system: QuenchedSystem, b, x, transpose: bool) -> np.ndarray:
+    """b + A x - x for one system: `_batch_residual` of a batch of one."""
+    return _batch_residual(system.pattern, system.weights[None], b[None], x[None],
+                           transpose)[0, :, 0]
+
+
+def _neumann_solve(system: QuenchedSystem, b, tol, norm, transpose: bool, x0):
+    """Plain fixed-point iteration x <- x + r from x0, where r = b + A x - x
+    is recomputed from x at every step (`_system_residual`), until the
+    residual of x is at most tol in the norm; returns (x, r, iterations),
+    r the residual of the x returned.  A non-finite residual stops it at
+    once, and so does MAX_ITER steps."""
+    x = x0.copy()
     it = 0
-    while not (res := _norm(r, norm)) <= tol:
+    while not (res := _norm(r := _system_residual(system, b, x, transpose), norm)) <= tol:
         if not np.isfinite(res) or it == MAX_ITER:
             raise SolverConvergenceError(
                 f"fixed-point solve did not reach tol={tol}: residual {res:.3e} "
                 f"after {it} iterations")
         x += r
-        r = A @ r
         it += 1
     return x, r, it
 
@@ -377,8 +345,8 @@ def _mean_kernel_factors(p, shape):
     where the scaling spreads over more than float32's 2^24.  The float32
     axis matrices add half the float64 ones' bytes to the budget's.
 
-    M only has to contract: the callers keep x, the residual and every
-    certificate in float64 and apply M in float32 where they can, which
+    M only has to contract: lockstep keeps x, the residual and every
+    certificate in float64 and applies M in float32 where it can, which
     halves the bytes its matmuls move (iterative refinement with a
     low-precision inner solve).
     """
@@ -449,15 +417,10 @@ def _mean_kernel(pattern: RegionPattern, weights: np.ndarray, transpose: bool):
     return w, _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, pattern.shape)
 
 
-def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool = True):
-    """(I - P_bar)^-1 as a LinearOperator, or (I - P_bar^T)^-1 with
+def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
+    """(I - P_bar)^-1 as a float64 LinearOperator, or (I - P_bar^T)^-1 with
     transpose, for the system's mean kernel (`_mean_kernel`); None off boxes
-    and wherever `_mean_kernel_factors` gives None.
-
-    It is applied in float32 where the float32 factors exist and single is
-    set, else in float64, and its dtype says which; a vector with an entry
-    beyond _SINGLE_RANGE gets the float64 factors.  It returns float64.
-    """
+    and wherever `_mean_kernel_factors` gives None."""
     import scipy.sparse.linalg as spla
 
     pattern, shape = system.pattern, system.pattern.shape
@@ -466,42 +429,31 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, single: bool =
     factors = _mean_kernel(pattern, system.weights[None], transpose)[1]
     if factors is None:
         return None
-    double, low = factors
-    use = low if single and low is not None else double
-
-    def apply(v):
-        v = v.reshape(shape)
-        f = double if use is double or not np.abs(v).max() <= _SINGLE_RANGE else use
-        return _apply_mean_kernel(f, v).astype(np.float64, copy=False).ravel()
-
-    return spla.LinearOperator((system.n, system.n), matvec=apply, dtype=use[2].dtype)
+    double = factors[0]
+    return spla.LinearOperator(
+        (system.n, system.n), dtype=np.float64,
+        matvec=lambda v: _apply_mean_kernel(double, v.reshape(shape)).ravel())
 
 
 def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
-    """BiCGSTAB on I - P, or I - P^T with transpose; returns (x, iterations).
-
-    x and BiCGSTAB's residuals stay float64.  A run with the float32
-    mean-kernel inverse that ends short of its tolerance is re-run with the
-    float64 one; iterations count both runs."""
+    """BiCGSTAB on I - P, or I - P^T with transpose, preconditioned by the
+    mean-kernel inverse; returns (x, iterations).  v - A v is the negated
+    residual of v for a zero right-hand side (`_system_residual`)."""
     import scipy.sparse.linalg as spla
 
-    A = _operator(system, transpose)
     n = b.shape[0]
-    S = spla.LinearOperator((n, n), matvec=lambda v: v - A @ v, dtype=np.float64)
-    atol = tol / max(1.0, np.sqrt(n))
+    zero = np.zeros(n)
+    S = spla.LinearOperator((n, n), dtype=np.float64,
+                            matvec=lambda v: -_system_residual(system, zero, v, transpose))
     its = 0
 
     def count(_):
         nonlocal its
         its += 1
 
-    for single in (True, False):
-        M = _mean_kernel_inverse(system, transpose, single)
-        x, info = spla.bicgstab(S, b, rtol=1e-14, atol=atol,
-                                maxiter=max(200, int(4 * np.sqrt(n)) + 50),
-                                M=M, callback=count)
-        if info == 0 or M is None or M.dtype != np.float32:
-            break
+    x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=tol / max(1.0, np.sqrt(n)),
+                         maxiter=max(200, int(4 * np.sqrt(n)) + 50),
+                         M=_mean_kernel_inverse(system, transpose), callback=count)
     return x, its
 
 
@@ -619,23 +571,13 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
         x, k = _krylov_solve(system, b, tol, transpose)
         it += k
     elif method == "neumann":
-        x, r, it = _neumann_solve(_operator(system, transpose), b, tol, norm=norm)
+        x = np.zeros(system.n)  # the iteration below runs from zero
     elif method != "lockstep":
         raise ValueError(f"unknown solve method {method!r}")
-    if method != "neumann":
-        # certified from the weights and the neighbour table, with no sparse
-        # matrix built
-        r = _batch_residual(pattern, system.weights[None], b[None], x[None], transpose)[0, :, 0]
-        if not _norm(r, norm) <= tol:
-            # polish with the certified fixed-point iteration
-            x, r, polish = _neumann_solve(_operator(system, transpose), b, tol,
-                                          norm=norm, x0=x)
-            it += polish
-    info = SolveInfo(_norm(r, "l1"), _norm(r, "linf"), it, method)
-    if not info.sup_residual <= tol:
-        raise SolverConvergenceError(
-            f"residual {info.sup_residual:.3e} above tolerance {tol}")
-    return x, info
+    # every path ends in the fixed-point iteration from its x: it returns x
+    # with the residual recomputed from it, or polishes x down to tol
+    x, r, polish = _neumann_solve(system, b, tol, norm, transpose, x)
+    return x, SolveInfo(_norm(r, "l1"), _norm(r, "linf"), it + polish, method)
 
 
 # ---------------------------------------------------------------------------
@@ -982,13 +924,13 @@ def green_row(env: EnvironmentRealization, region: Region, x,
 
 def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
                            n_iters: int) -> list[np.ndarray]:
-    """The first n_iters plain fixed-point iterates of the Green row solve."""
+    """The first n_iters plain fixed-point iterates of the Green row solve,
+    the iterates of `_neumann_solve` from zero."""
     system = build_system(env, region)
-    out, g, r = [], np.zeros(system.n), np.zeros(system.n)
-    r[system.pattern.source_index(x)] = 1.0
+    b = np.eye(1, system.n, system.pattern.source_index(x))[0]
+    out, g = [], np.zeros(system.n)
     for _ in range(n_iters):
-        g = g + r  # a new array per iterate
-        r = system.P.T @ r
+        g = g + _system_residual(system, b, g, True)  # a new array per iterate
         out.append(g)
     return out
 

@@ -80,3 +80,22 @@ def test_condition_p_probe_loads_scipy_special_only(tmp_path):
     """, tmp_path)
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_neumann_solves_load_no_scipy_and_krylov_loads_its_linalg(tmp_path):
+    # the Neumann iteration applies P through the neighbour table, like
+    # every certificate; only BiCGSTAB needs scipy.sparse.linalg
+    neumann = """
+        import rwre_lab as rl
+        from rwre_lab import exact_solver as xs
+
+        env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=1)
+        region = rl.SlabRegion(3, 12, 2)
+        rl.green_row(env, region, (0, 0), tol=1e-12, method="neumann")
+        xs.neumann_green_iterates(env, region, (0, 0), 10)
+    """
+    assert _scipy_modules_after(neumann, tmp_path) == []
+    krylov = neumann + """
+        rl.green_row(env, region, (0, 0), tol=1e-12, method="krylov")
+    """
+    assert "scipy.sparse.linalg" in _scipy_modules_after(krylov, tmp_path)

@@ -375,21 +375,25 @@ class EnvironmentRealization:
 _COUNT_PER_ATOM = 256
 
 
-def _draw(cdf: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
-    """The rows of vecs (one per atom) that uniforms u pick against the cumulative
-    probabilities cdf: row min(searchsorted(cdf, u, "right"), K - 1) for K atoms.
+def _atom_index(cdf: np.ndarray, u) -> np.ndarray:
+    """The atom each uniform u picks against the cumulative probabilities cdf:
+    min(searchsorted(cdf, u, "right"), K - 1) for K atoms, in u's shape.
 
     Large blocks count the thresholds each uniform reaches, small ones (or
-    more than 256 atoms, past uint8 indices) search; both give that row.
+    more than 256 atoms, past uint8 indices) search; both give that index.
     """
     K = len(cdf)
     if K <= 256 and u.size >= _COUNT_PER_ATOM * K:
         idx = np.zeros(u.shape, dtype=np.uint8)
         for c in cdf[:-1]:
             idx += u >= c
-    else:
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), K - 1)
-    return np.take(vecs, idx, axis=0)
+        return idx
+    return np.minimum(np.searchsorted(cdf, u, side="right"), K - 1)
+
+
+def _draw(cdf: np.ndarray, vecs: np.ndarray, u) -> np.ndarray:
+    """The rows of vecs (one per atom) that uniforms u pick: row _atom_index(cdf, u)."""
+    return np.take(vecs, _atom_index(cdf, u), axis=0)
 
 
 def sample_environment(law: EnvironmentLaw, seed: int = 0) -> EnvironmentRealization:

@@ -269,16 +269,34 @@ def _system_residual(system: QuenchedSystem, b, x, transpose: bool) -> np.ndarra
                            transpose)[0, :, 0]
 
 
+# A converging fixed-point iteration keeps setting new minima of its
+# residual, though not at every step.  In the norm that A contracts (linf
+# for P, l1 for P^T) r_k = A^k r_0 never grows, but it holds still, to
+# rounding, until the walk from the worst site is killed with a probability
+# above rounding: about d D^2 / 74 steps for the symmetric walk at lattice
+# distance D from the boundary (far fewer steps than the region has sites),
+# and about L / v steps for a walk of speed v that must cross a length L.
+# So the iteration stops as stalled only after max(n, _NEUMANN_STALL) steps
+# without a new minimum, n the system's sites; the constant covers slow
+# crossings of small regions.  A tol below the rounding floor then costs
+# that window past the floor instead of MAX_ITER steps.
+_NEUMANN_STALL = 1000
+
+
 def _neumann_solve(system: QuenchedSystem, b, tol, norm, transpose: bool, x0):
     """Plain fixed-point iteration x <- x + r from x0, where r = b + A x - x
     is recomputed from x at every step (`_system_residual`), until the
     residual of x is at most tol in the norm; returns (x, r, iterations),
     r the residual of the x returned.  A non-finite residual stops it at
-    once, and so does MAX_ITER steps."""
+    once, and so do MAX_ITER steps, or max(n, _NEUMANN_STALL) steps
+    without a new minimum of the residual (a tol below the rounding floor)."""
     x = x0.copy()
-    it = 0
+    it = best_it = 0
+    best, window = math.inf, max(system.n, _NEUMANN_STALL)
     while not (res := _norm(r := _system_residual(system, b, x, transpose), norm)) <= tol:
-        if not np.isfinite(res) or it == MAX_ITER:
+        if res < best:
+            best, best_it = res, it
+        if not np.isfinite(res) or it == MAX_ITER or it - best_it == window:
             raise SolverConvergenceError(
                 f"fixed-point solve did not reach tol={tol}: residual {res:.3e} "
                 f"after {it} iterations")

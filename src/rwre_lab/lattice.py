@@ -36,6 +36,22 @@ def _steps(d: int) -> np.ndarray:
     return np.vstack([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
 
 
+def _axes(coords) -> list[np.ndarray]:
+    """The per-axis int64 coordinate arrays of an (..., d) array, or of a tuple
+    of per-axis arrays, which need only broadcast against each other."""
+    if isinstance(coords, tuple):
+        return [np.asarray(a, dtype=np.int64) for a in coords]
+    coords = np.asarray(coords, dtype=np.int64)
+    return [coords[..., k] for k in range(coords.shape[-1])]
+
+
+def _stacked(coords) -> np.ndarray:
+    """coords as an (..., d) int64 array: a tuple of per-axis arrays is broadcast and stacked."""
+    if isinstance(coords, tuple):
+        return np.stack(np.broadcast_arrays(*_axes(coords)), axis=-1)
+    return np.asarray(coords, dtype=np.int64)
+
+
 class Region:
     """Common interface for lattice domains."""
 
@@ -51,8 +67,12 @@ class Region:
         raise NotImplementedError
 
     def contains_block(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        return np.array([self.contains(c) for c in coords], dtype=bool)
+        """Membership of each site of an (..., d) coordinate array, or of the
+        broadcast of a tuple of d per-axis arrays (an open mesh); a region
+        may answer a mesh in any shape that broadcasts against it."""
+        coords = _stacked(coords)
+        flat = coords.reshape(-1, self.d)
+        return np.array([self.contains(c) for c in flat], dtype=bool).reshape(coords.shape[:-1])
 
     @property
     def enumerable(self) -> bool:
@@ -108,11 +128,12 @@ class BoxRegion(Region):
         return all(self.lo[k] <= int(site[k]) <= self.hi[k] for k in range(self.d))
 
     def contains_block(self, coords) -> np.ndarray:
-        # one axis at a time: np.all over a short last axis costs several times more
-        coords = np.asarray(coords, dtype=np.int64)
-        inside = (coords[..., 0] >= self.lo[0]) & (coords[..., 0] <= self.hi[0])
+        # one axis at a time: np.all over a short last axis costs several times
+        # more, and an open mesh is never stacked
+        axes = _axes(coords)
+        inside = (axes[0] >= self.lo[0]) & (axes[0] <= self.hi[0])
         for k in range(1, self.d):
-            inside &= (coords[..., k] >= self.lo[k]) & (coords[..., k] <= self.hi[k])
+            inside = inside & (axes[k] >= self.lo[k]) & (axes[k] <= self.hi[k])
         return inside
 
     def interior_count(self) -> int:
@@ -191,8 +212,8 @@ class SlabRegion(BoxRegion):
 
     def contains_block(self, coords) -> np.ndarray:
         if self._unbounded:
-            coords = np.asarray(coords, dtype=np.int64)
-            return (coords[..., 0] >= -self.L) & (coords[..., 0] < self.L)
+            axis = _axes(coords)[0]  # on a mesh, the result broadcasts against it
+            return (axis >= -self.L) & (axis < self.L)
         return super().contains_block(coords)
 
     def _require_bounded(self, what: str):
@@ -319,8 +340,7 @@ class SiteSetRegion(Region):
         return tuple(int(c) for c in site) in self._index
 
     def contains_block(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        keys = _row_keys(coords)
+        keys = _row_keys(_stacked(coords))
         at = np.searchsorted(self._keys, keys).clip(max=len(self._keys) - 1)
         return self._keys[at] == keys
 

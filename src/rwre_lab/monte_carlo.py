@@ -6,19 +6,25 @@ product structure of the averaged law exactly.  One vectorized walker,
 a chunk together, looking up each walk's weights from that walk's own
 environment seed, so environments are sampled lazily along the paths and
 laterally unbounded regions need no truncation.  The walks advance in
-blocks of S steps: a block samples each walk's tile, the sites within
-S - 1 steps of it, in one hash, and its steps are table lookups.  S depends
-only on the live walk count and d (`_block_steps`): few walks take long
-blocks, many walks single steps.  Sites hash as they would alone and the
-uniforms come from the chunk's stream in step order, so the finals do not
-depend on S.  The walker dispatches on the size of the law's support: a
-one-atom law (a deterministic environment) skips the site hash.
+blocks of S steps: a block samples each walk's tile, the atoms of the sites
+within S - 1 steps of it, in one hash, and its steps move an index within
+the tiles.  S depends only on the live walk count and d (`_block_steps`):
+few walks take long blocks, many walks single steps.  A fixed-length block
+knows all its uniforms up front, so when the law has few enough atoms
+(S K <= (2S - 1)^d) it tabulates the tile-index shift of every (step, walk,
+atom) and each step is two gathers; exit walks, single steps and laws with
+more atoms compare each walk's cumulative step row with its uniform.  Sites
+hash as they would alone and the uniforms come from the chunk's stream in
+step order, so the finals do not depend on S.  The walker dispatches on the
+size of the law's support: a one-atom law (a deterministic environment)
+skips the site hash.
 `run_quenched_walk` simulates single paths in one given environment.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -260,6 +266,30 @@ def _block_steps(w: int, d: int) -> int:
     return s if s >= _MIN_BLOCK else 1
 
 
+@functools.lru_cache(maxsize=None)
+def _moves(d: int) -> np.ndarray:
+    """Row k is the move of a step whose uniform reached k thresholds of its
+    site's cumulative step row: the 2d directions, then the last one again
+    (a row's last threshold may round below 1)."""
+    dirs = directions(d)
+    moves = np.vstack([dirs, dirs[-1]])
+    moves.setflags(write=False)
+    return moves
+
+
+@functools.lru_cache(maxsize=None)
+def _tile(S: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's tile geometry: the offset of each of the (2S - 1)^d tile
+    sites from the tile's centre, in tile-index (C mesh) order, and the
+    tile-index change of each row of _moves(d)."""
+    side = 2 * S - 1
+    offsets = np.stack(np.unravel_index(np.arange(side ** d), (side,) * d), axis=-1) - (S - 1)
+    shift = _moves(d) @ side ** np.arange(d - 1, -1, -1)
+    offsets.setflags(write=False)
+    shift.setflags(write=False)
+    return offsets, shift
+
+
 def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSteps,
                    seed: int, step_budget: int = DEFAULT_STEP_BUDGET) -> np.ndarray:
     """Final sites of annealed walks, one walk and one fresh environment per start.
@@ -272,23 +302,26 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
     after step_budget steps raises StepBudgetError.
 
     The live walks of a chunk advance in blocks of S steps, S = _block_steps
-    of the live count and d.  A block hashes each walk's tile, the (2S-1)^d
-    sites within S - 1 steps of where the block starts, in one fold over an
-    open mesh, and draws their step rows (and, for an ExitRegion, their
-    membership) once; its steps are then table lookups.  Every site draws
-    exactly as it would alone, and the uniforms come from the chunk's stream
-    in step order, one per live walk per step (under FixedSteps a block draws
-    its S rows in one call), so finals do not depend on S.  No block runs
-    past the step budget, so StepBudgetError fires at the same step as well.
+    of the live count and d.  A block of S > 1 hashes each walk's tile, the
+    (2S-1)^d sites within S - 1 steps of where the block starts, in one fold
+    over an open mesh, and draws each site's atom once (for an ExitRegion,
+    its membership too, one axis at a time on the mesh of a box); its steps
+    then move a tile index.  Under FixedSteps a block draws its (S, n)
+    uniforms in one call, and when the (S, n, K) table of tile-index shifts
+    (walk w at step s from a site of atom a) is no larger than the tiles,
+    S K <= (2S-1)^d, each step is two gathers through that table.  Other
+    blocks (single steps, ExitRegion, laws with more atoms) compare each
+    walk's cumulative step row with its uniform.  Every site draws exactly
+    as it would alone, and the uniforms come from the chunk's stream in step
+    order, one per live walk per step, so finals do not depend on S.  No
+    block runs past the step budget, so StepBudgetError fires at the same
+    step as well.
     """
     probs, vecs = law.support()  # UnsupportedFamilyError without a homogeneous table
-    one_atom = probs.shape[0] == 1
+    K = probs.shape[0]
     cdf, step_cum = np.cumsum(probs), np.cumsum(vecs, axis=1)
     d = law.d
-    dirs = directions(d)
-    # a step moves by row k of moves, k the thresholds its uniform reached;
-    # past all 2d, it takes the last direction
-    moves = np.vstack([dirs, dirs[-1]])
+    moves = _moves(d)
     ones = np.ones(2 * d, dtype=np.uint8)
     finals = np.array(starts, dtype=np.int64).reshape(-1, d)
     if isinstance(stop_rule, FixedSteps):
@@ -305,16 +338,15 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
     for c, lo in enumerate(range(0, finals.shape[0], WALK_CHUNK)):
         pos = finals[lo:lo + WALK_CHUNK]  # a view: steps land in finals
         gen = rng.stream_generator(seed, c)
-        if region is None and one_atom:
+        if region is None and K == 1:
             # the step law is the same at every site, so the final site only
             # depends on how many of the steps went each way
-            pos += gen.multinomial(budget, vecs[0], size=len(pos)) @ dirs
+            pos += gen.multinomial(budget, vecs[0], size=len(pos)) @ directions(d)
             continue
         live = np.arange(len(pos))
-        if not one_atom:
-            # seed words mixed once per chunk, shaped for the tiles' open mesh,
-            # so a block only folds in its sites
-            words = rng._seed_word(rng.child_seed(seed, c, live)).reshape((-1,) + (1,) * d)
+        if K > 1:
+            # seed words mixed once per chunk, so a block only folds in its sites
+            words = rng._seed_word(rng.child_seed(seed, c, live))
         steps = 0
         while live.size:
             if steps == budget:
@@ -324,55 +356,86 @@ def annealed_walks(law: EnvironmentLaw, starts, stop_rule: ExitRegion | FixedSte
                     f"walk exceeded step budget {budget} before stopping")
             n = live.size
             S = min(_block_steps(n, d), budget - steps)
+            steps += S  # a block that every walk leaves early ends the chunk
             here = pos.take(live, axis=0)
-            if S == 1:  # one site per tile, where the walk stands: no mesh to build
-                axes, sites, size = here.T.reshape((d, n) + (1,) * d), here, 1
+            if S == 1:  # one step from where each walk stands: no tile
+                if K == 1:
+                    rows = step_cum[0]
+                else:
+                    h = rng._fold(words.take(live), here.T)
+                    rows = env_model._draw(cdf, step_cum, rng._unit(h))
+                k = (rows <= gen.random(n)[:, None]).view(np.uint8) @ ones
+                here += moves.take(k, axis=0)
             else:
-                # the tile's open mesh: walk on axis 0, offsets 1-S..S-1 on axis k + 1
-                side, span = 2 * S - 1, np.arange(1 - S, S)
-                axes = [here[:, k].reshape((n,) + (1,) * d)
-                        + span.reshape((side,) + (1,) * (d - 1 - k)) for k in range(d)]
-                sites = np.empty((n,) + (side,) * d + (d,), dtype=np.int64)
-                for k in range(d):
-                    sites[..., k] = axes[k]
-                sites, size = sites.reshape(-1, d), side ** d
-                shift = moves @ side ** np.arange(d - 1, -1, -1)  # tile-index change per move
-                if region is not None:
-                    inside = region.contains_block(sites)
-            if one_atom:
-                tile = step_cum  # one row, which every clipped index picks
-            else:
-                h = rng._fold(words[live], axes)
-                tile = env_model._draw(cdf, step_cum, rng._unit(h)).reshape(-1, 2 * d)
-            # tile index of every walk of the block (f: of the walks still in),
-            # each starting at its tile's centre
-            f = flat = np.arange(size // 2, n * size, size)
-            act = np.arange(n)
-            if region is None:
-                u_block = gen.random((S, n))
-            for s in range(S):
-                u = u_block[s] if region is None else gen.random(act.size)
-                passed = tile.take(f, axis=0, mode="clip") <= u[:, None]
-                k = passed.view(np.uint8) @ ones  # thresholds each uniform reached
-                steps += 1
-                if s == S - 1:
-                    break  # the last step may leave the tile: applied to pos below
-                f = f + shift[k]
-                flat[act] = f
-                if region is not None:
-                    keep = inside[f]
-                    act, f = act[keep], f[keep]
-                    if not act.size:
-                        break
-            end = sites.take(flat, axis=0)
-            if act.size == n:
-                end += moves.take(k, axis=0)
-            elif act.size:  # walks that left before the last step stay where they left
-                end[act] += moves.take(k, axis=0)
-            pos[live] = end
+                here += _tile_block(gen, here, words.take(live) if K > 1 else None,
+                                    S, cdf, step_cum, region)
+            pos[live] = here
             if region is not None:
-                live = live[region.contains_block(end)]
+                live = live[region.contains_block(here)]
     return finals
+
+
+def _tile_block(gen: np.random.Generator, here: np.ndarray, words, S: int,
+                cdf: np.ndarray, step_cum: np.ndarray, region: Region | None) -> np.ndarray:
+    """Displacement of each of the n walks standing at here over one block of
+    S > 1 steps (those that leave the region stop where they leave it).
+    words holds the walks' mixed environment seeds, None for a one-atom law."""
+    n, d = here.shape
+    K = cdf.shape[0]
+    ones = np.ones(2 * d, dtype=np.uint8)
+    moves = _moves(d)
+    offsets, shift = _tile(S, d)
+    side, size = 2 * S - 1, offsets.shape[0]
+    # the tile's open mesh: walk on axis 0, offsets 1-S..S-1 on axis k + 1
+    span = np.arange(1 - S, S)
+    axes = tuple(here[:, k].reshape((n,) + (1,) * d) + span.reshape((side,) + (1,) * (d - 1 - k))
+                 for k in range(d))
+    if K > 1:
+        h = rng._fold(words.reshape((n,) + (1,) * d), axes)
+        atom = env_model._atom_index(cdf, rng._unit(h)).reshape(-1)
+    # tile index of every walk (f: of the walks still in), each starting at
+    # its tile's centre
+    base = np.arange(0, n * size, size)
+    f = flat = base + size // 2
+    if region is None and S * K <= size:
+        # move index of walk w at step s from a site of atom a: the thresholds
+        # of the atom's cumulative row that the step's uniform reached
+        k_tab = (step_cum <= gen.random((S, n))[:, :, None, None]).view(np.uint8) @ ones
+        shift_tab = shift.take(k_tab[:-1].reshape(S - 1, n * K))
+        code = (atom.reshape(n, size) + np.arange(0, n * K, K)[:, None]).reshape(-1)
+        for row in shift_tab:
+            f += row.take(code.take(f))
+        k = k_tab[-1].reshape(-1).take(code.take(f))
+        return offsets.take(f - base, axis=0) + moves.take(k, axis=0)
+    tile = step_cum.take(atom, axis=0) if K > 1 else None
+    if region is None:
+        u_block = gen.random((S, n))
+    else:
+        inside = np.empty((n,) + (side,) * d, dtype=bool)
+        inside[...] = region.contains_block(axes)  # which broadcasts against the mesh
+        inside = inside.reshape(-1)
+    act = np.arange(n)
+    for s in range(S):
+        u = u_block[s] if region is None else gen.random(act.size)
+        rows = step_cum[0] if tile is None else tile.take(f, axis=0)
+        k = (rows <= u[:, None]).view(np.uint8) @ ones  # thresholds each uniform reached
+        if s == S - 1:
+            break  # the last step may leave the tile: applied below
+        f = f + shift.take(k)
+        if region is None:
+            flat = f
+        else:
+            flat[act] = f
+            keep = inside.take(f)
+            act, f = act[keep], f[keep]
+            if not act.size:
+                break
+    out = offsets.take(flat - base, axis=0)
+    if act.size == n:
+        out += moves.take(k, axis=0)
+    elif act.size:  # walks that left before the last step stay where they left
+        out[act] += moves.take(k, axis=0)
+    return out
 
 
 EVENT_EXIT_FRONTAL = "exit-frontal"

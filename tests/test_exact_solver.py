@@ -334,6 +334,27 @@ def test_neumann_method_is_the_plain_fixed_point_iteration():
     np.testing.assert_array_equal(table.values, iterates[-1])
 
 
+def test_neumann_stops_once_the_residual_stalls():
+    # a tol below the rounding floor: the polish of the dense row raises
+    # one window past the floor, not after MAX_ITER steps
+    env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=1)
+    with pytest.raises(xs.SolverConvergenceError, match="did not reach tol=1e-30") as err:
+        rl.green_row(env, rl.BoxRegion([0, 0], [6, 6]), (3, 3), tol=1e-30, method="dense")
+    steps = int(str(err.value).split("after ")[1].split()[0])
+    assert steps <= 2 * xs._NEUMANN_STALL
+
+
+def test_slow_neumann_solve_outlasts_the_stall_window():
+    # the SSRW on a 31 x 31 box contracts by about 1 - 5e-3 per step: the
+    # iteration needs several windows of steps, and keeps setting minima
+    system = xs.build_system(ssrw_env(2), rl.BoxRegion([0, 0], [30, 30]))
+    window = max(system.n, xs._NEUMANN_STALL)
+    x, info = xs.solve_fixed_point(system, np.ones(system.n), 1e-9, norm="linf",
+                                   method="neumann")
+    assert info.iterations > 3 * window
+    assert info.sup_residual <= 1e-9
+
+
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 def test_neumann_reports_the_residual_of_the_row_it_returns(L):
     # criterion 1's d=2 SSRW slabs: the stopping residual is recomputed

@@ -106,6 +106,12 @@ def test_contains_block_matches_contains(region):
     expected = [region.contains(c) for c in coords]
     assert region.contains_block(coords).tolist() == expected
     assert region.contains_block(coords.reshape(30, 20, 3)).ravel().tolist() == expected
+    # an open mesh of per-axis arrays answers as its stacked broadcast would
+    mesh = np.ix_(np.arange(-4, 3), np.arange(-3, 4), np.arange(-2, 5))
+    stacked = np.stack(np.broadcast_arrays(*mesh), axis=-1)
+    got = np.broadcast_to(region.contains_block(mesh), stacked.shape[:-1])
+    assert np.array_equal(got, region.contains_block(stacked))
+    assert got.any() and not got.all()
 
 
 def test_index_block_round_trip():

@@ -268,20 +268,40 @@ def _stepwise_walks(law, starts, stop_rule, seed, step_budget=mc.DEFAULT_STEP_BU
 _KICK = {d: rl.SignedAxisKickLaw(d, 0.04, lambda_shift=0.03) for d in (2, 3)}
 
 
+def _kick_amplitudes_law(d, amplitudes, shift=0.03):
+    """A signed-axis kick law with one atom per amplitude and signed axis."""
+    atoms = []
+    for a in amplitudes:
+        for k in range(2 * d):
+            w = np.full(2 * d, 1.0 / (2 * d))
+            w[k] += a
+            w[k ^ 1] -= a
+            w[:2] += (shift / 2, -shift / 2)
+            atoms.append((1.0 / (len(amplitudes) * 2 * d), w))
+    return rl.EmpiricalLaw(atoms, d)
+
+
+# Four amplitudes (16 atoms in d=2, 24 in d=3) step long FixedSteps blocks
+# through the shift tables; 300 atoms are over the tables' bound in most
+# blocks, and past uint8 atom indices, so their tiles search the cdf.
+_MANY_ATOMS = {(d, K): _kick_amplitudes_law(d, np.linspace(0.04, 0.001, K // (2 * d)))
+               for d in (2, 3) for K in (16, 300)}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("W", [1, 8, 32, 540])
-@pytest.mark.parametrize("stop", ["fixed", "slab", "box"])
+@pytest.mark.parametrize("stop", ["fixed", "slab", "box", "fixed-atoms16", "fixed-atoms300"])
 def test_blocked_walker_matches_the_stepwise_walker(d, W, stop):
-    rule = {"fixed": mc.FixedSteps(97),
-            "slab": mc.ExitRegion(rl.SlabRegion(3, None, d)),
-            "box": mc.ExitRegion(rl.BallisticityBox(2, d))}[stop]
+    rule = {"slab": mc.ExitRegion(rl.SlabRegion(3, None, d)),
+            "box": mc.ExitRegion(rl.BallisticityBox(2, d))}.get(stop, mc.FixedSteps(97))
+    law = _MANY_ATOMS[d, int(stop.rpartition("atoms")[2])] if "atoms" in stop else _KICK[d]
     S = mc._block_steps(W, d)
     assert S == 1 or 97 % S  # the fixed-step budget ends mid-block
     starts = np.zeros((W, d), dtype=np.int64)
     starts[:, -1] = np.arange(W) % 5 - 2
     for seed in (0, 1):
-        ref, _ = _stepwise_walks(_KICK[d], starts, rule, seed)
-        assert mc.annealed_walks(_KICK[d], starts, rule, seed).tobytes() == ref.tobytes()
+        ref, _ = _stepwise_walks(law, starts, rule, seed)
+        assert mc.annealed_walks(law, starts, rule, seed).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])

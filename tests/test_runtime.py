@@ -82,6 +82,19 @@ def test_condition_p_probe_loads_scipy_special_only(tmp_path):
     assert "scipy.stats" not in loaded
 
 
+def test_annealed_estimates_load_no_scipy(tmp_path):
+    loaded = _scipy_modules_after("""
+        import rwre_lab as rl
+        from rwre_lab import monte_carlo as mc
+
+        law = rl.SignedAxisKickLaw(2, 0.02, lambda_shift=0.03)
+        mc.estimate_velocity(law, 50, 8, seed=1)
+        mc.annealed_event_probability(law, rl.BallisticityBox(2, 2), (0, 0),
+                                      mc.EVENT_EXIT_NOT_FRONTAL, 20, seed=2)
+    """, tmp_path)
+    assert loaded == []
+
+
 def test_neumann_solves_load_no_scipy_and_krylov_loads_its_linalg(tmp_path):
     # the Neumann iteration applies P through the neighbour table, like
     # every certificate; only BiCGSTAB needs scipy.sparse.linalg

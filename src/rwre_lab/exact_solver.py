@@ -48,14 +48,20 @@ within tol, polishes it otherwise, and raises `SolverConvergenceError` when
 it cannot.
 
 One rule picks the path of one environment and of a batch of B alike,
-`auto_method(pattern, B)`: lockstep on the boxes of `_lockstep_box` once
-B n^3, the work of B stacked dense LU factorizations, reaches
-_LOCKSTEP_WORK (below it that LU takes about as long as the lockstep's
-fixed cost per call); else `_direct_or_krylov`: dense LU up to
-DENSE_CUTOFF unknowns, banded above it on boxes whose band half-width b
-satisfies b * b <= n and whose (3b + 1) x n band array fits MEMORY_BUDGET
-(elongated d=2 boxes), and Krylov everywhere else (site sets, and thin
-boxes beyond the band budget).  The default ("auto") asks it with B = 1.
+`auto_method(pattern, B)`: lockstep on a box wherever its modelled cost
+per call (`_cost_us`: a fixed cost, then per environment and unknown the
+work of its M applies) is below that of the path `_direct_or_krylov`
+would take at that B, and that path otherwise: dense LU up to
+DENSE_CUTOFF unknowns (a fixed cost, then the n^2 entries of each
+system), banded above it on boxes whose band half-width b satisfies
+b * b <= n and whose (3b + 1) x n band array fits MEMORY_BUDGET (n b^2
+work per environment), and Krylov everywhere else (site sets, and thin
+boxes beyond the band budget), which lockstep always beats where it has
+an M.  A single solve takes band LU only at under half lockstep's cost,
+for band LU's first call loads scipy.linalg.  So single solves keep band
+LU on elongated d=2 boxes and dense LU on small ones, while their batches
+go lockstep once B spreads its fixed cost.  The default ("auto") asks it
+with B = 1.
 
 Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`; a hitting
@@ -513,20 +519,6 @@ def _banded_solve(system: QuenchedSystem, b, transpose: bool):
     return x
 
 
-def _lockstep_box(pattern: RegionPattern) -> bool:
-    """Whether lockstep Richardson (`_lockstep`) is the solve of the
-    pattern: every d=3 box, and d=2 boxes whose shortest side w has at
-    least 8 sites and w^2 >= the sum of the sides.  Elongated d=2 boxes
-    keep band LU, whose work per environment is n w^2 against n sum_i m_i
-    per lockstep sweep (on the L=4 W=64 slab, 0.55 ms against 1.0-1.4 ms
-    for one environment)."""
-    shape = pattern.shape
-    if shape is None:
-        return False
-    w = min(shape)
-    return pattern.d == 3 or (pattern.d == 2 and w >= 8 and w * w >= sum(shape))
-
-
 def _direct_or_krylov(pattern: RegionPattern) -> str:
     """The path without lockstep: dense LU up to DENSE_CUTOFF unknowns;
     above it band LU on a box whose band half-width b has b^2 <= n and
@@ -539,22 +531,51 @@ def _direct_or_krylov(pattern: RegionPattern) -> str:
     return "krylov"
 
 
-# B n^3, the work of B stacked dense LU factorizations, from which lockstep
-# pays on the boxes of `_lockstep_box`: about its fixed cost per call, near
-# 0.9 ms.  Per environment, one BLAS thread: d=3 box 3^3 with B = 75
-# (1.5e6), 0.009 ms stacked against 0.013 lockstep; 4^3 with B = 100
-# (2.6e7), 0.041 against 0.016; one d=2 half-space N=10 row (1.2e7), 0.68
-# against 0.52
-_LOCKSTEP_WORK = 10_000_000
+def _cost_us(pattern: RegionPattern, B: int, method: str) -> float:
+    """Microseconds of one `solve_batch` call of B environments on a box,
+    solve and certificate, by path; Krylov is not modelled (inf).
+
+    Fitted to a recorded table of every path's time per environment on d=2
+    and d=3 boxes (kick laws, 7 to 17 M applies per lockstep run, one BLAS
+    thread, on a 2-vCPU Intel Xeon virtual machine):
+    * lockstep - a fixed cost per call (the mean kernel, and the numpy calls
+      of about a dozen iterations), and per environment one small matmul
+      per leading index of every sine transform but the last axis's, plus
+      the sweeps and transforms per unknown, which grow with the sides;
+    * stacked dense LU - a fixed cost per call, and per entry of each
+      I - A_k (assembly, LAPACK's copies and the factorization at these
+      n), dearer once a slice of _DENSE_SLICE entries outgrows a core's
+      cache (2^17 entries);
+    * band LU - per unknown, and per unknown and squared half-width b^2.
+    Lockstep is inf where its M's axis matrices exceed MEMORY_BUDGET, for
+    `_mean_kernel_factors` gives none there.
+    """
+    n, shape = pattern.n, pattern.shape
+    if method == "lockstep":
+        if 2 * sum(m * m for m in shape) > MEMORY_BUDGET:
+            return math.inf
+        small = sum(math.prod(shape[:i]) for i in range(len(shape) - 1))
+        return 450.0 + B * (0.9 * small + n * (0.13 + 0.0006 * sum(shape)))
+    if method == "dense":
+        entries = min(B, max(1, _DENSE_SLICE // (n * n))) * n * n
+        return 65.0 + B * n * n * (0.0105 if entries <= 1 << 17 else 0.0135)
+    if method == "banded":
+        return B * n * (0.23 + 0.00057 * pattern.band_width ** 2)
+    return math.inf
 
 
 def auto_method(pattern: RegionPattern, B: int = 1) -> str:
     """The path of B environments' systems on the pattern, solved together:
-    "lockstep" on the boxes of `_lockstep_box` whose B n^3 reaches
-    _LOCKSTEP_WORK, else `_direct_or_krylov`."""
-    if _lockstep_box(pattern) and B * pattern.n ** 3 >= _LOCKSTEP_WORK:
-        return "lockstep"
-    return _direct_or_krylov(pattern)
+    "lockstep" on a box where its modelled cost (`_cost_us`) is below that
+    of the path `_direct_or_krylov` names, which it is otherwise.  A single
+    solve takes band LU only where that costs under half as much: its first
+    call in a process loads scipy.linalg (0.2 s and 26 MB), which a batch
+    spreads over its environments and a single solve seldom repays."""
+    method = _direct_or_krylov(pattern)
+    if pattern.shape is None:
+        return method
+    alt = _cost_us(pattern, B, method) * (2 if B == 1 and method == "banded" else 1)
+    return "lockstep" if _cost_us(pattern, B, "lockstep") < alt else method
 
 
 def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
@@ -637,11 +658,12 @@ def _scaled_tol(tol, b):
 
 
 def batch_size(pattern: RegionPattern, inverses: bool = False) -> int:
-    """Environments per `solve_batch` call, by the path it takes: lockstep
-    and per-environment batches hold _LOCKSTEP_UNKNOWNS unknowns, stacked
-    dense ones, and whole inverses, B n^2 <= MEMORY_BUDGET entries (the
-    size of B whole inverses).  It never depends on the worker count, since
-    callers that merge per batch would then follow it."""
+    """Environments per `solve_batch` call, by the path `auto_method`
+    gives a batch of _LOCKSTEP_UNKNOWNS unknowns: lockstep and
+    per-environment batches hold that many unknowns, stacked dense ones,
+    and whole inverses, B n^2 <= MEMORY_BUDGET entries (the size of B
+    whole inverses).  It never depends on the worker count, since callers
+    that merge per batch would then follow it."""
     n = pattern.n
     size = int(np.clip(_LOCKSTEP_UNKNOWNS // n, 1, 4096))
     if inverses or auto_method(pattern, size) == "dense":

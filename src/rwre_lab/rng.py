@@ -54,11 +54,20 @@ def _mix(z):
 
 def _u64(ints) -> np.ndarray:
     """An integer, or an array or list of integers, as uint64 mod 2^64."""
-    a = np.asarray(ints)
-    if a.dtype.kind not in "iu":  # Python ints numpy would round to float64
+    if isinstance(ints, (np.ndarray, np.integer)) and ints.dtype.kind in "iu":
+        return np.asarray(ints).astype(_U64)
+    # Python ints, as `child_seed(...).tolist()` gives them: numpy would
+    # round a list of them from 2^63 up to float64, so they convert to
+    # uint64 at once, and one by one only beside negative ints or ints from
+    # 2^64 up
+    try:
+        return np.array(ints, dtype=_U64)
+    except OverflowError:
+        a = np.asarray(ints)
+        if a.dtype.kind in "iu":
+            return a.astype(_U64)
         reduce = np.frompyfunc(lambda i: int(i) & 0xFFFFFFFFFFFFFFFF, 1, 1)
-        a = np.asarray(reduce(np.asarray(ints, dtype=object)))
-    return a.astype(_U64)
+        return np.asarray(reduce(np.asarray(ints, dtype=object))).astype(_U64)
 
 
 def _seed_word(seed) -> np.ndarray:

@@ -396,15 +396,21 @@ def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypat
 
 @THIRD_ENVIRONMENT_SEEDS
 def test_stacked_solve_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
-    dense = xs._dense_batch
+    # the third environment's column of a stacked dense or lockstep batch
+    # is NaN: the batch certificate fails there
+    dense, lockstep = xs._dense_batch, xs._lockstep
 
-    def third_nan(pattern, weights, b, transpose):
-        x = dense(pattern, weights, b, transpose)
-        if len(x) > 2:
+    def third_nan(x):
+        if x is not None and len(x) > 2:
             x[2] = np.nan
         return x
 
-    monkeypatch.setattr(xs, "_dense_batch", third_nan)
+    def lockstep_third_nan(*args):
+        x, applies = lockstep(*args)
+        return third_nan(x), applies
+
+    monkeypatch.setattr(xs, "_dense_batch", lambda *args: third_nan(dense(*args)))
+    monkeypatch.setattr(xs, "_lockstep", lockstep_third_nan)
     with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
         SMALL_STATISTICS[name](5, 31)
     assert exc.value.env_seed == failing_seed(31)

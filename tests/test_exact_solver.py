@@ -274,8 +274,8 @@ def test_auto_picks_krylov_off_boxes_and_beyond_the_memory_budget():
     _, info = xs.solve_green_row(
         xs.build_system(ssrw_env(2), site_set.region), 0, 1e-10)
     assert info.method == "krylov"
-    # a thin box fails lockstep's shape test (w^2 < the sum of the sides)
-    # and passes band LU's, but its band array exceeds the budget
+    # a thin box passes band LU's shape test, but its band array exceeds
+    # the budget, and so do the axis matrices of lockstep's M
     thin = xs.region_pattern(rl.BoxRegion([0, 0], [19, 4999]))
     w = thin.band_width
     assert w == 20 and w * w <= thin.n and w * w < sum(thin.shape)
@@ -543,14 +543,28 @@ def _row_solves(pattern, weights, src, tol):
                      for w in weights])
 
 
-@pytest.mark.parametrize("N, B", [(10, 40), (20, 12), (30, 4)])
-def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
-    region = rl.HalfSpaceTrunc(-1, N, 2)
+@pytest.mark.parametrize("region, B", [
+    (10, 40), (20, 12), (30, 4),  # d=2 half-spaces HalfSpaceTrunc(-1, N, 2)
+    # boxes that go lockstep at these B only: stacked dense LU below, and
+    # band LU per environment on the slab
+    pytest.param(rl.HalfSpaceTrunc(1, 5, 2), 20, id="6x11-20"),
+    pytest.param(rl.SlabRegion(3, 6, 2), 20, id="6x13-20"),
+    pytest.param(rl.HalfSpaceTrunc(1, 6, 2), 20, id="7x13-20"),
+    pytest.param(rl.BoxRegion([0, 0], [7, 7]), 20, id="8x8-20"),
+    pytest.param(rl.BoxRegion([-2, -2], [2, 2]), 400, id="5x5-400"),
+    pytest.param(rl.SlabRegion(4, 64, 2), 63, id="8x129-63"),
+])
+def test_lockstep_rows_are_certified_and_match_row_solves(region, B):
+    key = region  # a half-space's N keys its seeds, else the pattern's n
+    if isinstance(region, int):
+        region = rl.HalfSpaceTrunc(-1, region, 2)
     pattern = xs.region_pattern(region)
     src = pattern.source_index((0, 0))
     assert xs.auto_method(pattern, B) == "lockstep"
     law = rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5)
-    envs = [rl.sample_environment(law, seed=rng.child_seed(N, s)) for s in range(B)]
+    key = key if isinstance(key, int) else pattern.n
+    envs = [rl.sample_environment(law, seed=rng.child_seed(key, s)) for s in range(B)]
+    direct = xs._direct_or_krylov(pattern)  # dense or band LU
     weights = np.stack([env.weights_block(pattern.interior) for env in envs])
     tol = 1e-10
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
@@ -559,13 +573,21 @@ def test_lockstep_rows_are_certified_and_match_row_solves(N, B):
     xs._certify_batch(pattern, weights, e_src, lockstep, tol, "l1", True)
     assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True),
                           lockstep)
-    for g, env in zip(lockstep, envs):
+    # the operator form: the drift fields, held in sup norm
+    fields = 3.0 * (weights[:, :, 0] - weights[:, :, 1])
+    tols = xs._scaled_tol(tol, fields)
+    ops = xs.solve_batch(pattern, weights, fields, tol, norm="linf")
+    xs._certify_batch(pattern, weights, fields, ops, tols, "linf", False)
+    for g, u, f, t, env in zip(lockstep, ops, fields, tols, envs):
         system = xs.build_system(env, region)
-        row, info = xs.solve_green_row(system, src, tol)
+        row, info = xs.solve_green_row(system, src, tol, method=direct)
         # both residuals are at most tol in l1, and ||(I - P^T)^-1||_1 is the
         # largest expected exit time, which bounds the l1 error of each
         exit_time = xs.solve_green_operator(system, np.ones(system.n), 1e-12).max()
         assert np.abs(g - row).sum() <= exit_time * (tol + info.l1_residual) * (1 + 1e-9)
+        # and in sup norm ||(I - P)^-1||_inf is the same exit time
+        one, info = xs.solve_fixed_point(system, f, t, norm="linf", method=direct)
+        assert np.abs(u - one).max() <= exit_time * (t + info.sup_residual) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("case", ["no preconditioner", "stagnation"])
@@ -735,17 +757,22 @@ def test_a_bumped_entry_fails_the_certificate_of_its_environment(region):
     (rl.HalfSpaceTrunc(-1, 20, 2), 40, True),
     (rl.HalfSpaceTrunc(1, 30, 2), 40, True),
     (rl.HalfSpaceTrunc(1, 8, 2), 20, True),
-    (rl.SlabRegion(4, 64, 2), 40, False),     # elongated: band LU
-    (rl.BoxRegion([-2, -2], [2, 2]), 400, False),  # tiny: stacked dense LU
-    (rl.BoxRegion([-3, -3], [3, 3]), 20, False),
+    (rl.SlabRegion(4, 64, 2), 40, True),      # elongated: band LU costs more
+    (rl.BoxRegion([-2, -2], [2, 2]), 400, True),  # B spreads the fixed cost
+    (rl.BoxRegion([-3, -3], [3, 3]), 20, False),  # stacked dense LU
     (rl.HalfSpaceTrunc(1, 10, 3), 40, True),  # d = 3 batches too
-    (rl.HalfSpaceTrunc(1, 10, 2), 4, True),   # B n^3 = 4.9e7
+    (rl.HalfSpaceTrunc(1, 10, 2), 4, True),
     (rl.SiteSetRegion([(0, 0), (1, 0), (1, 1)], 2), 400, False),
-    # B n^3 below and above _LOCKSTEP_WORK on small boxes
+    # both sides of the break-even B on small boxes
     (rl.BoxRegion([-1, -1, -1], [1, 1, 1]), 75, False),
     (rl.BoxRegion([-1, -1, -1], [1, 1, 1]), 800, True),
-    (rl.BoxRegion([0, 0], [7, 7]), 20, False),
+    (rl.BoxRegion([0, 0], [7, 7]), 20, True),
     (rl.BoxRegion([0, 0], [7, 7]), 100, True),
+    (rl.SlabRegion(3, 6, 2), 20, True),           # 6 x 13
+    (rl.HalfSpaceTrunc(1, 6, 2), 20, True),       # 7 x 13
+    (rl.BoxRegion([-1, -1], [1, 1]), 4096, False),  # 3 x 3 enumerations
+    (rl.SlabRegion(4, 64, 2), 1, False),          # single solves: band LU
+    (rl.BallisticityBox(2, 2), 1, False),         # 2 x 399
 ])
 def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")
@@ -762,10 +789,10 @@ def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
         x = xs.solve_batch(pattern, weights, b, 1e-10, transpose=transpose)
         assert x.shape == (B, pattern.n)
     assert len(calls) == (2 if lockstep else 0)
-    if pattern.n > xs.DENSE_CUTOFF:
-        # above DENSE_CUTOFF one environment goes lockstep on the boxes
-        # whose batches do, whatever B
-        assert (xs.auto_method(pattern) == "lockstep") is lockstep
+    # past single solves a larger batch only spreads lockstep's fixed cost:
+    # lockstep at B stays lockstep at 4 B
+    if lockstep and B > 1:
+        assert xs.auto_method(pattern, 4 * B) == "lockstep"
     if not lockstep:
         return
     # lockstep batches are sized by B n, and whole inverses by B n^2
@@ -1127,13 +1154,16 @@ def test_operator_batch_failure_names_the_environment():
 
 
 def test_operator_batch_size(monkeypatch):
+    # the sites of the d=2 slab L=2 W=8 as a site set, which never goes
+    # lockstep: its batches of 2^16 unknowns take the stacked dense LU
     small, band, slab3 = (xs.region_pattern(region) for region in (
-        rl.SlabRegion(2, 8, 2), rl.SlabRegion(4, 64, 2), rl.SlabRegion(4, 32, 3)))
+        rl.SiteSetRegion(rl.SlabRegion(2, 8, 2).interior_array(), 2),
+        rl.SlabRegion(4, 64, 2), rl.SlabRegion(4, 32, 3)))
     for threads in ("1", "3"):  # the worker count never sizes a batch
         monkeypatch.setenv("RWRE_THREADS", threads)
         # stacked dense LU: B n^2 entries within MEMORY_BUDGET
         assert xs.batch_size(small) == xs.MEMORY_BUDGET // small.n ** 2
-        # per environment: 2^16 unknowns
+        # lockstep: 2^16 unknowns
         assert xs.batch_size(band) == xs._LOCKSTEP_UNKNOWNS // band.n
         assert xs.batch_size(slab3) == 1
 

@@ -166,6 +166,22 @@ def test_child_seed_over_index_arrays_matches_scalar_calls(seed):
     assert type(rng.child_seed(seed, 5, 11)) is int
 
 
+@pytest.mark.parametrize("ints", [
+    rng.child_seed(5, np.arange(400)).tolist(),  # words from 2^63 up among them
+    [2 ** 63 + 5, 3, 0, 2 ** 64 - 1],
+    [2 ** 63, -1, 7],                             # a negative int beside them
+    [2 ** 64 + 3, 1, 2 ** 63],                    # an int from 2^64 up
+    [-(2 ** 70), 2 ** 70, 5, -2],
+    [[2 ** 63, 1], [-2, 3]],
+    [3, -2], [], -7, 2 ** 64 + 9, 2 ** 63,
+])
+def test_seed_words_of_python_ints_are_their_residues_mod_2_64(ints):
+    want = np.asarray(np.array(ints, dtype=object) % 2 ** 64)
+    got = rng._u64(ints)
+    assert got.dtype == np.uint64
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
 def test_site_hash_and_uniforms_raise_no_overflow_warning():
     # the mix wraps modulo 2^64 on purpose, for 0-d and array seeds alike
     coords = np.array([[-7, 2 ** 40], [3, -1]])

@@ -16,20 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .env_model import EnvironmentLaw, law_moments, sample_weights
+from .env_model import EnvironmentLaw, law_moments
 from .exact_solver import (
-    BatchSolveError,
-    batch_size,
     build_system,
     region_pattern,
-    solve_batch,
+    sampled_solves,
     solve_green_operator,
 )
 from .lattice import BallisticityBox, CorollaryBox, SlabRegion
 from .monte_carlo import (
     EmpiricalDistribution,
     ExitRegion,
-    FunctionalEvaluationError,
     MCEstimate,
     annealed_walks,
 )
@@ -324,26 +321,6 @@ def drift_green_origin(env, region, tol: float = 1e-10) -> float:
     return float(u[system.pattern.source_index((0,) * region.d)])
 
 
-def _batched_solves(law: EnvironmentLaw, env_seeds, tol: float, *problems):
-    """Per batch of env_seeds, the solutions u = (I - P)^-1 field(pattern, w),
-    shape (B, n), of every (pattern, field) problem, where w is the batch's
-    (B, n, 2d) weight block on the pattern (`sample_weights`).  A failed
-    solve raises FunctionalEvaluationError with its environment's seed."""
-    # the smallest batch size of the problems: a lockstep batch's samples
-    # depend on the environments it holds, so the size never follows the
-    # worker count
-    size = min(batch_size(p) for p, _ in problems)
-    for start in range(0, len(env_seeds), size):
-        seeds, out = env_seeds[start:start + size], []
-        for pattern, field in problems:
-            w = sample_weights(law, pattern.region, seeds)
-            try:
-                out.append(solve_batch(pattern, w, field(pattern, w), tol, norm="linf"))
-            except BatchSolveError as exc:
-                raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
-        yield out
-
-
 def _drift_field(pattern, weights: np.ndarray) -> np.ndarray:
     """Local drift along e1 at every site of a (B, n, 2d) weight block."""
     return weights[:, :, 0] - weights[:, :, 1]
@@ -356,9 +333,12 @@ def _drift_origin_samples(law: EnvironmentLaw, region, n_env: int, seed: int,
     pattern = region_pattern(region)
     origin = pattern.source_index((0,) * pattern.d)
     env_seeds = rng.child_seed(seed, np.arange(n_env)).tolist()
-    # copies: a view would keep each batch's whole solution alive
-    samples = [u[:, origin].copy()
-               for u, in _batched_solves(law, env_seeds, tol, (pattern, _drift_field))]
+    samples = []
+    for (w, u), in sampled_solves(law, env_seeds, [(pattern, _drift_field, "linf", False)], tol):
+        # a copy, and no block held into the next batch's solve (a held d=3
+        # slab block made each solve about 15 % slower)
+        samples.append(u[:, origin].copy())
+        del w, u
     return EmpiricalDistribution(np.concatenate(samples), env_seeds, seed)
 
 
@@ -590,8 +570,9 @@ def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,
 
     q_parts, rho_hat_parts, g_parts = [], [], []
     env_seeds = rng.child_seed(seed, np.arange(n_env), 11).tolist()
-    for h, u in _batched_solves(law, env_seeds, tol, (box_pat, _nonfrontal_exit_field),
-                                (slab_pat, _drift_field)):
+    problems = [(box_pat, _nonfrontal_exit_field, "linf", False),
+                (slab_pat, _drift_field, "linf", False)]
+    for (_, h), (_, u) in sampled_solves(law, env_seeds, problems, tol):
         # copies: a view would keep the batch's whole solution alive
         q_parts.append(h[:, box_origin].copy())
         vals = u[:, subgrid_idx] / L

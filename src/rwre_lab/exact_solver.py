@@ -67,11 +67,12 @@ Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`; a hitting
 solve skips lockstep, whose iteration stalls on the absorbing site.
 Statistics over environments (Kalikow rows and inverses, half-space rows,
-slab drift, fluctuation and rho operators) make one `solve_batch` call per
-(B, n, 2d) weight block (`env_model.sample_weights`) on one region:
-`solve_fixed_point` for B systems, x_k = b_k + A_k x_k with a (B, n) or
-shared (n,) right-hand side, or b None for the whole inverses.  Its
-residuals are held to tol scaled by max(1, ||b_k||_inf) (`_scaled_tol`).
+slab drift, fluctuation and rho operators) go through `sampled_solves`: one
+batch rule (`batch_slices`), one sampling per batch, and one `solve_batch`
+call per region's (B, n, 2d) weight block, which is `solve_fixed_point`
+for B systems, x_k = b_k + A_k x_k with a (B, n) or shared (n,) right-hand
+side, or b None for the whole inverses, each residual held to tol scaled
+by max(1, ||b_k||_inf) (`_scaled_tol`).
 Rows and operators take the path of `auto_method(pattern, B)`, and whole
 inverses the stacked dense LU up to DENSE_CUTOFF:
 
@@ -100,8 +101,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .env_model import EnvironmentRealization, directions
+from .env_model import EnvironmentLaw, EnvironmentRealization, directions, sample_weights
 from .lattice import BoxRegion, ExitClass, Region, RegionError
+from .monte_carlo import FunctionalEvaluationError
 from .runtime import deterministic_map
 
 DEFAULT_TOL = 1e-10
@@ -669,6 +671,47 @@ def batch_size(pattern: RegionPattern, inverses: bool = False) -> int:
     if inverses or auto_method(pattern, size) == "dense":
         return int(np.clip(MEMORY_BUDGET // (n * n), 1, 4096))
     return size
+
+
+def batch_slices(n: int, size: int) -> list[slice]:
+    """range(n) in the fewest consecutive slices none longer than size,
+    whose lengths differ by at most one: no batch is a small remainder."""
+    k = -(-n // size)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def sampled_solves(law: EnvironmentLaw, env_seeds, problems, tol: float = DEFAULT_TOL):
+    """Per batch of env_seeds, an iterator of (weights, x) over the problems
+    (pattern, b, norm, transpose), each solved by `solve_batch` when reached;
+    b may also be a function of (pattern, weights).  The batches are the
+    `batch_slices` at the problems' smallest `batch_size`.  Each is sampled
+    once (`sample_weights`), on each region or, when it has fewer sites, on
+    the smallest box holding them all (a weight depends only on (seed,
+    site), so the bits are the same).  A failed solve raises
+    FunctionalEvaluationError with its environment's seed."""
+    patterns = [p for p, *_ in problems]
+    size = min(batch_size(p, inverses=b is None) for p, b, *_ in problems)
+    box, gathers = None, [None] * len(problems)
+    if len(problems) > 1:  # no box holds one region in fewer sites
+        lo = np.min([p.interior.min(axis=0) for p in patterns], axis=0)
+        hi = np.max([p.interior.max(axis=0) for p in patterns], axis=0)
+        if np.prod(hi - lo + 1) < sum(p.n for p in patterns):
+            box = BoxRegion(lo, hi)
+            gathers = [box.index_block(p.interior) for p in patterns]
+
+    def solved(seeds):
+        union = None if box is None else sample_weights(law, box, seeds)
+        for (pattern, b, norm, transpose), gather in zip(problems, gathers):
+            w = sample_weights(law, pattern.region, seeds) if gather is None else union[:, gather]
+            try:
+                x = solve_batch(pattern, w, b(pattern, w) if callable(b) else b, tol, norm,
+                                transpose)
+            except BatchSolveError as exc:
+                raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
+            yield w, x
+
+    for part in batch_slices(len(env_seeds), size):
+        yield solved(env_seeds[part])
 
 
 def _b_minus(b_flat: np.ndarray, sparse: bool):

@@ -20,10 +20,10 @@ by enumerating every environment restricted to B (the Green's function
 depends on the environment only through its restriction to B).  Larger
 problems are estimated by Monte Carlo over environments with exact
 per-environment solves; ratio estimators share environments between
-numerator and denominator and report delta-method standard errors.  One
-batched path turns environments (enumerated or sampled) into per-environment
-Green data for both routes and for the half-space experiment; every solve
-and its certificate is `exact_solver.solve_batch`.
+numerator and denominator and report delta-method standard errors.  Both
+routes and the half-space experiment get sampled Green data from
+`exact_solver.sampled_solves`, and enumerated environments come in its
+batches (`batch_slices`); every solve and certificate is `solve_batch`.
 """
 
 from __future__ import annotations
@@ -41,18 +41,17 @@ from .env_model import (
     directions,
     law_moments,
     sample_environment,
-    sample_weights,
     ssrw_law,
 )
 from .exact_solver import (
-    BatchSolveError,
     batch_size,
+    batch_slices,
     green_row,
     region_pattern,
+    sampled_solves,
     solve_batch,
 )
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
-from .monte_carlo import FunctionalEvaluationError
 
 ENUMERATION_CAP = 10 ** 6
 DEFAULT_Z = 3.0
@@ -236,26 +235,12 @@ def _enumeration_size(tables) -> int:
     return total
 
 
-def _enumerated(law, pattern, chunk: int):
-    """Every environment restricted to the region, as (weights, probabilities)."""
-    tables = _site_atom_tables(law, pattern.interior)
-    counts = [len(p) for p, _ in tables]
-    total = int(np.prod(counts, dtype=np.int64))
-    for start in range(0, total, chunk):
-        combo = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
-        weights = np.empty((combo[0].shape[0], pattern.n, 2 * pattern.d))
-        probs = np.ones(combo[0].shape[0])
-        for i, (p, vecs) in enumerate(tables):
-            weights[:, i, :] = vecs[combo[i]]
-            probs *= p[combo[i]]
-        yield weights, probs
-
-
 def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """Yield (weights, green, probabilities) over batches of environments.
 
     env_seeds None enumerates every environment restricted to the region
-    with its probability; otherwise one environment is sampled per seed and
+    with its probability, in the `batch_slices` of its combinations;
+    otherwise one environment is sampled per seed (`sampled_solves`) and
     probabilities is None.  green holds the certified Green rows g(src, .),
     or the whole inverses G when src is None (`solve_batch`).  A failed
     sampled environment raises FunctionalEvaluationError with its seed; a
@@ -263,19 +248,20 @@ def _green_batches(law, pattern, src: int | None, tol: float, env_seeds=None):
     """
     rows = src is not None
     b = np.eye(1, pattern.n, src)[0] if rows else None
-    chunk = batch_size(pattern, inverses=not rows)
-    if env_seeds is None:
-        for weights, probs in _enumerated(law, pattern, chunk):
-            yield weights, solve_batch(pattern, weights, b, tol, transpose=rows), probs
+    if env_seeds is not None:
+        for (weights, green), in sampled_solves(law, env_seeds, [(pattern, b, "l1", rows)], tol):
+            yield weights, green, None
         return
-    for i in range(0, len(env_seeds), chunk):
-        seeds = env_seeds[i:i + chunk]
-        weights = sample_weights(law, pattern.region, seeds)
-        try:
-            green = solve_batch(pattern, weights, b, tol, transpose=rows)
-        except BatchSolveError as exc:
-            raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
-        yield weights, green, None
+    tables = _site_atom_tables(law, pattern.interior)
+    counts = [len(p) for p, _ in tables]
+    for part in batch_slices(math.prod(counts), batch_size(pattern, inverses=not rows)):
+        combo = np.unravel_index(np.arange(part.start, part.stop), counts)
+        weights = np.empty((len(combo[0]), pattern.n, 2 * pattern.d))
+        probs = np.ones(len(combo[0]))
+        for i, (p, vecs) in enumerate(tables):
+            weights[:, i, :] = vecs[combo[i]]
+            probs *= p[combo[i]]
+        yield weights, solve_batch(pattern, weights, b, tol, transpose=rows), probs
 
 
 def _formula_samples(G: np.ndarray, weights: np.ndarray, pattern, src: int):
@@ -596,25 +582,10 @@ def theorem3_experiment(law: EnvironmentLaw, rho: float,
     # SSRW Green value at the origin, the control variate's scale
     g0_origins = [float(green_row(ssrw_env, region, origin, tol=min(tol, 1e-12)).values[src])
                   for region, src in zip(regions, srcs)]
-    # each environment is sampled once, on the box that holds every region
-    n_max = max(int(N) for N in N_list)
-    union = BoxRegion([-n_max] * d, [n_max] * d)
-    gathers = [union.index_block(pattern.interior) for pattern in patterns]
     accs = [_RatioAccumulator(1, d) for _ in regions]
-    # equal chunks, none above the batch size of any region
-    n_chunks = math.ceil(n_env / min(batch_size(p) for p in patterns))
-    chunk = math.ceil(n_env / n_chunks)
-    for start in range(0, n_env, chunk):
-        seeds = env_seeds[start:start + chunk]
-        union_weights = sample_weights(law, union, seeds)
-        for pattern, src, gather, g0_origin, acc in zip(patterns, srcs, gathers,
-                                                        g0_origins, accs):
-            weights = union_weights[:, gather]
-            try:
-                g = solve_batch(pattern, weights, np.eye(1, pattern.n, src)[0], tol,
-                                transpose=True)
-            except BatchSolveError as exc:
-                raise FunctionalEvaluationError(str(exc), seeds[exc.index]) from exc
+    problems = [(p, np.eye(1, p.n, src)[0], "l1", True) for p, src in zip(patterns, srcs)]
+    for batch in sampled_solves(law, env_seeds, problems, tol):
+        for (weights, g), src, g0_origin, acc in zip(batch, srcs, g0_origins, accs):
             g00, w0 = g[:, src, None], weights[:, src]
             # mean-zero companion: the same centered-drift variate scaled
             # by the deterministic unperturbed Green value

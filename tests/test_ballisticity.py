@@ -431,17 +431,18 @@ def test_operator_batches_do_not_follow_the_worker_count(monkeypatch):
         samples.append(stats.distribution.samples.tobytes())
     assert samples[0] == samples[1]
 
-    def record(pattern, weights, b, tol, norm):
+    def record(pattern, weights, b, tol, norm, transpose):
         sizes.append(len(weights))
         return np.zeros(weights.shape[:2])
 
-    monkeypatch.setattr(bal, "solve_batch", record)
+    monkeypatch.setattr(xs, "solve_batch", record)
 
     def batches(threads):
         monkeypatch.setenv("RWRE_THREADS", threads)
         sizes.clear()
-        for _ in bal._batched_solves(law, seeds, 1e-10, (slab3, bal._drift_field)):
-            pass
+        problems = [(slab3, bal._drift_field, "linf", False)]
+        for batch in xs.sampled_solves(law, seeds, problems, 1e-10):
+            list(batch)
         return sizes[:]
 
     assert batches("1") == batches("3") == [1, 1, 1]

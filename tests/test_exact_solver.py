@@ -1168,6 +1168,49 @@ def test_operator_batch_size(monkeypatch):
         assert xs.batch_size(slab3) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 5000), size=st.integers(1, 5000))
+def test_batch_slices_cut_evenly_without_a_remainder(n, size):
+    parts = xs.batch_slices(n, size)
+    # they cover range(n) in order
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    lengths = [part.stop - part.start for part in parts]
+    assert len(parts) == -(-n // size)
+    assert all(0 < m <= size for m in lengths)
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+def test_forty_environments_at_batch_size_34_split_in_halves():
+    # the d=2 half-spaces N = 10, 20, 30 batch 34 environments at most
+    assert [range(40)[part] for part in xs.batch_slices(40, 34)] == [range(20), range(20, 40)]
+
+
+@pytest.mark.parametrize("far, on_box", [(0, True), (30, False)])
+def test_sampled_solves_sample_each_batch_once_and_match_each_region(far, on_box,
+                                                                     monkeypatch):
+    # two overlapping boxes share a bounding box with fewer sites than both
+    # together; two distant ones are sampled each on its own region
+    law, seeds = rl.SignedAxisKickLaw(2, 0.05, 0.02), [4, 8, 15, 16, 23]
+    patterns = [xs.region_pattern(rl.BoxRegion([-3, -2], [3, 2])),
+                xs.region_pattern(rl.BoxRegion([-1 + far, -4], [2 + far, 4]))]
+    sample, calls = xs.sample_weights, []
+
+    def spy(law_, sites, env_seeds):
+        calls.append((sites, list(env_seeds)))
+        return sample(law_, sites, env_seeds)
+
+    monkeypatch.setattr(xs, "sample_weights", spy)
+    problems = [(p, np.ones(p.n), "linf", False) for p in patterns]
+    batches = [list(batch) for batch in xs.sampled_solves(law, seeds, problems, 1e-12)]
+    assert len(batches) == 1
+    assert len(calls) == (1 if on_box else 2)
+    assert all(env_seeds == seeds for _, env_seeds in calls)
+    for pattern, (weights, x) in zip(patterns, batches[0]):
+        assert np.array_equal(weights, sample(law, pattern.interior, seeds))
+        assert np.array_equal(x, xs.solve_batch(pattern, weights, np.ones(pattern.n),
+                                                1e-12, "linf"))
+
+
 def test_stacked_operator_solves_are_certified(monkeypatch):
     region = rl.SlabRegion(2, 8, 2)
     pattern = xs.region_pattern(region)

@@ -369,8 +369,8 @@ class TestHalfSpaceExperiment:
         seeds = [rng.child_seed(seed, i) for i in range(n_env)]
         drawn, reference, batches = [], [], []
         sample = kal.sample_environment
-        sample_batch = kal.sample_weights
-        solve = kal.solve_batch
+        sample_batch = xs.sample_weights
+        solve = xs.solve_batch
 
         def spy_sample(law_, seed=0):
             reference.append(seed)
@@ -386,8 +386,8 @@ class TestHalfSpaceExperiment:
 
         # environments are drawn in batches, the SSRW reference on its own
         monkeypatch.setattr(kal, "sample_environment", spy_sample)
-        monkeypatch.setattr(kal, "sample_weights", spy_sample_batch)
-        monkeypatch.setattr(kal, "solve_batch", spy_solve)
+        monkeypatch.setattr(xs, "sample_weights", spy_sample_batch)
+        monkeypatch.setattr(xs, "solve_batch", spy_solve)
         rl.theorem3_experiment(law, rho=0.5, N_list=(3, 5), n_env=n_env, seed=seed)
         # one draw per environment seed across calls, and one for the SSRW reference
         assert sorted(drawn) == sorted(seeds)

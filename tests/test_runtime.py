@@ -112,3 +112,16 @@ def test_neumann_solves_load_no_scipy_and_krylov_loads_its_linalg(tmp_path):
         rl.green_row(env, region, (0, 0), tol=1e-12, method="krylov")
     """
     assert "scipy.sparse.linalg" in _scipy_modules_after(krylov, tmp_path)
+
+
+def test_slab_drift_batches_without_a_remainder_load_no_scipy(tmp_path):
+    # 64 environments on the d=2 slab L=4 W=64 (63 per lockstep batch at
+    # most) run as two lockstep batches of 32, not as 63 and one band LU,
+    # whose single solve would load scipy.linalg
+    loaded = _scipy_modules_after("""
+        import rwre_lab as rl
+        from rwre_lab import ballisticity as bal
+
+        bal.mean_drift_green_check(rl.SignedAxisKickLaw(2, 0.04, 0.01), 4, 64, 64, seed=3)
+    """, tmp_path)
+    assert loaded == []

@@ -379,7 +379,7 @@ THIRD_ENVIRONMENT_SEEDS = pytest.mark.parametrize("name, failing_seed", [
 @THIRD_ENVIRONMENT_SEEDS
 def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
-    solve, calls = xs.solve_fixed_point, []
+    solve, calls = xs._banded_solve, []
 
     def third_fails(*args, **kwargs):
         calls.append(None)
@@ -387,7 +387,7 @@ def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypat
             raise xs.SolverConvergenceError("injected failure")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(xs, "solve_fixed_point", third_fails)
+    monkeypatch.setattr(xs, "_banded_solve", third_fails)
     with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
         STATISTICS[name](5, 31)
     assert exc.value.env_seed == failing_seed(31)
@@ -414,7 +414,7 @@ def test_stacked_solve_failure_names_the_environment_seed(name, failing_seed, mo
     with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
         SMALL_STATISTICS[name](5, 31)
     assert exc.value.env_seed == failing_seed(31)
-    assert "batch residual nan" in str(exc.value)
+    assert "residual nan" in str(exc.value)
 
 
 def test_operator_batches_do_not_follow_the_worker_count(monkeypatch):

@@ -131,7 +131,7 @@ def test_theorem3_needs_a_truncation():
         rl.theorem3_experiment(rl.SignedAxisKickLaw(2, 0.05), rho=0.5, N_list=(), n_env=4)
 
 
-def test_dense_green_rows_are_certified():
+def test_dense_green_rows_are_certified(monkeypatch):
     region = rl.BoxRegion([-2, -2], [2, 2])
     pattern = xs.region_pattern(region)
     src = pattern.source_index((0, 0))
@@ -147,8 +147,10 @@ def test_dense_green_rows_are_certified():
         r[src] += 1.0
         bumped = g.copy()
         bumped[b, 3] += 1e-9
-        with pytest.raises(xs.SolverConvergenceError):
-            xs._certify_batch(pattern, weights, e_src, bumped, 1e-9, "l1", True)
+        with monkeypatch.context() as m:
+            m.setattr(xs, "MAX_ITER", 0)  # no polish step
+            with pytest.raises(xs.SolverConvergenceError):
+                xs._certify_batch(pattern, weights, e_src, bumped, 1e-9, "l1", True)
         assert np.abs(r).sum() <= 1e-13
     # a sampled environment whose rows miss the certificate names its seed
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
@@ -400,7 +402,7 @@ class TestHalfSpaceExperiment:
             assert np.array_equal(weights, want)
 
 
-def test_formula_route_inverses_are_certified():
+def test_formula_route_inverses_are_certified(monkeypatch):
     region = rl.BoxRegion([-2, -2], [2, 2])
     pattern = xs.region_pattern(region)
     law = rl.SignedAxisKickLaw(2, 0.05)
@@ -409,8 +411,10 @@ def test_formula_route_inverses_are_certified():
     G = xs.solve_batch(pattern, weights, None, 1e-13)
     corrupted = G.copy()
     corrupted[2, 7, 11] += 1e-9
-    with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_batch(pattern, weights, None, corrupted, 1e-10, "l1", False)
+    with monkeypatch.context() as m:
+        m.setattr(xs, "MAX_ITER", 0)  # no polish step
+        with pytest.raises(xs.SolverConvergenceError):
+            xs._certify_batch(pattern, weights, None, corrupted, 1e-10, "l1", False)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
@@ -440,7 +444,7 @@ def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
     # n = 1032 on an elongated box: one band LU row solve per environment
     region = rl.SlabRegion(4, 64, 2)
-    solve, calls = xs.solve_fixed_point, []
+    solve, calls = xs._banded_solve, []
 
     def third_fails(*args, **kwargs):
         calls.append(None)
@@ -448,7 +452,7 @@ def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
             raise xs.SolverConvergenceError("injected failure")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(xs, "solve_fixed_point", third_fails)
+    monkeypatch.setattr(xs, "_banded_solve", third_fails)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_environment(rl.SignedAxisKickLaw(2, 0.05), region, (0, 0), n_env=5,
                                 seed=31, method="mc")
@@ -468,6 +472,7 @@ def test_half_space_certificate_failure_names_the_environment_seed(monkeypatch):
         return green
 
     monkeypatch.setattr(xs, "_dense_batch", corrupt)
+    monkeypatch.setattr(xs, "MAX_ITER", 0)  # no polish step
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.theorem3_experiment(rl.SignedAxisKickLaw(2, 0.05, lambda_shift=1e-5), 0.5,
                                 N_list=(3, 4), n_env=6, seed=7)

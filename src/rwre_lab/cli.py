@@ -28,7 +28,7 @@ from .env_model import (
     law_from_dict,
     law_moments,
 )
-from .exact_solver import exit_distribution, green_operator, green_row
+from .exact_solver import _exit_distribution, _green_table, build_system, green_operator
 from .lattice import build_region
 from .reporting import config_hash, read_json, write_csv, write_json, write_plotdata
 
@@ -155,9 +155,10 @@ def _run_green(run: _Run):
     env_seed = _get(run.cfg, "env_seed", int, run.seed)
     from .env_model import sample_environment
     env = sample_environment(law, seed=env_seed)
-    table = green_row(env, region, x, tol=tol)
+    system = build_system(env, region)
+    table = _green_table(system, x, tol, "auto")
     table.to_csv(run.path("green_row.csv"), meta=run.meta)
-    dist = exit_distribution(env, region, x, tol=tol)
+    dist = _exit_distribution(system, region, table)
     dist.to_csv(run.path("exit_distribution.csv"), meta=run.meta)
     ones = np.ones(region.interior_count())
     run.report.update({

@@ -56,9 +56,9 @@ the fixed-point iteration x <- x + r, and the lowest-index environment
 that cannot be mended raises BatchSolveError once the rest have finished.
 
 One rule picks the path of one environment and of a batch of B alike,
-`auto_method(pattern, B)`: lockstep on a box wherever its modelled cost
-per call (`_cost_us`: a fixed cost, then per environment and unknown the
-work of its M applies) is below that of the path `_direct_or_krylov`
+`auto_method(pattern, B, weights)`: lockstep on a box wherever its
+modelled cost (`_cost_us`: a fixed cost, then per environment and unknown
+the work of its M applies) is below that of the path `_direct_or_krylov`
 would take at that B, and that path otherwise: dense LU up to
 DENSE_CUTOFF unknowns (a fixed cost, then the n^2 entries of each
 system), banded above it on boxes whose band half-width b satisfies
@@ -66,9 +66,12 @@ b * b <= n and whose (3b + 1) x n band array fits MEMORY_BUDGET (n b^2
 work per environment), and Krylov everywhere else (site sets, and thin
 boxes beyond the band budget), which lockstep always beats where it has
 an M.  A single solve takes band LU only at under half lockstep's cost,
-for band LU's first call loads scipy.linalg.  So single solves keep band
-LU on elongated d=2 boxes and dense LU on small ones, while their batches
-go lockstep once B spreads its fixed cost.
+for band LU's first call loads scipy.linalg.  A constant weight block
+(one-atom laws) goes lockstep wherever band LU is named and M fits: M is
+then the exact inverse (about 2 applies, no scipy), and its zero-drift
+axes are the kept DST-I matrices.  So single solves of disordered
+environments keep band LU on elongated d=2 boxes and dense LU on small
+ones, while their batches go lockstep once B spreads its fixed cost.
 
 Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`, each a
@@ -347,13 +350,11 @@ def _mean_kernel_factors(p, shape):
     double = [], [], inv_spectrum
     single = [], [], inv_spectrum.astype(np.float32)
     for m, lr in zip(shape, log_r):
-        S, S32 = _dst1_matrices(m)
-        scale = np.exp((np.arange(1.0, m + 1) - (m + 1) / 2) * lr)
-        scale32 = scale.astype(np.float32)
-        double[0].append(S / scale)
-        double[1].append(scale[:, None] * S)
-        single[0].append(S32 / scale32)
-        single[1].append(scale32[:, None] * S32)
+        for (forward, back, _), S in zip((double, single), _dst1_matrices(m)):
+            scale = np.exp((np.arange(1.0, m + 1) - (m + 1) / 2) * lr).astype(S.dtype)
+            # without drift the scale is exactly 1: the kept, read-only S itself
+            forward.append(S / scale if lr else S)
+            back.append(scale[:, None] * S if lr else S)
     return double, (single if 2.0 * span <= 24 * np.log(2.0) else None)
 
 
@@ -513,18 +514,25 @@ def _cost_us(pattern: RegionPattern, B: int, method: str) -> float:
     return math.inf
 
 
-def auto_method(pattern: RegionPattern, B: int = 1) -> str:
+def auto_method(pattern: RegionPattern, B: int = 1, weights: np.ndarray | None = None) -> str:
     """The path of B environments' systems on the pattern, solved together:
     "lockstep" on a box where its modelled cost (`_cost_us`) is below that
     of the path `_direct_or_krylov` names, which it is otherwise.  A single
     solve takes band LU only where that costs under half as much: its first
     call in a process loads scipy.linalg (0.2 s and 26 MB), which a batch
-    spreads over its environments and a single solve seldom repays."""
+    spreads over its environments and a single solve seldom repays.  A
+    constant weight block (one vector at every site: one-atom laws) goes
+    lockstep wherever band LU is named and M fits, for M is then the exact
+    inverse (about 2 applies); Krylov already yields wherever M fits."""
     method = _direct_or_krylov(pattern)
     if pattern.shape is None:
         return method
+    lockstep = _cost_us(pattern, B, "lockstep")
     alt = _cost_us(pattern, B, method) * (2 if B == 1 and method == "banded" else 1)
-    return "lockstep" if _cost_us(pattern, B, "lockstep") < alt else method
+    if lockstep < alt or (method == "banded" and lockstep < math.inf and weights is not None
+                          and (weights == weights[:1, :1]).all()):
+        return "lockstep"
+    return method
 
 
 def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
@@ -538,7 +546,7 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
     lockstep's fallback), and iterations count the lockstep's M applies too.
     """
     if method == "auto":
-        method = auto_method(system.pattern)
+        method = auto_method(system.pattern, 1, system.weights[None])
     x, r, its, method = _solve(system.pattern, system.weights[None], b[None],
                                np.array([tol]), norm, transpose, method)
     r = r[0, :, 0]
@@ -891,7 +899,8 @@ def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
         # runs every environment at B = 1
         return solve_fixed_point(QuenchedSystem(pattern, weights[0]), b[0], tols[0], norm,
                                  transpose=transpose)[0][None]
-    return _solve(pattern, weights, b, tols, norm, transpose, auto_method(pattern, B))[0]
+    method = auto_method(pattern, B, weights)
+    return _solve(pattern, weights, b, tols, norm, transpose, method)[0]
 
 
 def _as_field(f, system: QuenchedSystem) -> np.ndarray:
@@ -1060,7 +1069,9 @@ class ExitDistribution:
         return float(self.masses.sum())
 
     def class_mass(self, cls: ExitClass) -> float:
-        frontal = np.array([self.region.is_frontal_site(s) for s in self.sites])
+        if not self.region.has_frontal:
+            raise RegionError(f"region kind {self.region.kind!r} has no frontal side")
+        frontal = self.sites[:, 0] >= self.region.frontal_min
         sel = frontal if cls is ExitClass.FRONTAL else ~frontal
         return float(self.masses[sel].sum())
 
@@ -1079,22 +1090,23 @@ def exit_distribution(env: EnvironmentRealization, region: Region, x,
                       tol: float = DEFAULT_TOL, method: str = "auto") -> ExitDistribution:
     """Distribution of the walk's position at its first exit from the region."""
     system = build_system(env, region)
-    table = _green_table(system, x, tol, method)
+    return _exit_distribution(system, region, _green_table(system, x, tol, method))
+
+
+def _exit_distribution(system: QuenchedSystem, region: Region,
+                       table: GreenTable) -> ExitDistribution:
+    """The exit law of a solved Green row: each step out of the region
+    carries g(y) w(y, e) to its boundary site, added up in the order of the
+    steps (by direction, then by site).  boundary_array is sorted
+    lexicographically, so are its row-major keys, which searchsorted finds."""
     pat = system.pattern
     boundary = region.boundary_array()
-    b_index = {tuple(s): i for i, s in enumerate(boundary)}
+    e, y = np.nonzero(~pat.inside)
+    lo = boundary.min(axis=0)
+    ext = boundary.max(axis=0) - lo + 1
+    at = np.searchsorted(np.ravel_multi_index((boundary - lo).T, ext),
+                         np.ravel_multi_index((pat.interior[y] + pat.dirs[e] - lo).T, ext))
     masses = np.zeros(boundary.shape[0])
-    g = table.values
-    for e in range(2 * pat.d):
-        outside = pat.nbr[:, e] < 0
-        targets = pat.interior[outside] + pat.dirs[e]
-        flow = g[outside] * system.weights[outside, e]
-        for t, m in zip(targets, flow):
-            masses[b_index[tuple(t)]] += m
-    return ExitDistribution(
-        start=tuple(int(c) for c in x),
-        sites=boundary,
-        masses=masses,
-        region=region,
-        achieved_tol=table.achieved_tol,
-    )
+    np.add.at(masses, at, table.values[y] * system.weights[y, e])
+    return ExitDistribution(start=table.source, sites=boundary, masses=masses, region=region,
+                            achieved_tol=table.achieved_tol)

@@ -50,6 +50,55 @@ def test_identical_rerun_is_byte_identical(tmp_path):
         assert files1[name] == files2[name], name
 
 
+def test_green_solves_its_row_once(tmp_path, monkeypatch):
+    import numpy as np
+
+    from rwre_lab import exact_solver as xs
+    from rwre_lab.env_model import sample_environment
+
+    cfg = write_config(tmp_path, "g.json", {
+        "experiment": "green", "seed": 3,
+        "law": {"family": "signed_axis_kick", "d": 2, "a": 0.05},
+        "region": {"kind": "slab", "L": 3, "W": 12},
+    })
+    solve, calls = xs.solve_green_row, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(xs, "solve_green_row", counted)
+    cli.run("green", cfg, out_dir=str(tmp_path / "once"))
+    assert len(calls) == 1
+
+    def separate(run):
+        # one green_row and one exit_distribution call, each solving the row
+        law = cli._law(run.cfg)
+        region = cli._region(run.cfg, law.d)
+        x, tol = (0,) * law.d, 1e-10
+        env = sample_environment(law, seed=run.seed)
+        table = xs.green_row(env, region, x, tol=tol)
+        table.to_csv(run.path("green_row.csv"), meta=run.meta)
+        dist = xs.exit_distribution(env, region, x, tol=tol)
+        dist.to_csv(run.path("exit_distribution.csv"), meta=run.meta)
+        run.report.update({
+            "law": law.to_dict(), "region": region.descriptor(), "source": list(x),
+            "env_seed": run.seed, "green_at_source": table.value_at(x),
+            "green_total": table.total(), "achieved_tol": table.achieved_tol,
+            "exit_total_mass": dist.total(), "frontal_mass": dist.frontal_mass(),
+            "green_operator_ones": xs.green_operator(
+                env, region, np.ones(region.interior_count()), x, tol=tol),
+        })
+
+    monkeypatch.setitem(cli._RUNNERS, "green", separate)
+    cli.run("green", cfg, out_dir=str(tmp_path / "twice"))
+    assert len(calls) == 3
+    once, twice = read_files(tmp_path / "once"), read_files(tmp_path / "twice")
+    assert set(once) == set(twice) == {"report.json", "green_row.csv", "exit_distribution.csv"}
+    for name in once:
+        assert once[name] == twice[name], name
+
+
 def test_thread_count_does_not_change_outputs(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "e.json", {
         "experiment": "eps-k", "seed": 5,

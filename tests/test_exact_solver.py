@@ -117,6 +117,51 @@ def test_exit_distribution_mass_conservation_random_envs():
         assert np.all(dist.masses >= -1e-15)
 
 
+def _loop_exit_masses(env, region, x, tol):
+    """The exit masses by a per-step loop over a boundary dict: the oracle
+    of the vectorized accumulation, which adds in the same order."""
+    system = xs.build_system(env, region)
+    g = rl.green_row(env, region, x, tol=tol).values
+    pat = system.pattern
+    boundary = region.boundary_array()
+    b_index = {tuple(s): i for i, s in enumerate(boundary)}
+    masses = np.zeros(boundary.shape[0])
+    for e in range(2 * pat.d):
+        outside = pat.nbr[:, e] < 0
+        targets = pat.interior[outside] + pat.dirs[e]
+        flow = g[outside] * system.weights[outside, e]
+        for t, m in zip(targets, flow):
+            masses[b_index[tuple(t)]] += m
+    return boundary, masses
+
+
+@pytest.mark.parametrize("region, law", [
+    (rl.BallisticityBox(2, 2), rl.ssrw_law(2)),
+    (rl.BallisticityBox(2, 2), rl.build_shifted_law(rl.ssrw_law(2), 0.1)),
+    (rl.BallisticityBox(2, 2), rl.SignedAxisKickLaw(2, 0.05, 0.02)),
+    (rl.SlabRegion(3, 12, 2), rl.SignedAxisKickLaw(2, 0.05, 0.02)),
+    (rl.BoxRegion([-2, -2, -2], [2, 2, 2]), rl.SignedAxisKickLaw(3, 0.05, 0.02)),
+    (rl.HalfSpaceTrunc(1, 10, 2), rl.SignedAxisKickLaw(2, 0.05, 0.02)),
+    # boundary sites of a box take one step each; a hole takes four
+    (rl.SiteSetRegion([s for s in rl.BoxRegion([-3, -3], [3, 3]).interior_array()
+                       if tuple(s) not in {(1, 1), (-1, 2), (2, -2)}], 2),
+     rl.SignedAxisKickLaw(2, 0.05, 0.02)),
+])
+def test_exit_masses_equal_the_per_step_loop(region, law):
+    env = rl.sample_environment(law, seed=7)
+    dist = rl.exit_distribution(env, region, (0,) * region.d, tol=1e-12)
+    sites, masses = _loop_exit_masses(env, region, (0,) * region.d, 1e-12)
+    assert np.array_equal(dist.sites, sites)
+    assert dist.masses.tobytes() == masses.tobytes()
+    if not region.has_frontal:
+        with pytest.raises(rl.RegionError, match="no frontal side"):
+            dist.frontal_mass()
+        return
+    frontal = np.array([region.is_frontal_site(s) for s in sites])
+    assert dist.frontal_mass() == masses[frontal].sum()
+    assert dist.class_mass(rl.ExitClass.OTHER) == masses[~frontal].sum()
+
+
 def _assert_csr_row_certificate(system, src, g, info, abs_tol=1e-15):
     """The certificate of a Green row solve, taken from the weights and
     the neighbour table, equals the l1 norm of the CSR residual
@@ -809,6 +854,101 @@ def test_lockstep_dispatch(region, B, lockstep, monkeypatch):
     assert xs.batch_size(pattern) == min(xs._LOCKSTEP_UNKNOWNS // pattern.n, 4096)
     assert xs.batch_size(pattern, inverses=True) == max(
         1, min(xs.MEMORY_BUDGET // pattern.n ** 2, 4096))
+
+
+def _one_atom_law(kind, d):
+    if kind == "ssrw":
+        return rl.ssrw_law(d)
+    if kind == "shifted":
+        return rl.build_shifted_law(rl.ssrw_law(d), 0.1)
+    return rl.PointMassLaw([0.3, 0.2] + [0.5 / (2 * d - 2)] * (2 * d - 2))
+
+
+_THIN_BOXES = [rl.BallisticityBox(2, 2),                  # 2 x 399
+               rl.SlabRegion(4, 64, 2),                   # 8 x 129
+               rl.BoxRegion([0, 0, 0], [2, 5, 35]),       # 3 x 6 x 36
+               rl.BoxRegion([0, 0, 0], [1, 7, 37])]       # 2 x 8 x 38
+
+
+@pytest.mark.parametrize("region", _THIN_BOXES)
+@pytest.mark.parametrize("kind", ["ssrw", "shifted", "point mass"])
+def test_one_atom_systems_take_lockstep_where_band_lu_was_named(region, kind, monkeypatch):
+    # a constant weight block's mean kernel is its kernel: M is the exact
+    # inverse, and Richardson stops after about 2 applies
+    monkeypatch.setenv("RWRE_THREADS", "1")
+    pattern = xs.region_pattern(region)
+    assert xs._direct_or_krylov(pattern) == "banded"
+    kick = rl.env_model.sample_weights(rl.SignedAxisKickLaw(region.d, 0.05, 0.02),
+                                       pattern.interior, range(4))
+    law = _one_atom_law(kind, region.d)
+    system = xs.build_system(rl.sample_environment(law, seed=0), region)
+    src = pattern.source_index((0,) * region.d)
+    exit_time = xs.solve_green_operator(system, np.ones(pattern.n), 1e-10).max()
+    # rows (l1) and operators (sup), each against band LU
+    for transpose, norm in ((True, "l1"), (False, "linf")):
+        b = np.eye(1, pattern.n, src)[0]
+        band, b_info = xs.solve_fixed_point(system, b, 1e-10, norm, "banded", transpose)
+        x, info = xs.solve_fixed_point(system, b, 1e-10, norm, transpose=transpose)
+        assert info.method == "lockstep" and info.iterations <= 3
+        res = b_info.l1_residual + info.l1_residual if norm == "l1" else \
+            b_info.sup_residual + info.sup_residual
+        assert xs._norm(x - band, norm) <= exit_time * res * (1 + 1e-9)
+        # a batch of four: one lockstep run, and no band LU
+        weights = np.broadcast_to(system.weights, (4, *system.weights.shape))
+        assert xs.auto_method(pattern, 4, weights) == "lockstep"
+        assert xs.auto_method(pattern, 4, kick) == xs.auto_method(pattern, 4)
+        with monkeypatch.context() as m:
+            runs, bands = _spy(m, "_lockstep"), _spy(m, "_banded_solve")
+            xb = xs.solve_batch(pattern, weights, b, 1e-10, norm, transpose)
+        assert len(runs) == 1 and runs[0][2][1] <= 3 and bands == []
+        res = 1e-10 + (b_info.l1_residual if norm == "l1" else b_info.sup_residual)
+        for row in xb:
+            assert xs._norm(row - band, norm) <= exit_time * res * (1 + 1e-9)
+    assert xs.auto_method(pattern, 1, kick[:1]) == xs.auto_method(pattern)
+
+
+def test_a_one_atom_system_without_m_keeps_band_lu(monkeypatch):
+    # a point mass on +e1 has no mean-kernel inverse (zero mean entries):
+    # lockstep falls back at once to band LU, with band LU's values
+    monkeypatch.setenv("RWRE_THREADS", "1")
+    region = rl.BallisticityBox(2, 2)
+    system = xs.build_system(rl.sample_environment(rl.PointMassLaw([1, 0, 0, 0]), 0), region)
+    src = system.pattern.source_index((0, 0))
+    assert xs._mean_kernel(system.pattern, system.weights[None], True)[1] is None
+    want, want_info = xs.solve_green_row(system, src, 1e-10, method="banded")
+    got, info = xs.solve_green_row(system, src, 1e-10)
+    assert info == want_info and info.method == "banded" and np.array_equal(got, want)
+    weights = np.broadcast_to(system.weights, (4, *system.weights.shape))
+    rows = xs.solve_batch(system.pattern, weights, np.eye(1, system.n, src)[0], 1e-10,
+                          transpose=True)
+    assert all(np.array_equal(row, want) for row in rows)
+
+
+def test_zero_drift_axes_take_the_cached_dst_matrices(monkeypatch):
+    S, S32 = xs._dst1_matrices(399)
+    double, single = xs._mean_kernel_factors(np.array([0.3, 0.2, 0.25, 0.25]), (2, 399))
+    # the drift axis is scaled in fresh arrays, the lateral one is S itself
+    assert not any(F is G for F in (double[0][0], double[1][0]) for G in xs._dst1_matrices(2))
+    assert double[0][1] is double[1][1] is S and single[0][1] is single[1][1] is S32
+    # SSRW half-space rows equal rows from explicit S / 1.0 factors, bit for bit
+    system = xs.build_system(ssrw_env(2), rl.HalfSpaceTrunc(1, 30, 2))
+    src = system.pattern.source_index((0, 0))
+    want, info = xs.solve_green_row(system, src, 1e-12)
+    assert info.method == "lockstep"
+    real = xs._mean_kernel_factors
+
+    def explicit(p, shape):
+        out = []
+        for forward, back, inv_spectrum in real(p, shape):
+            assert all(F is xs._dst1_matrices(len(F))[int(F.dtype == np.float32)] for F in forward)
+            ones = [np.ones(len(F), F.dtype) for F in forward]
+            out.append(([F / one for F, one in zip(forward, ones)],
+                        [one[:, None] * F for F, one in zip(back, ones)], inv_spectrum))
+        return tuple(out)
+
+    monkeypatch.setattr(xs, "_mean_kernel_factors", explicit)
+    got, got_info = xs.solve_green_row(system, src, 1e-12)
+    assert got_info == info and np.array_equal(got, want)
 
 
 def _operator_cases(region, B=4):

@@ -71,6 +71,19 @@ def test_import_batch_solves_and_the_cli_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_one_atom_exit_distribution_loads_no_scipy(tmp_path):
+    # the constant block of a shifted SSRW goes lockstep, not band LU
+    loaded = _scipy_modules_after("""
+        import rwre_lab as rl
+
+        law = rl.build_shifted_law(rl.ssrw_law(2), 0.1)
+        env = rl.sample_environment(law, seed=0)
+        dist = rl.exit_distribution(env, rl.BallisticityBox(2, 2), (0, 0), tol=1e-12)
+        assert dist.achieved_tol <= 1e-12
+    """, tmp_path)
+    assert loaded == []
+
+
 def test_condition_p_probe_loads_scipy_special_only(tmp_path):
     loaded = _scipy_modules_after("""
         import rwre_lab as rl

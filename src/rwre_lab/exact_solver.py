@@ -9,13 +9,13 @@ x_k = sum_{j<k} A^j b increase monotonically to it when b >= 0.
 
 Every solve, of one environment or of a batch of B, is one call of
 `_solve`: x_k = b_k + A_k x_k for a (B, n, 2d) weight block, by one path,
-then one certificate.  All paths but lockstep (offset slices of a box)
-share one operator: P and P^T are applied from the weights and the
-neighbour table (`_batch_residual`: per direction, one gather through
-`RegionPattern.nbr_pad`), and no sparse matrix is built.  scipy is
-imported by the paths that call it (scipy.linalg for band LU,
-scipy.sparse.linalg for BiCGSTAB), so dense, lockstep and Neumann runs
-load none of it.  The paths:
+then one certificate.  It builds the batch's step block once (the weights
+by direction as (2d, B, n), 0 on the steps out of the region), and every
+path applies P and P^T through one operator on it, `_batch_residual`: on
+a box 2d offset slices, elsewhere one gather per direction through
+`RegionPattern.nbr_pad`; no sparse matrix is built.  scipy is imported by
+the paths that call it (scipy.linalg for band LU, scipy.sparse.linalg for
+BiCGSTAB), so dense, lockstep and Neumann runs load none of it.  The paths:
 
 * "lockstep" - preconditioned Richardson x <- x + M r, r = b - x + A x, for
                all B environments together, with M = (I - P_bar)^-1 (or
@@ -23,8 +23,8 @@ load none of it.  The paths:
                averaged from the batch's weights by direction, applied to
                the (B, *shape) block as per-axis dense sine transforms
                (DST-I matrices with the symmetrizing scaling folded in)
-               through BLAS matmuls in O(n sum_i m_i); A x is 2d offset
-               slices of the weights.  A run that fails falls back once,
+               through BLAS matmuls in O(n sum_i m_i); A x is offset
+               slices of the step block.  A run that fails falls back once,
                whole, to the path of `_direct_or_krylov`.  Boxes only.
 * "dense"    - stacked LU on I - A_k assembled from the weights
                (`_dense_batch`), _DENSE_SLICE entries at a time; the path of
@@ -192,19 +192,19 @@ class RegionPattern:
     def nbr_pad(self) -> np.ndarray:
         """The neighbour table as (2d, n) gather indices, one contiguous row
         per direction, with every step out of the region (-1) sent to n:
-        the index of one zero pad entry after the n interior values."""
+        the index of one zero pad entry after the n interior values.  Built
+        for the residuals of regions that are not boxes only."""
         return np.ascontiguousarray(np.where(self.nbr >= 0, self.nbr, self.n).T)
 
     @cached_property
-    def inside(self) -> np.ndarray:
-        """(2d, n) mask of the steps that stay in the region, one contiguous
-        row per direction."""
-        return np.ascontiguousarray((self.nbr >= 0).T)
+    def out_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(e, y) of every step out of the region, by direction, then site."""
+        return np.nonzero(self.nbr.T < 0)
 
 
 # patterns kept across calls, keyed by region descriptor, least recently used
 # first; their neighbour tables together hold at most MEMORY_BUDGET entries
-# (twice that with their padded copies, `nbr_pad`)
+# (twice that with the padded copies, `nbr_pad`, of regions that are not boxes)
 _PATTERNS: dict[str, RegionPattern] = {}
 _PATTERNS_LOCK = threading.Lock()
 
@@ -378,31 +378,38 @@ def _apply_mean_kernel(factors, v):
     return _mode_products(y, back, shape).reshape(v.shape)
 
 
-def _mean_kernel(pattern: RegionPattern, weights: np.ndarray, transpose: bool):
-    """(w, factors) for a (B, n, 2d) weight block on a box: w holds the
-    weights by direction, 0 on the steps out of the box, as (2d, B, n), and
-    factors are `_mean_kernel_factors` of (I - P_bar)^-1, or (I - P_bar^T)^-1
-    with transpose, where P_bar steps along e with the block's mean weight
-    on the inside steps along e."""
-    B, nd = weights.shape[0], 2 * pattern.d
-    w = np.empty((nd, B, pattern.n))
-    for e in range(nd):
-        np.multiply(weights[:, :, e], pattern.inside[e], out=w[e])
-    p = np.array([w[e].sum() for e in range(nd)]) / (B * np.maximum(pattern.dir_counts, 1))
+def _step_block(pattern: RegionPattern, weights: np.ndarray, out=None) -> np.ndarray:
+    """The step block of a (B, n, 2d) weight block: its weights by direction
+    as (2d, B, n), one contiguous (B, n) slab per direction, 0 on the steps
+    out of the region; written into out when given."""
+    steps = np.empty((2 * pattern.d, *weights.shape[:2])) if out is None else out
+    steps[...] = weights.transpose(2, 0, 1)
+    e, y = pattern.out_steps
+    steps[e, :, y] = 0.0
+    return steps
+
+
+def _mean_kernel(pattern: RegionPattern, steps: np.ndarray, transpose: bool):
+    """`_mean_kernel_factors` of (I - P_bar)^-1, or (I - P_bar^T)^-1 with
+    transpose, for a step block on a box (`_step_block`), where P_bar steps
+    along e with the block's mean weight on the inside steps along e."""
+    nd, B = steps.shape[:2]
+    p = np.array([steps[e].sum() for e in range(nd)]) / (B * np.maximum(pattern.dir_counts, 1))
     # P^T steps back along each direction of P
-    return w, _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, pattern.shape)
+    return _mean_kernel_factors(p[np.arange(nd) ^ 1] if transpose else p, pattern.shape)
 
 
-def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
+def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, steps=None):
     """(I - P_bar)^-1 as a float64 LinearOperator, or (I - P_bar^T)^-1 with
-    transpose, for the system's mean kernel (`_mean_kernel`); None off boxes
-    and wherever `_mean_kernel_factors` gives None."""
+    transpose, for the `_mean_kernel` of the system's step block (steps, or
+    built here); None off boxes and wherever `_mean_kernel_factors` gives None."""
     import scipy.sparse.linalg as spla
 
     pattern, shape = system.pattern, system.pattern.shape
     if shape is None:
         return None
-    factors = _mean_kernel(pattern, system.weights[None], transpose)[1]
+    steps = _step_block(pattern, system.weights[None]) if steps is None else steps
+    factors = _mean_kernel(pattern, steps, transpose)
     if factors is None:
         return None
     double = factors[0]
@@ -413,15 +420,16 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool):
 
 def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
     """BiCGSTAB on I - P, or I - P^T with transpose, preconditioned by the
-    mean-kernel inverse; returns (x, iterations).  v - A v is the negated
-    residual of v for a zero right-hand side (`_batch_residual` of one)."""
+    mean-kernel inverse, both on one step block; returns (x, iterations).
+    v - A v is the negated residual of v for b = 0 (`_batch_residual`)."""
     import scipy.sparse.linalg as spla
 
     n = b.shape[0]
-    pattern, weights, zero = system.pattern, system.weights[None], np.zeros((1, n))
+    pattern, zero = system.pattern, np.zeros((1, n))
+    steps = _step_block(pattern, system.weights[None])
     S = spla.LinearOperator(
         (n, n), dtype=np.float64,
-        matvec=lambda v: -_batch_residual(pattern, weights, zero, v[None], transpose).ravel())
+        matvec=lambda v: -_batch_residual(pattern, steps, zero, v[None], transpose).ravel())
     its = 0
 
     def count(_):
@@ -430,7 +438,7 @@ def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
 
     x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=tol / max(1.0, np.sqrt(n)),
                          maxiter=max(200, int(4 * np.sqrt(n)) + 50),
-                         M=_mean_kernel_inverse(system, transpose), callback=count)
+                         M=_mean_kernel_inverse(system, transpose, steps), callback=count)
     return x, its
 
 
@@ -647,13 +655,16 @@ def sampled_solves(law: EnvironmentLaw, env_seeds, problems, tol: float = DEFAUL
 
 
 def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
-              tols: np.ndarray, norm: str = "l1", transpose: bool = True):
+              tols: np.ndarray, norm: str = "l1", transpose: bool = True,
+              steps: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """x_k = b_k + A_k x_k for every environment of a batch on a box, with
     A_k = P_k^T (Green rows) or P_k without transpose (operators), by
     preconditioned Richardson, all environments in lockstep: x <- x + M r,
-    r = b - x + A x, with M = (I - P_bar^T)^-1, or (I - P_bar)^-1, for the
-    batch's mean kernel P_bar, until every environment's residual in the
-    given norm (l1 or sup) is at most its tol.
+    r = b - x + A x (`_batch_residual`), with M = (I - P_bar^T)^-1, or
+    (I - P_bar)^-1, for the batch's mean kernel P_bar, until every
+    environment's residual in the given norm (l1 or sup) is at most its tol.
+    steps (the weights' `_step_block`) and scratch (3 B n floats: b, r and
+    the products) are made here when None.
 
     x, r and the stopping test are float64; M is applied in float32 where
     `_mean_kernel_factors` gives float32 factors and no entry of r exceeds
@@ -664,42 +675,27 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
     when M does not exist or the float64 run fails, and applies counts the
     M applications of both precisions."""
     B, n = weights.shape[:2]
-    shape, nd, size = pattern.shape, 2 * pattern.d, B * n
-    w, factors = _mean_kernel(pattern, weights, transpose)
+    steps = _step_block(pattern, weights) if steps is None else steps
+    factors = _mean_kernel(pattern, steps, transpose)
     if factors is None:
         return None, 0
-    w = w.reshape(nd, size)
-    # a step along e is a fixed offset in the flat C order of the whole
-    # batch; P^T x moves x[y] w[y, e] from y to y + e, and P x gathers
-    # w[y, e] x[y + e] into y.  A step out of the box has weight 0, so no
-    # offset slice carries mass into another line or environment
-    moves = []
-    for e in range(nd):
-        offset = math.prod(shape[e // 2 + 1:])
-        frm, to = slice(0, size - offset), slice(offset, size)
-        if e % 2:
-            frm, to = to, frm
-        # (target, source, weights) of one slice-wise update r[target] += w x[source]
-        moves.append((to, frm, w[e, frm]) if transpose else (frm, to, w[e, frm]))
-    b_flat = np.empty(size)
-    b_flat.reshape(B, n)[:] = b
+    b_k, r, buf = (np.empty(3 * B * n) if scratch is None else scratch).reshape(3, B, n)
+    b_k[...] = b
     applies = 0
 
     def richardson(factors, limit):
         nonlocal applies
-        x, buf = np.zeros((2, size))
-        r = b_flat.copy()
+        x = np.zeros((B, n))
+        r[...] = b_k
         worst = np.inf
         for _ in range(_LOCKSTEP_MAX_ITER):
-            x += _apply_mean_kernel(factors, r.reshape(B, *shape)).ravel()
+            x += _apply_mean_kernel(factors, r.reshape(B, *pattern.shape)).reshape(B, n)
             applies += 1
-            np.subtract(b_flat, x, out=r)
-            for target, source, wv in moves:
-                r[target] += np.multiply(wv, x[source], out=buf[:wv.size])
-            res = np.abs(r, out=buf).reshape(B, n)
+            _batch_residual(pattern, steps, b_k, x, transpose, r[:, :, None], buf)
+            res = np.abs(r, out=buf)
             res = res.sum(axis=1) if norm == "l1" else res.max(axis=1)
             if (res <= tols).all():
-                return x.reshape(B, n)
+                return x
             last, worst = worst, float(res.max())
             # stagnation (NaN fails too), or a residual beyond M's range
             if not worst < min(last, limit):
@@ -708,29 +704,52 @@ def _lockstep(pattern: RegionPattern, weights: np.ndarray, b: np.ndarray,
 
     double, single = factors
     x = None
-    if single is not None and np.abs(b_flat).max(initial=0.0) <= _SINGLE_RANGE:
+    if single is not None and np.abs(b_k).max(initial=0.0) <= _SINGLE_RANGE:
         x = richardson(single, _SINGLE_RANGE)
     if x is None:
         x = richardson(double, np.inf)
     return x, applies
 
 
-def _batch_residual(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
-                    transpose: bool) -> np.ndarray:
+def _batch_residual(pattern: RegionPattern, steps: np.ndarray, b, x: np.ndarray,
+                    transpose: bool, out=None, scratch=None) -> np.ndarray:
     """b + A x - x for a `solve_batch` result x, as (B, n, c): c = 1 for
     x (B, n), and c = n for whole inverses x (B, n, n) with b None (the
-    identity).  A x comes from the weights and the neighbour table, never
-    from a factored matrix: per direction, one gather through
-    `RegionPattern.nbr_pad` of a copy with one zero pad row."""
-    B, n = weights.shape[:2]
+    identity); into out (C-contiguous), with the products in scratch (B n c
+    floats), when given.  A x comes from the step block (`_step_block`),
+    never from a factored matrix.  On a box a step along e is a fixed
+    offset in the C order of the whole batch: per direction, one product
+    and one add on offset slices, since a step out of the box weighs 0.
+    Elsewhere, per direction, one gather through `RegionPattern.nbr_pad` of
+    a copy with one zero pad row."""
+    nd, B, n = steps.shape
     cols = x.reshape(B, n, -1)
-    r = (np.eye(n) if b is None else b[:, :, None]) - cols
-    pad = np.zeros((B, n + 1, cols.shape[2]))
+    c = cols.shape[2]
+    r = np.subtract(np.eye(n) if b is None else b[:, :, None], cols, out=out)
+    if pattern.shape is not None:
+        size = B * n
+        w, x_flat, r_flat = steps.reshape(nd, size, 1), cols.reshape(size, c), r.reshape(size, c)
+        prod = (np.empty(size * c) if scratch is None else scratch).reshape(size, c)
+        for e in range(nd):
+            offset = math.prod(pattern.shape[e // 2 + 1:])
+            frm, to = slice(0, size - offset), slice(offset, size)
+            if e % 2:
+                frm, to = to, frm
+            # P^T x moves w[y, e] x[y] from y to y + e, and P x gathers
+            # w[y, e] x[y + e] into y
+            target, source = (to, frm) if transpose else (frm, to)
+            np.multiply(w[e, frm], x_flat[source], out=prod[:size - offset])
+            # the products that cross into another environment are 0 times
+            # its x: set to 0, so a NaN or inf stays in its own environment
+            prod.reshape(B, n, c)[:-1, n - offset:] = 0.0
+            r_flat[target] += prod[:size - offset]
+        return r
+    pad = np.zeros((B, n + 1, c))
     step = np.empty_like(r)
     if not transpose:
         pad[:, :n] = cols
-    for e in range(2 * pattern.d):
-        w = weights[:, :, e, None]
+    for e in range(nd):
+        w = steps[e, :, :, None]
         if transpose:
             # P^T x at z takes w[y, e] x[y] from the one y with nbr[y, e] = z,
             # which is z's neighbour the other way, nbr[z, e ^ 1]
@@ -763,36 +782,37 @@ def _worst(r: np.ndarray, norm: str) -> np.ndarray:
     return (r.sum(axis=1) if norm == "l1" else r.max(axis=1)).max(axis=1)
 
 
-def _certify_batch(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray,
+def _certify_batch(pattern: RegionPattern, steps: np.ndarray, b, x: np.ndarray,
                    tols, norm: str, transpose: bool):
     """Hold every environment of a batch result x (`_solve`) to its
     tolerance in tols (`_scaled_tol`): the norm (l1 or sup) of its residual
-    b + A x - x (`_batch_residual`, so the certificate also checks the
-    assembly).  Environments within it come back untouched.  The others are
-    polished together by the plain fixed-point iteration x <- x + r, r
-    recomputed from x at every step; one stops as failed at a non-finite
-    residual, after MAX_ITER steps, or after max(n, _NEUMANN_STALL) steps
-    without a new minimum of its residual (a tol below the rounding floor).
+    b + A x - x (`_batch_residual` on the batch's step block, so the
+    certificate also checks the assembly).  Environments within it come
+    back untouched.  The others are polished together by the plain
+    fixed-point iteration x <- x + r, r recomputed from x at every step;
+    one stops as failed at a non-finite residual, after MAX_ITER steps, or
+    after max(n, _NEUMANN_STALL) steps without a new minimum of its
+    residual (a tol below the rounding floor).
 
-    Returns (x, |r|, steps): x the caller's array, or a polished copy, |r|
-    the absolute values of its (B, n, c) residual and steps the polish
+    Returns (x, |r|, polish): x the caller's array, or a polished copy, |r|
+    the absolute values of its (B, n, c) residual and polish the polish
     steps per environment.  Once every environment has finished, the
     lowest-index one that failed raises BatchSolveError."""
-    B = weights.shape[0]
-    r = _batch_residual(pattern, weights, b, x, transpose)
+    B = steps.shape[1]
+    r = _batch_residual(pattern, steps, b, x, transpose)
     # in place: a fresh copy made a batch of 400 whole 5x5 inverses 7 % slower
     r = np.abs(r, out=r)
     res = _worst(r, norm)
-    steps = np.zeros(B, dtype=np.int64)
+    polish = np.zeros(B, dtype=np.int64)
     act = np.flatnonzero(~(res <= tols))
     if not act.size:
-        return x, r, steps
+        return x, r, polish
     tols = np.broadcast_to(tols, (B,))
     x, window, failed = x.copy(), max(pattern.n, _NEUMANN_STALL), []
     best, best_it = np.full(B, np.inf), np.zeros(B, dtype=np.int64)
-    # the environments still polished: their weights, b, x and norms, and
+    # the environments still polished: their step block, b, x and norms, and
     # the signed residual of x once a step has needed it
-    w_a, b_a = weights[act], None if b is None else b[act]
+    w_a, b_a = steps[:, act], None if b is None else b[act]
     x_a, res_a, r_a = x[act], res[act], None
     it = 0
     while True:
@@ -803,13 +823,13 @@ def _certify_batch(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray
         if stop.any():
             lost = stop & ~done
             failed += [(int(k), res_k, it) for k, res_k in zip(act[lost], res_a[lost])]
-            x[act[stop]], steps[act[stop]] = x_a[stop], it
+            x[act[stop]], polish[act[stop]] = x_a[stop], it
             if r_a is not None:
                 r[act[stop]] = np.abs(r_a[stop])
             if stop.all():
                 break
             keep = ~stop
-            act, w_a, x_a, res_a = act[keep], w_a[keep], x_a[keep], res_a[keep]
+            act, w_a, x_a, res_a = act[keep], w_a[:, keep], x_a[keep], res_a[keep]
             b_a = None if b_a is None else b_a[keep]
             r_a = None if r_a is None else r_a[keep]
         if r_a is None:
@@ -822,7 +842,23 @@ def _certify_batch(pattern: RegionPattern, weights: np.ndarray, b, x: np.ndarray
         k, res_k, it = min(failed)
         raise BatchSolveError(f"fixed-point solve did not reach tol={tols[k]}: residual "
                               f"{res_k:.3e} after {it} iterations", k)
-    return x, r, steps
+    return x, r, polish
+
+
+# Per-thread scratch of `_solve`, reused from call to call: the step block
+# and lockstep's b, r and products of a batch of at most _LOCKSTEP_UNKNOWNS
+# unknowns, (2d + 3) B n floats (4.7 MB in d=3).  Fresh arrays of that size
+# go back to the allocator after a solve and are faulted in again: 18,500
+# minor faults (about 2 us each) per 16-environment batch on the d=3 slab
+# L=4 W=32, against 0 here.  Only `_solve` takes it; helpers get views.
+_WORK = threading.local()
+
+
+def _work_area(floats: int) -> np.ndarray:
+    """The first `floats` entries of this thread's work area, grown to fit."""
+    if getattr(_WORK, "buf", np.empty(0)).size < floats:
+        _WORK.buf = np.empty(floats)
+    return _WORK.buf[:floats]
 
 
 def _solve(pattern: RegionPattern, weights: np.ndarray, b, tols, norm: str,
@@ -838,9 +874,13 @@ def _solve(pattern: RegionPattern, weights: np.ndarray, b, tols, norm: str,
     if method in ("lockstep", "banded") and pattern.shape is None:
         raise ValueError(f"{method} solves need the pattern of a box region")
     B, n = weights.shape[:2]
+    nd, size = 2 * pattern.d, B * n
+    area = _work_area((nd + 3) * size) if size <= _LOCKSTEP_UNKNOWNS else np.empty((nd + 3) * size)
+    steps = _step_block(pattern, weights, area[:nd * size].reshape(nd, B, n))
     its = np.zeros(B, dtype=np.int64)
     if method == "lockstep":
-        x, applies = _lockstep(pattern, weights, b, tols, norm, transpose)
+        x, applies = _lockstep(pattern, weights, b, tols, norm, transpose, steps,
+                               area[nd * size:])
         its += applies
         if x is None:
             method = _direct_or_krylov(pattern)
@@ -865,7 +905,7 @@ def _solve(pattern: RegionPattern, weights: np.ndarray, b, tols, norm: str,
         its += k_its
     elif method == "neumann":
         x = np.zeros(b.shape)  # the certificate's polish runs from zero
-    x, r, polish = _certify_batch(pattern, weights, b, x, tols, norm, transpose)
+    x, r, polish = _certify_batch(pattern, steps, b, x, tols, norm, transpose)
     return x, r, its + polish, method
 
 
@@ -1009,12 +1049,12 @@ def neumann_green_iterates(env: EnvironmentRealization, region: Region, x,
     """The first n_iters plain fixed-point iterates of the Green row solve,
     the "neumann" path's polish iterates from zero."""
     system = build_system(env, region)
-    pattern, weights = system.pattern, system.weights[None]
+    pattern, steps = system.pattern, _step_block(system.pattern, system.weights[None])
     b = np.eye(1, system.n, pattern.source_index(x))
     out, g = [], np.zeros(system.n)
     for _ in range(n_iters):
         # a new array per iterate
-        g = g + _batch_residual(pattern, weights, b, g[None], True)[0, :, 0]
+        g = g + _batch_residual(pattern, steps, b, g[None], True)[0, :, 0]
         out.append(g)
     return out
 
@@ -1101,7 +1141,7 @@ def _exit_distribution(system: QuenchedSystem, region: Region,
     lexicographically, so are its row-major keys, which searchsorted finds."""
     pat = system.pattern
     boundary = region.boundary_array()
-    e, y = np.nonzero(~pat.inside)
+    e, y = pat.out_steps
     lo = boundary.min(axis=0)
     ext = boundary.max(axis=0) - lo + 1
     at = np.searchsorted(np.ravel_multi_index((boundary - lo).T, ext),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -506,7 +509,8 @@ def test_single_precision_mean_kernel_matches_double(hi, transpose):
     system = xs.build_system(rl.sample_environment(law, seed=1), rl.BoxRegion([0] * d, hi))
     pattern = system.pattern
     v = np.random.default_rng(0).standard_normal(pattern.shape)
-    double, single = xs._mean_kernel(pattern, system.weights[None], transpose)[1]
+    block = xs._step_block(pattern, system.weights[None])
+    double, single = xs._mean_kernel(pattern, block, transpose)
     assert single[2].dtype == np.float32
     got, want = xs._apply_mean_kernel(single, v), xs._apply_mean_kernel(double, v)
     assert got.dtype == np.float32 and want.dtype == np.float64
@@ -615,14 +619,15 @@ def test_lockstep_rows_are_certified_and_match_row_solves(region, B):
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (B, pattern.n))
     lockstep, _ = xs._lockstep(pattern, weights, e_src, np.full(B, tol))
     assert lockstep is not None
-    xs._certify_batch(pattern, weights, e_src, lockstep, tol, "l1", True)
+    block = xs._step_block(pattern, weights)
+    xs._certify_batch(pattern, block, e_src, lockstep, tol, "l1", True)
     assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True),
                           lockstep)
     # the operator form: the drift fields, held in sup norm
     fields = 3.0 * (weights[:, :, 0] - weights[:, :, 1])
     tols = xs._scaled_tol(tol, fields)
     ops = xs.solve_batch(pattern, weights, fields, tol, norm="linf")
-    xs._certify_batch(pattern, weights, fields, ops, tols, "linf", False)
+    xs._certify_batch(pattern, block, fields, ops, tols, "linf", False)
     for g, u, f, t, env in zip(lockstep, ops, fields, tols, envs):
         system = xs.build_system(env, region)
         row, info = xs.solve_green_row(system, src, tol, method=direct)
@@ -715,7 +720,7 @@ def test_stalled_single_precision_lockstep_reruns_in_double(monkeypatch):
     assert g is not None and seen[:2] == ["float32"] * 2
     assert len(seen) > 2 and set(seen[2:]) == {"float64"}
     assert applies == len(seen)  # both precisions count
-    xs._certify_batch(pattern, weights, e_src, g, tol, "l1", True)
+    xs._certify_batch(pattern, xs._step_block(pattern, weights), e_src, g, tol, "l1", True)
     assert np.array_equal(xs.solve_batch(pattern, weights, e_src[0], tol, transpose=True), g)
     # the l1 error is at most the largest expected exit time times the sum
     # of both l1 residuals
@@ -773,8 +778,9 @@ _CERTIFIED_REGIONS = [
 @pytest.mark.parametrize("region", _CERTIFIED_REGIONS)
 def test_gather_residual_equals_the_sparse_residual(region):
     pattern, weights, cases = _certificate_cases(region)
+    block = xs._step_block(pattern, weights)
     for kind, (b, x, transpose) in cases.items():
-        r = xs._batch_residual(pattern, weights, b, x, transpose)
+        r = xs._batch_residual(pattern, block, b, x, transpose)
         for k in range(len(weights)):
             P = csr_matrix(pattern, weights[k])
             A = P.T if transpose else P
@@ -788,12 +794,13 @@ def test_gather_residual_equals_the_sparse_residual(region):
 @pytest.mark.parametrize("region", _CERTIFIED_REGIONS)
 def test_a_bumped_entry_fails_the_certificate_of_its_environment(region, monkeypatch):
     pattern, weights, cases = _certificate_cases(region)
+    block = xs._step_block(pattern, weights)
     for kind, (b, x, transpose) in cases.items():
-        assert xs._certify_batch(pattern, weights, b, x, 1e-10, "l1", transpose)[0] is x
+        assert xs._certify_batch(pattern, block, b, x, 1e-10, "l1", transpose)[0] is x
         bumped = x.copy()
         bumped[2, pattern.n // 3] += 1e-8
         # the polish mends the bumped environment in a copy, and only it
-        mended, r, steps = xs._certify_batch(pattern, weights, b, bumped, 1e-10, "l1",
+        mended, r, steps = xs._certify_batch(pattern, block, b, bumped, 1e-10, "l1",
                                              transpose)
         assert mended is not bumped
         assert np.array_equal(bumped[2, pattern.n // 3], x[2, pattern.n // 3] + 1e-8)
@@ -803,8 +810,132 @@ def test_a_bumped_entry_fails_the_certificate_of_its_environment(region, monkeyp
         with monkeypatch.context() as m:
             m.setattr(xs, "MAX_ITER", 0)  # ... and one it cannot mend raises
             with pytest.raises(xs.BatchSolveError) as exc:
-                xs._certify_batch(pattern, weights, b, bumped, 1e-10, "l1", transpose)
+                xs._certify_batch(pattern, block, b, bumped, 1e-10, "l1", transpose)
         assert exc.value.index == 2, kind
+
+
+_SLICED_BOXES = [
+    rl.BoxRegion([-3, -2], [3, 4]),
+    rl.BoxRegion([0, 0, 0], [2, 3, 4]),
+    rl.BoxRegion([0, 0], [0, 5]),  # thin boxes: a side of 1 ...
+    rl.BoxRegion([0, 0], [4, 0]),
+    rl.BoxRegion([0, 0], [1, 6]),  # ... and of 2
+    rl.BoxRegion([0, 0, 0], [1, 0, 3]),
+]
+
+
+def _box_and_site_set(region, B=3):
+    """A box's pattern, the pattern of a site set of the same sites (the
+    same enumeration, and the gather residual), and a weight block whose
+    steps out of the box weigh as much as the others."""
+    box = xs.RegionPattern(region)
+    sites = xs.RegionPattern(rl.SiteSetRegion([tuple(y) for y in box.interior], region.d))
+    assert box.shape is not None and sites.shape is None
+    assert np.array_equal(box.interior, sites.interior)
+    weights = np.random.default_rng(box.n).dirichlet(np.ones(2 * region.d), size=(B, box.n))
+    return box, sites, weights
+
+
+@pytest.mark.parametrize("region", _SLICED_BOXES)
+def test_box_residual_is_bit_equal_to_the_gather_residual(region):
+    box, sites, weights = _box_and_site_set(region)
+    B, n = weights.shape[:2]
+    gen = np.random.default_rng(7)
+    x_rows, x_inverses = gen.standard_normal((B, n)), gen.standard_normal((B, n, n))
+    rows = np.broadcast_to(np.eye(1, n, n // 2)[0], (B, n))
+    cases = {"rows": (rows, x_rows), "operators": (gen.uniform(-1.0, 1.0, (B, n)), x_rows),
+             "inverses": (None, x_inverses)}
+    steps = xs._step_block(box, weights)
+    assert np.array_equal(steps, xs._step_block(sites, weights))
+    for kind, (b, x) in cases.items():
+        for transpose in (False, True):
+            got = xs._batch_residual(box, steps, b, x, transpose)
+            want = xs._batch_residual(sites, steps, b, x, transpose)
+            assert np.array_equal(got, want), (kind, transpose)
+    # a NaN at either end of one environment stays in that environment
+    for b, x in cases.values():
+        x = x.copy()
+        x[1, [0, -1]] = np.nan
+        for transpose in (False, True):
+            got = xs._batch_residual(box, steps, b, x, transpose)
+            want = xs._batch_residual(sites, steps, b, x, transpose)
+            assert np.array_equal(got[[0, 2]], want[[0, 2]])
+            assert np.isnan(got[1]).any()
+    assert "nbr_pad" not in box.__dict__
+
+
+@pytest.mark.parametrize("case", ["krylov", "no preconditioner", "stagnation"])
+def test_per_environment_solves_inside_a_batch_leave_its_step_block_alone(case, monkeypatch):
+    # the batch's step block lives in the thread's work area until its
+    # certificate has run: BiCGSTAB and the lockstep fallbacks solve each
+    # environment on their own block, on 1 or 2 workers alike
+    region = rl.HalfSpaceTrunc(1, 30 if case == "no preconditioner" else 10, 2)
+    pattern = xs.RegionPattern(region)
+    if case == "no preconditioner":
+        law = rl.PointMassLaw([0.97, 0.01, 0.01, 0.01])
+        weights = np.stack([rl.sample_environment(law, seed=s).weights_block(pattern.interior)
+                            for s in range(2)])
+    elif case == "stagnation":
+        weights = np.random.default_rng(0).dirichlet(np.ones(4), size=(6, pattern.n))
+    else:
+        weights = rl.env_model.sample_weights(rl.SignedAxisKickLaw(2, 0.05, 0.02),
+                                              pattern.interior, range(4))
+    B, tol = len(weights), 1e-10
+    b = np.broadcast_to(np.eye(1, pattern.n, pattern.source_index((0, 0)))[0], (B, pattern.n))
+    method = "krylov" if case == "krylov" else "lockstep"
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RWRE_THREADS", threads)
+        x, _, _, path = xs._solve(pattern, weights, b, np.full(B, tol), "l1", True, method)
+        assert path == ("krylov" if case == "krylov" else xs._direct_or_krylov(pattern))
+        runs.append(x)
+    assert runs[0].tobytes() == runs[1].tobytes()
+    # a later solve does not write into an earlier result
+    kept = runs[0].copy()
+    xs.solve_batch(pattern, weights[::-1].copy(), b[0], tol, transpose=True)
+    assert np.array_equal(runs[0], kept)
+    # the l1 error is at most the largest expected exit time times both
+    # l1 residuals
+    dense = xs._dense_batch(pattern, weights, b, True) if pattern.n <= xs.DENSE_CUTOFF \
+        else _row_solves(pattern, weights, pattern.source_index((0, 0)), 1e-13)
+    dense_res = np.abs(xs._batch_residual(pattern, xs._step_block(pattern, weights), b, dense,
+                                          True)).sum(axis=(1, 2))
+    exit_time = np.stack([xs.solve_green_operator(xs.QuenchedSystem(pattern, w),
+                                                  np.ones(pattern.n), 1e-12).max()
+                          for w in weights])
+    err = np.abs(runs[0] - dense).sum(axis=1)
+    assert np.all(err <= exit_time * (tol + dense_res) * (1 + 1e-9))
+    assert "nbr_pad" not in pattern.__dict__
+
+
+def test_threads_solving_at_once_keep_their_own_work_areas():
+    # each thread's `_solve` takes its own work area: batches solved at once
+    # on more threads than cores give the bits of serial solves
+    pattern = xs.region_pattern(rl.HalfSpaceTrunc(1, 10, 2))
+    law = rl.SignedAxisKickLaw(2, 0.05, 0.02)
+    blocks = [rl.env_model.sample_weights(law, pattern.interior, range(8 * k, 8 * k + 8))
+              for k in range(4)]
+    assert xs.auto_method(pattern, 8) == "lockstep"
+    b = np.eye(1, pattern.n, pattern.source_index((0, 0)))[0]
+    want = [xs.solve_batch(pattern, w, b, 1e-10, transpose=True) for w in blocks]
+    got = [[] for _ in blocks]
+
+    def solve(k):
+        for _ in range(5):
+            got[k].append(xs.solve_batch(pattern, blocks[k], b, 1e-10, transpose=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(g) == 5 and all(np.array_equal(x, w) for x in g) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("region, B, lockstep", [
@@ -914,7 +1045,8 @@ def test_a_one_atom_system_without_m_keeps_band_lu(monkeypatch):
     region = rl.BallisticityBox(2, 2)
     system = xs.build_system(rl.sample_environment(rl.PointMassLaw([1, 0, 0, 0]), 0), region)
     src = system.pattern.source_index((0, 0))
-    assert xs._mean_kernel(system.pattern, system.weights[None], True)[1] is None
+    block = xs._step_block(system.pattern, system.weights[None])
+    assert xs._mean_kernel(system.pattern, block, True) is None
     want, want_info = xs.solve_green_row(system, src, 1e-10, method="banded")
     got, info = xs.solve_green_row(system, src, 1e-10)
     assert info == want_info and info.method == "banded" and np.array_equal(got, want)
@@ -995,11 +1127,12 @@ def test_operator_lockstep_matches_dense_operators(case):
         assert {info.method for _, info in solves} == {"dense"}
         x = np.stack([u for u, _ in solves])
     assert applies > 0
-    xs._certify_batch(pattern, weights, b, x, tols, "linf", False)
+    block = xs._step_block(pattern, weights)
+    xs._certify_batch(pattern, block, b, x, tols, "linf", False)
     # both residuals are held in sup norm, and ||(I - P)^-1||_inf is the
     # largest expected exit time, which bounds the sup error of each
     dense = xs._dense_batch(pattern, weights, b, False)
-    dense_res = np.abs(xs._batch_residual(pattern, weights, b, dense, False)).max(axis=(1, 2))
+    dense_res = np.abs(xs._batch_residual(pattern, block, b, dense, False)).max(axis=(1, 2))
     exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
     err = np.abs(x - dense).max(axis=1)
     assert np.all(err <= exit_time * (tols + dense_res) * (1 + 1e-9))
@@ -1032,11 +1165,12 @@ def test_lockstep_batches_of_rows_and_operators_are_certified(region, transpose,
     assert [len(args[1]) for args, _, _ in calls] == [B, B]  # one batch each
     x, b = runs[0], np.broadcast_to(b, (B, pattern.n))
     tols = xs._scaled_tol(tol, b)
-    xs._certify_batch(pattern, weights, b, x, tols, norm, transpose)
+    block = xs._step_block(pattern, weights)
+    xs._certify_batch(pattern, block, b, x, tols, norm, transpose)
     # the error is at most ||(I - A)^-1|| (the largest expected exit time,
     # in l1 for rows and sup for operators) times both residuals
     dense = xs._dense_batch(pattern, weights, b, transpose)
-    dense_res = np.abs(xs._batch_residual(pattern, weights, b, dense, transpose))[:, :, 0]
+    dense_res = np.abs(xs._batch_residual(pattern, block, b, dense, transpose))[:, :, 0]
     exit_time = xs._dense_batch(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
     if norm == "l1":
         err, dense_res = np.abs(x - dense).sum(axis=1), dense_res.sum(axis=1)
@@ -1066,7 +1200,8 @@ def test_a_failed_lockstep_batch_solves_each_environment_without_lockstep(transp
     # to band LU
     assert len(lockstep_calls) == 1 and len(lockstep_calls[0][0][1]) == B
     assert len(solves) == B
-    xs._certify_batch(pattern, weights, np.broadcast_to(b, (B, pattern.n)), x, 1e-10,
+    xs._certify_batch(pattern, xs._step_block(pattern, weights),
+                      np.broadcast_to(b, (B, pattern.n)), x, 1e-10,
                       norm, transpose)
 
 
@@ -1372,7 +1507,8 @@ def test_stacked_operator_solves_are_certified(monkeypatch):
     # one above it is polished back within tol ...
     monkeypatch.setattr(xs, "_dense_batch", off_by(4 * tol))
     polished = xs.solve_batch(pattern, weights, fields, tol, norm="linf")
-    assert np.abs(xs._batch_residual(pattern, weights, fields, polished, False)).max() <= 3 * tol
+    block = xs._step_block(pattern, weights)
+    assert np.abs(xs._batch_residual(pattern, block, fields, polished, False)).max() <= 3 * tol
     # ... unless no polish step is allowed
     monkeypatch.setattr(xs, "MAX_ITER", 0)
     with pytest.raises(xs.BatchSolveError) as exc:
@@ -1402,11 +1538,12 @@ def test_a_batch_column_off_by_1e_6_is_polished(region, B, path, monkeypatch):
 
     monkeypatch.setattr(xs, path, off(k))
     x = xs.solve_batch(pattern, weights, b[0], tol, transpose=True)
-    assert np.abs(xs._batch_residual(pattern, weights, b, x, True)).sum(axis=1).max() <= tol
+    block = xs._step_block(pattern, weights)
+    assert np.abs(xs._batch_residual(pattern, block, b, x, True)).sum(axis=1).max() <= tol
     # the l1 error is at most the largest expected exit time times both
     # l1 residuals
     want = dense(pattern, weights, b, True)
-    want_res = np.abs(xs._batch_residual(pattern, weights, b, want, True)).sum(axis=(1, 2))
+    want_res = np.abs(xs._batch_residual(pattern, block, b, want, True)).sum(axis=(1, 2))
     exit_time = dense(pattern, weights, np.ones((B, pattern.n)), False).max(axis=1)
     assert np.all(np.abs(x - want).sum(axis=1) <= exit_time * (tol + want_res) * (1 + 1e-9))
     # without a polish step the column names its environment, and of two

@@ -150,7 +150,8 @@ def test_dense_green_rows_are_certified(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(xs, "MAX_ITER", 0)  # no polish step
             with pytest.raises(xs.SolverConvergenceError):
-                xs._certify_batch(pattern, weights, e_src, bumped, 1e-9, "l1", True)
+                xs._certify_batch(pattern, xs._step_block(pattern, weights), e_src, bumped,
+                                  1e-9, "l1", True)
         assert np.abs(r).sum() <= 1e-13
     # a sampled environment whose rows miss the certificate names its seed
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
@@ -414,7 +415,8 @@ def test_formula_route_inverses_are_certified(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(xs, "MAX_ITER", 0)  # no polish step
         with pytest.raises(xs.SolverConvergenceError):
-            xs._certify_batch(pattern, weights, None, corrupted, 1e-10, "l1", False)
+            xs._certify_batch(pattern, xs._step_block(pattern, weights), None, corrupted,
+                              1e-10, "l1", False)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_drift_formula(law, region, (0, 0), (0, 0), n_env=3, method="mc",
                                   tol=1e-30)
@@ -432,12 +434,13 @@ def test_batch_certificates_reject_nan():
     e_src = np.broadcast_to(np.eye(1, pattern.n, src)[0], (3, pattern.n))
     g = xs.solve_batch(pattern, weights, e_src, 1e-10, transpose=True)
     g[1, 5] = np.nan
+    block = xs._step_block(pattern, weights)
     with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_batch(pattern, weights, e_src, g, 1e-10, "l1", True)
+        xs._certify_batch(pattern, block, e_src, g, 1e-10, "l1", True)
     G = xs.solve_batch(pattern, weights, None, 1e-10)
     G[2, 7, 11] = np.nan
     with pytest.raises(xs.SolverConvergenceError):
-        xs._certify_batch(pattern, weights, None, G, 1e-10, "l1", False)
+        xs._certify_batch(pattern, block, None, G, 1e-10, "l1", False)
 
 
 def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):

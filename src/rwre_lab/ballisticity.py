@@ -11,7 +11,7 @@ scale, and compares probabilities in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .monte_carlo import (
     MCEstimate,
     annealed_walks,
 )
+from .reporting import write_csv, write_site_csv
 
 DEFAULT_Z = 3.0
 
@@ -137,6 +138,10 @@ class MartingaleTailReport:
         return {**vars(self), "all_within": self.all_within,
                 "rows": [vars(r) for r in self.rows]}
 
+    def to_csv(self, path, meta: str | None = None) -> None:
+        write_csv(path, [f.name for f in fields(MartingaleTailRow)],
+                  [vars(r).values() for r in self.rows], meta=meta)
+
 
 def martingale_tail_test(increment: str, n: int, u_grid, n_paths: int, seed: int,
                          b: float = 1.0, q: float = 0.5,
@@ -239,6 +244,11 @@ class ConditionPReport:
         out = {k: v for k, v in vars(self).items() if k not in ("starts", "log_m0_value")}
         return {**out, "log_m0": self.log_m0_value,
                 "starts": [{**vars(s), "site": list(s.site)} for s in self.starts]}
+
+    def to_csv(self, path, meta: str | None = None) -> None:
+        write_site_csv(path, "x", [s.site for s in self.starts],
+                       {k: [getattr(s, k) for s in self.starts]
+                        for k in ("p_hat", "se", "n", "hits")}, meta)
 
 
 def _upper_bounds(hits: np.ndarray, n: int, level: float) -> np.ndarray:
@@ -418,6 +428,10 @@ class FluctuationScanReport:
     def to_dict(self) -> dict:
         return {**vars(self), "rows": [vars(r) for r in self.rows]}
 
+    def to_csv(self, path, meta: str | None = None) -> None:
+        write_csv(path, [f.name for f in fields(FluctuationRow)],
+                  [vars(r).values() for r in self.rows], meta=meta)
+
 
 def fluctuation_scan(law_family, amplitudes, L: int, W: int, n_env: int,
                      alpha: float, seed: int,
@@ -514,6 +528,13 @@ class RhoStats:
                 "q_mean": float(self.q_samples.mean()),
                 "rho_mean": float(self.rho_samples.mean()),
                 "sqrt_rho": self.sqrt_rho_estimate.to_dict()}
+
+    def to_csv(self, path, meta: str | None = None) -> None:
+        """One row per environment sample."""
+        samples = np.column_stack([self.q_samples, self.rho_samples,
+                                   self.rho_hat_samples, self.g_origin_samples])
+        write_csv(path, ["index", "q_B", "rho_B", "rho_hat", "g_drift_origin"],
+                  [[i, *row] for i, row in enumerate(samples.tolist())], meta=meta)
 
 
 def rho_statistics(law: EnvironmentLaw, theta: float, eta: float, n_env: int,

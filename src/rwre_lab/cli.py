@@ -32,11 +32,6 @@ from .exact_solver import _exit_distribution, _green_table, build_system, green_
 from .lattice import build_region
 from .reporting import config_hash, read_json, write_csv, write_json, write_plotdata
 
-EXPERIMENTS = (
-    "moments", "green", "kalikow-drift", "eps-k", "theorem2", "theorem3",
-    "condition-p", "prop31", "fluctuations", "rho", "velocity", "freedman",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -118,9 +113,6 @@ class _Run:
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
-
-    def csv(self, name: str, header, rows):
-        write_csv(self.path(name), header, rows, meta=self.meta)
 
     def plotdata(self, name: str, xs, ys):
         write_plotdata(self.path(name), xs, ys, meta=self.meta)
@@ -212,21 +204,12 @@ def _eps_k_family(cfg: dict) -> kal.EpsKFamilySpec:
     )
 
 
-def _eps_k_csv(run: _Run, report: kal.EpsKReport):
-    run.csv("eps_k_sets.csv",
-            ["label", "n_sites", "min_lcb", "min_ucb", "min_estimate",
-             "argmin_site", "exact"],
-            [[s.label, s.n_sites, s.min_lcb, s.min_ucb, s.min_estimate,
-              " ".join(map(str, s.argmin_site)), s.exact]
-             for s in report.sets])
-
-
 def _run_eps_k(run: _Run):
     law = _law(run.cfg)
     n_env = _get(run.cfg, "n_env", int, 800)
     report = kal.estimate_eps_k(law, _eps_k_family(run.cfg),
                                 n_env=n_env, seed=run.seed)
-    _eps_k_csv(run, report)
+    report.to_csv(run.path("eps_k_sets.csv"), meta=run.meta)
     run.report.update({"law": law.to_dict(), "eps_k": report.to_dict()})
 
 
@@ -237,7 +220,7 @@ def _run_theorem2(run: _Run):
     n_env = _get(run.cfg, "n_env", int, 800)
     probe = kal.estimate_eps_k(law, _eps_k_family(run.cfg),
                                n_env=n_env, seed=run.seed)
-    _eps_k_csv(run, probe)
+    probe.to_csv(run.path("eps_k_sets.csv"), meta=run.meta)
     run.report.update({
         "law": law.to_dict(),
         "moments": mom.to_dict(),
@@ -258,13 +241,7 @@ def _run_theorem3(run: _Run):
         eps0=_get(run.cfg, "eps0", float, 0.5),
         force=_get(run.cfg, "force", bool, False),
     )
-    run.csv("halfspace_drift.csv",
-            ["sign", "N", "n_sites", "drift_e1", "se_e1"]
-            + [f"drift_e{k + 1}" for k in range(1, law.d)]
-            + [f"se_e{k + 1}" for k in range(1, law.d)],
-            [[r.sign, r.N, r.n_sites, float(r.drift[0]), float(r.se[0])]
-             + [float(v) for v in r.drift[1:]] + [float(v) for v in r.se[1:]]
-             for r in report.rows])
+    report.to_csv(run.path("halfspace_drift.csv"), meta=run.meta)
     run.report.update({"law": law.to_dict(), "theorem3": report.to_dict()})
 
 
@@ -281,10 +258,7 @@ def _run_condition_p(run: _Run):
                                     seed=run.seed if len(Ms) == 1 else run.seed + j)
         reports.append(rep)
         suffix = "" if len(Ms) == 1 else f"_M{M}"
-        run.csv(f"condition_p_starts{suffix}.csv",
-                [f"x{k + 1}" for k in range(law.d)] + ["p_hat", "se", "n", "hits"],
-                [list(map(int, s.site)) + [s.p_hat, s.se, s.n, s.hits]
-                 for s in rep.starts])
+        rep.to_csv(run.path(f"condition_p_starts{suffix}.csv"), meta=run.meta)
     run.plotdata("exit_probability_vs_M.txt",
                  [r.M for r in reports], [r.sup_estimate for r in reports])
     run.report.update({
@@ -315,9 +289,7 @@ def _run_fluctuations(run: _Run):
         _get(run.cfg, "L", int), _get(run.cfg, "W", int),
         _get(run.cfg, "n_env", int, 2000), _get(run.cfg, "alpha", float, 2.0 / 3.0),
         seed=run.seed)
-    run.csv("fluctuation_scan.csv",
-            ["amplitude", "sigma2", "mean", "variance", "n_env"],
-            [[r.amplitude, r.sigma2, r.mean, r.variance, r.n_env] for r in scan.rows])
+    scan.to_csv(run.path("fluctuation_scan.csv"), meta=run.meta)
     run.plotdata("variance_vs_amplitude.txt",
                  [r.amplitude for r in scan.rows], [r.variance for r in scan.rows])
     run.report.update({"fluctuations": scan.to_dict()})
@@ -332,12 +304,7 @@ def _run_rho(run: _Run):
         law, _get(run.cfg, "theta", float), _get(run.cfg, "eta", float),
         _get(run.cfg, "n_env", int, 100), seed=run.seed, **scales,
         allow_subsample=_get(run.cfg, "allow_subsample", bool, True))
-    run.csv("rho_samples.csv",
-            ["index", "q_B", "rho_B", "rho_hat", "g_drift_origin"],
-            [[i, float(q), float(r), float(rh), float(g)]
-             for i, (q, r, rh, g) in enumerate(zip(
-                 stats.q_samples, stats.rho_samples,
-                 stats.rho_hat_samples, stats.g_origin_samples))])
+    stats.to_csv(run.path("rho_samples.csv"), meta=run.meta)
     run.report.update({"law": law.to_dict(), "rho": stats.to_dict()})
 
 
@@ -358,15 +325,15 @@ def _run_velocity(run: _Run):
 
 def _run_freedman(run: _Run):
     points = _get(run.cfg, "points", list, [])
-    rows = []
+    bounds = []
     for p in points:
         p = _object("freedman point", p)
-        u, b, sum_v2 = (_get(p, k, float) for k in ("u", "b", "sum_v2"))
-        rows.append([u, b, sum_v2, bal.freedman_bound(u=u, b=b, sum_v2=sum_v2)])
-    if rows:
-        run.csv("freedman_bounds.csv", ["u", "b", "sum_v2", "bound"], rows)
-    run.report["bounds"] = [
-        {"u": r[0], "b": r[1], "sum_v2": r[2], "bound": r[3]} for r in rows]
+        row = {k: _get(p, k, float) for k in ("u", "b", "sum_v2")}
+        bounds.append({**row, "bound": bal.freedman_bound(**row)})
+    if bounds:
+        write_csv(run.path("freedman_bounds.csv"), list(bounds[0]),
+                  [row.values() for row in bounds], meta=run.meta)
+    run.report["bounds"] = bounds
     tail = run.cfg.get("tail_test")
     if tail:
         tail = _object("tail_test", tail)
@@ -374,11 +341,7 @@ def _run_freedman(run: _Run):
             tail.get("increment", "plusminus"), _get(tail, "n", int),
             _get(tail, "u_grid", lambda v: [float(u) for u in v]), _get(tail, "n_paths", int),
             seed=run.seed, b=_get(tail, "b", float, 1.0))
-        run.csv("martingale_tails.csv",
-                ["u", "bound", "upper_freq", "lower_freq",
-                 "se_upper", "se_lower", "within_bound"],
-                [[r.u, r.bound, r.upper_freq, r.lower_freq,
-                  r.se_upper, r.se_lower, r.within_bound] for r in rep.rows])
+        rep.to_csv(run.path("martingale_tails.csv"), meta=run.meta)
         run.report["tail_test"] = rep.to_dict()
 
 
@@ -396,6 +359,7 @@ _RUNNERS = {
     "velocity": _run_velocity,
     "freedman": _run_freedman,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(kind: str, config_path: str, seed: int | None = None,

@@ -98,6 +98,7 @@ import numpy as np
 from .env_model import EnvironmentLaw, EnvironmentRealization, directions, sample_weights
 from .lattice import BoxRegion, ExitClass, Region, RegionError
 from .monte_carlo import FunctionalEvaluationError
+from .reporting import write_site_csv
 from .runtime import deterministic_map
 
 DEFAULT_TOL = 1e-10
@@ -318,9 +319,10 @@ def _mean_kernel_factors(p, shape):
 
     None where the 2 sum_i m_i^2 entries of the axis matrices exceed
     MEMORY_BUDGET, where the spectrum is not positive, or where the scaling
-    overflows float64: a zero mean entry makes it infinite, and a drift too
-    strong for the box spreads it over more than 2^53.  single is None
-    where the scaling spreads over more than float32's 2^24.  The float32
+    overflows float64: a zero mean entry opposite a positive one makes it
+    infinite (an axis with both 0 has no steps and keeps scale 1), and a
+    drift too strong for the box spreads it over more than 2^53.  single is
+    None where the scaling spreads over more than float32's 2^24.  The float32
     axis matrices add half the float64 ones' bytes to the budget's.
 
     M only has to contract: lockstep keeps x, the residual and every
@@ -334,8 +336,8 @@ def _mean_kernel_factors(p, shape):
     spectrum = np.ones(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, m in enumerate(shape):
-            if m == 1:
-                continue  # no steps along this axis
+            if m == 1 or p[2 * i] == p[2 * i + 1] == 0:
+                continue  # no steps along this axis: scale 1, no spectrum term
             log_r[i] = 0.5 * np.log(p[2 * i + 1] / p[2 * i])
             k = np.arange(1.0, m + 1).reshape([-1 if j == i else 1 for j in range(len(shape))])
             spectrum -= 2.0 * np.sqrt(p[2 * i] * p[2 * i + 1]) * np.cos(np.pi * k / (m + 1))
@@ -1018,11 +1020,7 @@ class GreenTable:
         return float(self.values.sum())
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        from .reporting import write_csv
-        d = self.sites.shape[1]
-        header = [f"y{k + 1}" for k in range(d)] + ["green_value"]
-        rows = [list(map(int, s)) + [float(v)] for s, v in zip(self.sites, self.values)]
-        write_csv(path, header, rows, meta=meta)
+        write_site_csv(path, "y", self.sites, {"green_value": self.values.tolist()}, meta)
 
 
 def _green_table(system: QuenchedSystem, x, tol: float, method: str) -> GreenTable:
@@ -1119,11 +1117,7 @@ class ExitDistribution:
         return self.class_mass(ExitClass.FRONTAL)
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        from .reporting import write_csv
-        d = self.sites.shape[1]
-        header = [f"y{k + 1}" for k in range(d)] + ["probability"]
-        rows = [list(map(int, s)) + [float(m)] for s, m in zip(self.sites, self.masses)]
-        write_csv(path, header, rows, meta=meta)
+        write_site_csv(path, "y", self.sites, {"probability": self.masses.tolist()}, meta)
 
 
 def exit_distribution(env: EnvironmentRealization, region: Region, x,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from . import rng
 from .env_model import (
     EnvironmentLaw,
     check_k_conditions,
+    direction_labels,
     directions,
     law_moments,
     sample_environment,
@@ -52,6 +53,7 @@ from .exact_solver import (
     solve_batch,
 )
 from .lattice import BoxRegion, HalfSpaceTrunc, Region, SiteSetRegion, SlabRegion
+from .reporting import write_csv, write_site_csv
 
 ENUMERATION_CAP = 10 ** 6
 DEFAULT_Z = 3.0
@@ -169,20 +171,11 @@ class KalikowEnv:
         )
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        from .env_model import direction_labels
-        from .reporting import write_csv
-        d = self.sites.shape[1]
-        labels = direction_labels(d)
-        header = [f"y{k + 1}" for k in range(d)]
-        for lbl in labels:
-            header += [f"w({lbl})", f"se({lbl})"]
-        rows = []
-        for i, s in enumerate(self.sites):
-            row = list(map(int, s))
-            for e in range(2 * d):
-                row += [float(self.ratios[i, e]), float(self.ratio_se[i, e])]
-            rows.append(row)
-        write_csv(path, header, rows, meta=meta)
+        columns = {}
+        for e, lbl in enumerate(direction_labels(self.sites.shape[1])):
+            columns[f"w({lbl})"] = self.ratios[:, e].tolist()
+            columns[f"se({lbl})"] = self.ratio_se[:, e].tolist()
+        write_site_csv(path, "y", self.sites, columns, meta)
 
 
 @dataclass
@@ -456,6 +449,12 @@ class EpsKReport:
         return {**vars(self), "sets": [{**vars(s), "argmin_site": list(s.argmin_site)}
                                        for s in self.sets]}
 
+    def to_csv(self, path, meta: str | None = None) -> None:
+        """One row per set; the argmin site's coordinates joined by spaces."""
+        write_csv(path, [f.name for f in fields(EpsKSetResult)],
+                  [{**vars(s), "argmin_site": " ".join(map(str, s.argmin_site))}.values()
+                   for s in self.sets], meta=meta)
+
 
 def estimate_eps_k(law: EnvironmentLaw, family_spec: EpsKFamilySpec | None = None,
                    n_env: int = 800, seed: int = 0, z: float = DEFAULT_Z,
@@ -543,6 +542,16 @@ class Theorem3Report:
         return {**vars(self), "rows": [
             {**vars(r), "drift": [float(v) for v in r.drift], "se": [float(v) for v in r.se]}
             for r in self.rows]}
+
+    def to_csv(self, path, meta: str | None = None) -> None:
+        """One row per (sign, N): the e1 drift and its standard error, then
+        the other components' drifts, then their standard errors."""
+        d = len(self.rows[0].drift)
+        write_csv(path, ["sign", "N", "n_sites", "drift_e1", "se_e1"]
+                  + [f"{q}_e{k}" for q in ("drift", "se") for k in range(2, d + 1)],
+                  [[r.sign, r.N, r.n_sites]
+                   + np.r_[r.drift[0], r.se[0], r.drift[1:], r.se[1:]].tolist()
+                   for r in self.rows], meta=meta)
 
 
 def theorem3_experiment(law: EnvironmentLaw, rho: float,

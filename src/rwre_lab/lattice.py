@@ -379,15 +379,14 @@ def build_region(kind: str, params: dict, d: int) -> Region:
 
 def sites_to_csv(region: Region, path, which: str = "interior") -> None:
     """Dump a region's interior or boundary site list for debugging."""
-    from .reporting import write_csv
+    from .reporting import write_site_csv
     if which == "interior":
         arr = region.interior_array()
     elif which == "boundary":
         arr = region.boundary_array()
     else:
         raise ValueError("which must be 'interior' or 'boundary'")
-    header = [f"y{k + 1}" for k in range(region.d)]
-    write_csv(path, header, [list(map(int, s)) for s in arr])
+    write_site_csv(path, "y", arr, {})
 
 
 def classify_exit(region: Region, site) -> ExitClass:

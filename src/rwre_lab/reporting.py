@@ -11,6 +11,8 @@ import json
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def fmt_cell(value) -> str:
     if isinstance(value, bool):
@@ -32,6 +34,16 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
             fh.write(",".join(fmt_cell(v) for v in row) + "\n")
 
 
+def write_site_csv(path, prefix: str, sites, columns: dict,
+                   meta: str | None = None) -> None:
+    """One row per site of an (n, d) integer array: its coordinates as
+    prefix1..prefixd, then the named columns, each one cell per site."""
+    sites = np.asarray(sites, dtype=np.int64)
+    header = [f"{prefix}{k + 1}" for k in range(sites.shape[1])] + list(columns)
+    write_csv(path, header, ([*site, *(col[i] for col in columns.values())]
+                             for i, site in enumerate(sites.tolist())), meta=meta)
+
+
 def write_plotdata(path, xs: Sequence, ys: Sequence,
                    meta: str | None = None) -> None:
     """Two-column whitespace-separated text, one point per line."""
@@ -44,8 +56,6 @@ def write_plotdata(path, xs: Sequence, ys: Sequence,
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

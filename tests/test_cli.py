@@ -251,14 +251,55 @@ def test_summary_cli_usage_error_on_no_args():
         cli.main(["summary"])
 
 
+PM2 = {"family": "point_mass", "d": 2, "weights": {
+    "+e1": 0.3, "-e1": 0.2, "+e2": 0.25, "-e2": 0.25}}
+KICK3 = {"family": "signed_axis_kick", "d": 3, "a": 0.02, "lambda_shift": 0.05}
+TINY_FAMILY = {"box_k_max": 1, "slab_L_max": 1, "halfspace_N_max": 1,
+               "n_clusters": 1, "cluster_size_cap": 6}
+EPS_K_HEADER = "label,n_sites,min_lcb,min_ucb,min_estimate,argmin_site,exact"
+STARTS_HEADER = "x1,x2,p_hat,se,n,hits"
+
+# every experiment kind that writes a table: its config and {file: header};
+# files without a header are two-column plot data
+TABLES = [
+    ("green", {"law": KICK_D2, "region": {"kind": "slab", "L": 2, "W": 8}},
+     {"green_row.csv": "y1,y2,green_value", "exit_distribution.csv": "y1,y2,probability"}),
+    ("kalikow-drift", {"law": PM2, "region": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]},
+                       "n_env": 4},
+     {"kalikow_environment.csv": "y1,y2,w(+e1),se(+e1),w(-e1),se(-e1),"
+                                 "w(+e2),se(+e2),w(-e2),se(-e2)"}),
+    ("eps-k", {"law": PM2, "n_env": 4, "family": TINY_FAMILY}, {"eps_k_sets.csv": EPS_K_HEADER}),
+    ("theorem2", {"law": PM2, "n_env": 4, "family": TINY_FAMILY},
+     {"eps_k_sets.csv": EPS_K_HEADER}),
+    ("theorem3", {"law": KICK3, "rho": 0.5, "N_list": [2, 3], "n_env": 4, "force": True},
+     {"halfspace_drift.csv": "sign,N,n_sites,drift_e1,se_e1,drift_e2,drift_e3,se_e2,se_e3"}),
+    ("condition-p", {"law": KICK_D2, "M": 2, "n_per_site": 10, "site_cap": 2},
+     {"condition_p_starts.csv": STARTS_HEADER, "exit_probability_vs_M.txt": None}),
+    ("condition-p", {"law": KICK_D2, "M_list": [2, 3], "n_per_site": 10, "site_cap": 2},
+     {"condition_p_starts_M2.csv": STARTS_HEADER, "condition_p_starts_M3.csv": STARTS_HEADER,
+      "exit_probability_vs_M.txt": None}),
+    ("prop31", {"law": {**KICK_D2, "lambda_shift": 0.05}, "L": 2, "W": 8, "n_env": 4},
+     {"drift_green_samples.csv": "env_seed,value"}),
+    ("fluctuations", {"law": KICK_D2, "amplitudes": [0.01, 0.02], "L": 2, "W": 8, "n_env": 4},
+     {"fluctuation_scan.csv": "amplitude,sigma2,mean,variance,n_env",
+      "variance_vs_amplitude.txt": None}),
+    ("rho", {"law": KICK_D2, "theta": 0.2, "eta": 0.5, "L": 2, "lateral_cap": 8, "n_env": 2},
+     {"rho_samples.csv": "index,q_B,rho_B,rho_hat,g_drift_origin"}),
+    ("freedman", {"points": [{"u": 1, "b": 1, "sum_v2": 1}],
+                  "tail_test": {"n": 10, "u_grid": [2], "n_paths": 20}},
+     {"freedman_bounds.csv": "u,b,sum_v2,bound",
+      "martingale_tails.csv": "u,bound,upper_freq,lower_freq,se_upper,se_lower,within_bound"}),
+]
+
+
 def test_csv_outputs_carry_provenance(tmp_path):
-    cfg = write_config(tmp_path, "g.json", {
-        "experiment": "green", "seed": 3,
-        "law": {"family": "signed_axis_kick", "d": 2, "a": 0.05},
-        "region": {"kind": "slab", "L": 2, "W": 8},
-    })
-    cli.run("green", cfg, out_dir=str(tmp_path / "out"))
-    text = (tmp_path / "out" / "green_row.csv").read_text()
-    first = text.splitlines()[0]
-    assert first.startswith("# config_hash=")
-    assert "seed=3" in first
+    for i, (kind, payload, headers) in enumerate(TABLES):
+        cfg = write_config(tmp_path, f"{i}.json", {"experiment": kind, "seed": 3, **payload})
+        out = tmp_path / str(i)
+        report = json.loads(open(cli.run(kind, cfg, out_dir=str(out))).read())
+        assert set(os.listdir(out)) == {"report.json", *headers}, kind
+        for name, header in headers.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == f"# config_hash={report['config_hash']} seed=3", name
+            if header is not None:
+                assert lines[1] == header, name

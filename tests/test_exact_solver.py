@@ -485,11 +485,16 @@ def _mean_kernel(A, pattern):
     return np.eye(pattern.n) - P_bar
 
 
-@pytest.mark.parametrize("hi", [[4, 6], [0, 5], [3, 4, 2], [2, 0, 3], [0, 4, 0]])
+@pytest.mark.parametrize("hi, weights", [
+    ([4, 6], None), ([0, 5], None), ([3, 4, 2], None), ([2, 0, 3], None), ([0, 4, 0], None),
+    # no steps along e1: both of that axis's mean weights are 0
+    ([3, 5], [0, 0, 0.5, 0.5]),
+], ids=["hi0", "hi1", "hi2", "hi3", "hi4", "no-e1-steps"])
 @pytest.mark.parametrize("transpose", [False, True])
-def test_mean_kernel_inverse_is_exact(hi, transpose):
+def test_mean_kernel_inverse_is_exact(hi, weights, transpose):
     d = len(hi)
-    law = rl.SignedAxisKickLaw(d, 0.02, lambda_shift=0.04)
+    law = (rl.PointMassLaw(weights) if weights
+           else rl.SignedAxisKickLaw(d, 0.02, lambda_shift=0.04))
     system = xs.build_system(rl.sample_environment(law, seed=1), rl.BoxRegion([0] * d, hi))
     P = system_matrix(system)
     A = P.T if transpose else P

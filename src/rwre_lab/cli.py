@@ -194,12 +194,15 @@ def _run_kalikow_drift(run: _Run):
 
 def _eps_k_family(cfg: dict) -> kal.EpsKFamilySpec:
     fam = _object("family", cfg.get("family", {}))
+    cap = _get(fam, "cluster_size_cap", int, 20)
+    if cap < 5:  # every cluster grows to 5 sites at least (`kalikow._grow_cluster`)
+        raise ConfigError(f"config key 'cluster_size_cap' must be at least 5, got {cap}")
     return kal.EpsKFamilySpec(
         box_k_max=_get(fam, "box_k_max", int, 3),
         slab_L_max=_get(fam, "slab_L_max", int, 4),
         halfspace_N_max=_get(fam, "halfspace_N_max", int, 8),
         n_clusters=_get(fam, "n_clusters", int, 15),
-        cluster_size_cap=_get(fam, "cluster_size_cap", int, 20),
+        cluster_size_cap=cap,
         cluster_seed=_get(fam, "cluster_seed", int, 12345),
     )
 

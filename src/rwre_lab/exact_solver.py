@@ -13,9 +13,9 @@ then one certificate.  It builds the batch's step block once (the weights
 by direction as (2d, B, n), 0 on the steps out of the region), and every
 path applies P and P^T through one operator on it, `_batch_residual`: on
 a box 2d offset slices, elsewhere one gather per direction through
-`RegionPattern.nbr_pad`; no sparse matrix is built.  scipy is imported by
-the paths that call it (scipy.linalg for band LU, scipy.sparse.linalg for
-BiCGSTAB), so dense, lockstep and Neumann runs load none of it.  The paths:
+`RegionPattern.nbr_pad`; no sparse matrix is built.  scipy is imported only
+by BiCGSTAB (scipy.sparse.linalg), so dense, lockstep and Neumann runs load
+none of it.  The paths:
 
 * "lockstep" - preconditioned Richardson x <- x + M r, r = b - x + A x, for
                all B environments together, with M = (I - P_bar)^-1 (or
@@ -29,18 +29,14 @@ BiCGSTAB), so dense, lockstep and Neumann runs load none of it.  The paths:
 * "dense"    - stacked LU on I - A_k assembled from the weights
                (`_dense_batch`), _DENSE_SLICE entries at a time; the path of
                small systems and of whole inverses.
-* "banded"   - LAPACK band LU (gbsv) on a box region, its unknowns reordered
-               so the shortest axis runs fastest; the band array is filled
-               straight from the weights.
 * "krylov"   - BiCGSTAB on (I - A), preconditioned on boxes by the same
                mean-kernel inverse; boxes whose axis matrices exceed
                MEMORY_BUDGET go without.
 * "neumann"  - the certificate's polish alone, from zero.
 
-Band LU and BiCGSTAB solve one environment at a time on
-`deterministic_map`, and a failure there raises BatchSolveError naming it.
-A lockstep or banded request off a box, or an unknown path, raises
-ValueError before any environment is solved.
+BiCGSTAB solves one environment at a time on `deterministic_map`, and a
+failure there raises BatchSolveError naming it.  A lockstep request off a
+box, or an unknown path, raises ValueError before any environment is solved.
 
 Lockstep applies M in float32 where its scaling fits float32's mantissa;
 a float32 run that stalls is re-run with the float64 M, and x and the
@@ -56,22 +52,17 @@ the fixed-point iteration x <- x + r, and the lowest-index environment
 that cannot be mended raises BatchSolveError once the rest have finished.
 
 One rule picks the path of one environment and of a batch of B alike,
-`auto_method(pattern, B, weights)`: lockstep on a box wherever its
-modelled cost (`_cost_us`: a fixed cost, then per environment and unknown
-the work of its M applies) is below that of the path `_direct_or_krylov`
-would take at that B, and that path otherwise: dense LU up to
-DENSE_CUTOFF unknowns (a fixed cost, then the n^2 entries of each
-system), banded above it on boxes whose band half-width b satisfies
-b * b <= n and whose (3b + 1) x n band array fits MEMORY_BUDGET (n b^2
-work per environment), and Krylov everywhere else (site sets, and thin
-boxes beyond the band budget), which lockstep always beats where it has
-an M.  A single solve takes band LU only at under half lockstep's cost,
-for band LU's first call loads scipy.linalg.  A constant weight block
-(one-atom laws) goes lockstep wherever band LU is named and M fits: M is
-then the exact inverse (about 2 applies, no scipy), and its zero-drift
-axes are the kept DST-I matrices.  So single solves of disordered
-environments keep band LU on elongated d=2 boxes and dense LU on small
-ones, while their batches go lockstep once B spreads its fixed cost.
+`auto_method(pattern, B)`: lockstep on a box wherever its modelled cost
+(`_cost_us`: a fixed cost, then per environment and unknown the work of
+its M applies) is below that of the path `_direct_or_krylov` takes, and
+that path otherwise: dense LU up to DENSE_CUTOFF unknowns (a fixed cost,
+then the n^2 entries of each system), and Krylov above it, which is not
+modelled and so yields to lockstep wherever M fits.  So boxes above
+DENSE_CUTOFF go lockstep at every B, small ones go dense LU until B
+spreads lockstep's fixed cost, and site sets take dense LU or Krylov.  A
+constant weight block (one-atom laws) needs no rule of its own: its M is
+the exact inverse (about 2 applies), and its zero-drift axes are the kept
+DST-I matrices.
 
 Public quantities solve on one `build_system` result through
 `solve_green_row`, `solve_green_operator` or `solve_hitting`, each a
@@ -104,8 +95,8 @@ from .runtime import deterministic_map
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 600
 MAX_ITER = 500_000
-# float64 entries (about 48 MB) that one band array, one batch of dense
-# systems or one box's preconditioner axis matrices may hold
+# float64 entries (about 48 MB) that one batch of dense systems or one box's
+# preconditioner axis matrices may hold
 MEMORY_BUDGET = 6_000_000
 
 
@@ -153,34 +144,6 @@ class RegionPattern:
         if not isinstance(self.region, BoxRegion):
             return None
         return tuple(int(m) for m in self.region.hi - self.region.lo + 1)
-
-    @property
-    def band_width(self) -> int | None:
-        """Band half-width of I - P with the shortest box axis fastest.
-
-        Stepping along the longest (slowest) axis moves n / max(shape)
-        places; None when the region is not a box.
-        """
-        return None if self.shape is None else self.n // max(self.shape)
-
-    @cached_property
-    def band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(perm, pos, pos_t) for banded solves on a box.
-
-        perm[k] is the interior index of the k-th unknown in band order
-        (longest axis slowest, shortest fastest).  pos[k] is the flat
-        position of the k-th inside step, weights.ravel()[inside_mask][k],
-        in the (2b + 1, n) LAPACK band array of I - P; pos_t is the same
-        for I - P^T.
-        """
-        axes = np.argsort(-np.asarray(self.shape), kind="stable")
-        perm = np.arange(self.n).reshape(self.shape).transpose(axes).ravel()
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n)
-        rows = inv[np.repeat(np.arange(self.n), 2 * self.d)[self.inside_mask]]
-        cols = inv[self.nbr.ravel()[self.inside_mask]]
-        b = self.band_width
-        return perm, (b + rows - cols) * self.n + cols, (b + cols - rows) * self.n + rows
 
     def source_index(self, site) -> int:
         """Index of an interior site in the pattern's enumeration."""
@@ -423,7 +386,9 @@ def _mean_kernel_inverse(system: QuenchedSystem, transpose: bool, steps=None):
 def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
     """BiCGSTAB on I - P, or I - P^T with transpose, preconditioned by the
     mean-kernel inverse, both on one step block; returns (x, iterations).
-    v - A v is the negated residual of v for b = 0 (`_batch_residual`)."""
+    v - A v is the negated residual of v for b = 0 (`_batch_residual`).  A
+    run that overflows (no M, under a drift too strong for the box) returns
+    x = 0, for the certificate's polish to start from."""
     import scipy.sparse.linalg as spla
 
     n = b.shape[0]
@@ -438,10 +403,11 @@ def _krylov_solve(system: QuenchedSystem, b, tol, transpose: bool):
         nonlocal its
         its += 1
 
-    x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=tol / max(1.0, np.sqrt(n)),
-                         maxiter=max(200, int(4 * np.sqrt(n)) + 50),
-                         M=_mean_kernel_inverse(system, transpose, steps), callback=count)
-    return x, its
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, _ = spla.bicgstab(S, b, rtol=1e-14, atol=tol / max(1.0, np.sqrt(n)),
+                             maxiter=max(200, int(4 * np.sqrt(n)) + 50),
+                             M=_mean_kernel_inverse(system, transpose, steps), callback=count)
+    return (x if np.isfinite(x).all() else np.zeros(n)), its
 
 
 def _dense_batch(pattern: RegionPattern, weights: np.ndarray, b, transpose: bool) -> np.ndarray:
@@ -462,38 +428,16 @@ def _dense_batch(pattern: RegionPattern, weights: np.ndarray, b, transpose: bool
     return np.linalg.solve(eye_minus_a, b[:, :, None])[:, :, 0]
 
 
-def _banded_solve(system: QuenchedSystem, b, transpose: bool):
-    """Band LU on I - P, or I - P^T with transpose."""
-    from scipy.linalg import solve_banded
-
-    pattern = system.pattern
-    w, n = pattern.band_width, pattern.n
-    perm, pos, pos_t = pattern.band_order
-    ab = np.zeros((2 * w + 1) * n)
-    ab[w * n:(w + 1) * n] = 1.0
-    ab[pos_t if transpose else pos] = -system.weights.ravel()[pattern.inside_mask]
-    y = solve_banded((w, w), ab.reshape(2 * w + 1, n), b[perm],
-                     overwrite_ab=True, overwrite_b=True, check_finite=False)
-    x = np.empty(n)
-    x[perm] = y
-    return x
-
-
 def _direct_or_krylov(pattern: RegionPattern) -> str:
-    """The path without lockstep: dense LU up to DENSE_CUTOFF unknowns;
-    above it band LU on a box whose band half-width b has b^2 <= n and
-    whose (3b + 1) x n band array fits MEMORY_BUDGET, else Krylov."""
-    n, w = pattern.n, pattern.band_width
-    if n <= DENSE_CUTOFF:
-        return "dense"
-    if w is not None and w * w <= n and (3 * w + 1) * n <= MEMORY_BUDGET:
-        return "banded"
-    return "krylov"
+    """The path without lockstep: dense LU up to DENSE_CUTOFF unknowns,
+    Krylov above it."""
+    return "dense" if pattern.n <= DENSE_CUTOFF else "krylov"
 
 
 def _cost_us(pattern: RegionPattern, B: int, method: str) -> float:
     """Microseconds of one `solve_batch` call of B environments on a box,
-    solve and certificate, by path; Krylov is not modelled (inf).
+    solve and certificate, by path; Krylov is not modelled (inf), so it
+    yields to lockstep wherever M fits.
 
     Fitted to a recorded table of every path's time per environment on d=2
     and d=3 boxes (kick laws, 7 to 17 M applies per lockstep run, one BLAS
@@ -505,8 +449,7 @@ def _cost_us(pattern: RegionPattern, B: int, method: str) -> float:
     * stacked dense LU - a fixed cost per call, and per entry of each
       I - A_k (assembly, LAPACK's copies and the factorization at these
       n), dearer once a slice of _DENSE_SLICE entries outgrows a core's
-      cache (2^17 entries);
-    * band LU - per unknown, and per unknown and squared half-width b^2.
+      cache (2^17 entries).
     Lockstep is inf where its M's axis matrices exceed MEMORY_BUDGET, for
     `_mean_kernel_factors` gives none there.
     """
@@ -519,30 +462,20 @@ def _cost_us(pattern: RegionPattern, B: int, method: str) -> float:
     if method == "dense":
         entries = min(B, max(1, _DENSE_SLICE // (n * n))) * n * n
         return 65.0 + B * n * n * (0.0105 if entries <= 1 << 17 else 0.0135)
-    if method == "banded":
-        return B * n * (0.23 + 0.00057 * pattern.band_width ** 2)
     return math.inf
 
 
-def auto_method(pattern: RegionPattern, B: int = 1, weights: np.ndarray | None = None) -> str:
+def auto_method(pattern: RegionPattern, B: int = 1) -> str:
     """The path of B environments' systems on the pattern, solved together:
     "lockstep" on a box where its modelled cost (`_cost_us`) is below that
-    of the path `_direct_or_krylov` names, which it is otherwise.  A single
-    solve takes band LU only where that costs under half as much: its first
-    call in a process loads scipy.linalg (0.2 s and 26 MB), which a batch
-    spreads over its environments and a single solve seldom repays.  A
-    constant weight block (one vector at every site: one-atom laws) goes
-    lockstep wherever band LU is named and M fits, for M is then the exact
-    inverse (about 2 applies); Krylov already yields wherever M fits."""
+    of the path `_direct_or_krylov` names, which it is otherwise.  Krylov's
+    cost is not modelled, so every box above DENSE_CUTOFF whose M fits goes
+    lockstep, a constant weight block (one-atom laws, whose M is the exact
+    inverse) included."""
     method = _direct_or_krylov(pattern)
-    if pattern.shape is None:
+    if pattern.shape is None or _cost_us(pattern, B, "lockstep") >= _cost_us(pattern, B, method):
         return method
-    lockstep = _cost_us(pattern, B, "lockstep")
-    alt = _cost_us(pattern, B, method) * (2 if B == 1 and method == "banded" else 1)
-    if lockstep < alt or (method == "banded" and lockstep < math.inf and weights is not None
-                          and (weights == weights[:1, :1]).all()):
-        return "lockstep"
-    return method
+    return "lockstep"
 
 
 def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
@@ -556,7 +489,7 @@ def solve_fixed_point(system: QuenchedSystem, b, tol, norm="l1", method="auto",
     lockstep's fallback), and iterations count the lockstep's M applies too.
     """
     if method == "auto":
-        method = auto_method(system.pattern, 1, system.weights[None])
+        method = auto_method(system.pattern)
     x, r, its, method = _solve(system.pattern, system.weights[None], b[None],
                                np.array([tol]), norm, transpose, method)
     r = r[0, :, 0]
@@ -588,8 +521,9 @@ _LOCKSTEP_UNKNOWNS = 1 << 16
 # float64 entries (8 MB) of I - A_k blocks per stacked dense LU call; a
 # whole batch's (B, n, n) block would set the peak memory of a (B, n) solve
 _DENSE_SLICE = 1 << 20
-# lockstep iterations before a batch falls back; about where one band LU per
-# environment of a d=2 half-space N=20-30 becomes cheaper
+# lockstep iterations before a batch falls back to `_direct_or_krylov`; the
+# kick laws of the experiments take 7 to 17 M applies on their boxes, so a
+# run that has not converged by then is stalled rather than slow
 _LOCKSTEP_MAX_ITER = 60
 
 
@@ -603,8 +537,8 @@ def _scaled_tol(tol, b):
 
 def batch_size(pattern: RegionPattern, inverses: bool = False) -> int:
     """Environments per `solve_batch` call, by the path `auto_method`
-    gives a batch of _LOCKSTEP_UNKNOWNS unknowns: lockstep and
-    per-environment batches hold that many unknowns, stacked dense ones,
+    gives a batch of _LOCKSTEP_UNKNOWNS unknowns: lockstep and Krylov
+    batches hold that many unknowns, stacked dense ones,
     and whole inverses, B n^2 <= MEMORY_BUDGET entries (the size of B
     whole inverses).  It never depends on the worker count, since callers
     that merge per batch would then follow it."""
@@ -871,10 +805,10 @@ def _solve(pattern: RegionPattern, weights: np.ndarray, b, tols, norm: str,
     only).  Returns (x, |r|, iterations, method): |r| the absolute residual
     of x, iterations per environment (M applies, BiCGSTAB iterations and polish
     steps), and method the path that produced x."""
-    if method not in ("lockstep", "dense", "banded", "krylov", "neumann"):
+    if method not in ("lockstep", "dense", "krylov", "neumann"):
         raise ValueError(f"unknown solve method {method!r}")
-    if method in ("lockstep", "banded") and pattern.shape is None:
-        raise ValueError(f"{method} solves need the pattern of a box region")
+    if method == "lockstep" and pattern.shape is None:
+        raise ValueError("lockstep solves need the pattern of a box region")
     B, n = weights.shape[:2]
     nd, size = 2 * pattern.d, B * n
     area = _work_area((nd + 3) * size) if size <= _LOCKSTEP_UNKNOWNS else np.empty((nd + 3) * size)
@@ -892,13 +826,11 @@ def _solve(pattern: RegionPattern, weights: np.ndarray, b, tols, norm: str,
                               None if b is None else b[i:i + step], transpose)
                  for i in range(0, B, step)]
         x = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    elif method in ("banded", "krylov"):
+    elif method == "krylov":
         def one(k: int):
-            system = QuenchedSystem(pattern, weights[k])
             try:
-                if method == "banded":
-                    return _banded_solve(system, b[k], transpose), 0
-                return _krylov_solve(system, b[k], tols[k], transpose)
+                return _krylov_solve(QuenchedSystem(pattern, weights[k]), b[k], tols[k],
+                                     transpose)
             except Exception as exc:  # noqa: BLE001 - annotate with the environment
                 raise BatchSolveError(str(exc), k) from exc
 
@@ -941,7 +873,7 @@ def solve_batch(pattern: RegionPattern, weights: np.ndarray, b,
         # runs every environment at B = 1
         return solve_fixed_point(QuenchedSystem(pattern, weights[0]), b[0], tols[0], norm,
                                  transpose=transpose)[0][None]
-    method = auto_method(pattern, B, weights)
+    method = auto_method(pattern, B)
     return _solve(pattern, weights, b, tols, norm, transpose, method)[0]
 
 

@@ -15,6 +15,8 @@ import numpy as np
 
 
 def fmt_cell(value) -> str:
+    if isinstance(value, np.generic):  # the value it holds, not its repr
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -180,7 +180,7 @@ class TestDriftGreen:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("L, W, d, method", [
-        (2, 8, 2, "dense"), (4, 64, 2, "banded"), (3, 8, 3, "lockstep")])
+        (2, 8, 2, "dense"), (4, 64, 2, "lockstep"), (3, 8, 3, "lockstep")])
     def test_samples_equal_the_one_environment_reference(self, L, W, d, method):
         slab = rl.SlabRegion(L, W, d)
         pattern = xs.region_pattern(slab)
@@ -348,8 +348,9 @@ class TestRhoStatistics:
 
 
 KICK = rl.SignedAxisKickLaw(2, 0.02, 0.05)
-# regions above DENSE_CUTOFF, whose batches solve each environment on its own
-# (a 1032-site slab, a 1127-site box 7 sites wide, both band LU)
+# regions above DENSE_CUTOFF (a 1032-site slab, a 1127-site box 7 sites
+# wide), whose batches, once lockstep fails, solve each environment on its
+# own by BiCGSTAB
 STATISTICS = {
     "drift": lambda n_env, seed: bal.mean_drift_green_check(KICK, 4, 64, n_env, seed),
     "fluctuations": lambda n_env, seed: bal.fluctuation_scan(
@@ -379,7 +380,7 @@ THIRD_ENVIRONMENT_SEEDS = pytest.mark.parametrize("name, failing_seed", [
 @THIRD_ENVIRONMENT_SEEDS
 def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
-    solve, calls = xs._banded_solve, []
+    solve, calls = xs._krylov_solve, []
 
     def third_fails(*args, **kwargs):
         calls.append(None)
@@ -387,7 +388,8 @@ def test_solver_failure_names_the_environment_seed(name, failing_seed, monkeypat
             raise xs.SolverConvergenceError("injected failure")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(xs, "_banded_solve", third_fails)
+    monkeypatch.setattr(xs, "_lockstep", lambda *args: (None, 0))
+    monkeypatch.setattr(xs, "_krylov_solve", third_fails)
     with pytest.raises(rl.monte_carlo.FunctionalEvaluationError) as exc:
         STATISTICS[name](5, 31)
     assert exc.value.env_seed == failing_seed(31)

@@ -219,6 +219,26 @@ def test_freedman_run_and_summary(tmp_path):
     assert "tails within bound: True" in stream.getvalue()
 
 
+def test_martingale_tail_cells_are_plain_values(tmp_path):
+    # numpy scalars in a row are written as the values they hold, never as
+    # their repr, such as np.float64(0.26)
+    cfg = write_config(tmp_path, "f.json", {
+        "experiment": "freedman", "seed": 2,
+        "tail_test": {"increment": "plusminus", "n": 50, "u_grid": [2, 6], "n_paths": 500},
+    })
+    out = tmp_path / "out"
+    cli.run("freedman", cfg, out_dir=str(out))
+    lines = (out / "martingale_tails.csv").read_text().splitlines()
+    assert lines[0].startswith("#")
+    header, rows = lines[1].split(","), [line.split(",") for line in lines[2:]]
+    assert header[-1] == "within_bound" and len(rows) == 2
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[-1] in ("true", "false")
+        for cell in row[:-1]:
+            float(cell)
+
+
 def test_condition_p_summary_names_threshold_exponent(tmp_path):
     cfg = write_config(tmp_path, "p.json", {
         "experiment": "condition-p", "seed": 2,
@@ -258,6 +278,19 @@ TINY_FAMILY = {"box_k_max": 1, "slab_L_max": 1, "halfspace_N_max": 1,
                "n_clusters": 1, "cluster_size_cap": 6}
 EPS_K_HEADER = "label,n_sites,min_lcb,min_ucb,min_estimate,argmin_site,exact"
 STARTS_HEADER = "x1,x2,p_hat,se,n,hits"
+
+
+def test_cluster_size_cap_below_five_is_a_config_error(tmp_path):
+    # every cluster of the eps-k family grows to 5 sites at least
+    cfg = write_config(tmp_path, "e.json", {
+        "experiment": "eps-k", "law": PM2, "n_env": 4,
+        "family": {**TINY_FAMILY, "cluster_size_cap": 4}})
+    with pytest.raises(cli.ConfigError, match="'cluster_size_cap'"):
+        cli.run("eps-k", cfg, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    family = cli._eps_k_family({"family": {**TINY_FAMILY, "cluster_size_cap": 5}})
+    assert family.cluster_size_cap == 5
+
 
 # every experiment kind that writes a table: its config and {file: header};
 # files without a header are two-column plot data

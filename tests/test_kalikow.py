@@ -445,9 +445,10 @@ def test_batch_certificates_reject_nan():
 
 def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "1")  # solves run in environment order
-    # n = 1032 on an elongated box: one band LU row solve per environment
+    # n = 1032 on an elongated box: a lockstep batch that fails falls back
+    # to one BiCGSTAB row solve per environment
     region = rl.SlabRegion(4, 64, 2)
-    solve, calls = xs._banded_solve, []
+    solve, calls = xs._krylov_solve, []
 
     def third_fails(*args, **kwargs):
         calls.append(None)
@@ -455,7 +456,8 @@ def test_sampled_kalikow_solve_failure_names_the_environment_seed(monkeypatch):
             raise xs.SolverConvergenceError("injected failure")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(xs, "_banded_solve", third_fails)
+    monkeypatch.setattr(xs, "_lockstep", lambda *args: (None, 0))
+    monkeypatch.setattr(xs, "_krylov_solve", third_fails)
     with pytest.raises(mc.FunctionalEvaluationError) as exc:
         kal.kalikow_environment(rl.SignedAxisKickLaw(2, 0.05), region, (0, 0), n_env=5,
                                 seed=31, method="mc")

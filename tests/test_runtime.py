@@ -72,7 +72,7 @@ def test_import_batch_solves_and_the_cli_load_no_scipy(tmp_path):
 
 
 def test_one_atom_exit_distribution_loads_no_scipy(tmp_path):
-    # the constant block of a shifted SSRW goes lockstep, not band LU
+    # the constant block of a shifted SSRW goes lockstep, whose M is exact
     loaded = _scipy_modules_after("""
         import rwre_lab as rl
 
@@ -129,12 +129,25 @@ def test_neumann_solves_load_no_scipy_and_krylov_loads_its_linalg(tmp_path):
 
 def test_slab_drift_batches_without_a_remainder_load_no_scipy(tmp_path):
     # 64 environments on the d=2 slab L=4 W=64 (63 per lockstep batch at
-    # most) run as two lockstep batches of 32, not as 63 and one band LU,
-    # whose single solve would load scipy.linalg
+    # most) run as two lockstep batches of 32, not as 63 and a remainder of
+    # one
     loaded = _scipy_modules_after("""
         import rwre_lab as rl
         from rwre_lab import ballisticity as bal
 
         bal.mean_drift_green_check(rl.SignedAxisKickLaw(2, 0.04, 0.01), 4, 64, 64, seed=3)
+    """, tmp_path)
+    assert loaded == []
+
+
+def test_single_disordered_solve_above_the_dense_cutoff_loads_no_scipy(tmp_path):
+    # one Green row of a kick-law environment on the d=2 slab L=4 W=64
+    # (8 x 129 sites, above DENSE_CUTOFF) is one lockstep solve
+    loaded = _scipy_modules_after("""
+        import rwre_lab as rl
+
+        env = rl.sample_environment(rl.SignedAxisKickLaw(2, 0.05), seed=1)
+        table = rl.green_row(env, rl.SlabRegion(4, 64, 2), (0, 0), tol=1e-10)
+        assert table.l1_residual <= 1e-10
     """, tmp_path)
     assert loaded == []
